@@ -123,6 +123,8 @@ def bch_integral(
     elementary basis of gl(n)).  Every quadrature node must satisfy
     ||e^(ad X) e^(t ad Y) - I|| < 1 or an out-of-domain error is raised.
     """
+    if quad_points < 1:
+        raise DomainError(f"quad_points must be at least 1, got {quad_points}")
     X = to_complex(X) if is_rational(X) else np.asarray(X, dtype=complex)
     Y = to_complex(Y) if is_rational(Y) else np.asarray(Y, dtype=complex)
     if X.shape != Y.shape or X.shape[0] != X.shape[1]:

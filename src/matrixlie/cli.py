@@ -51,22 +51,12 @@ _BASES = {
 }
 
 
-def _load_matrix(arg: str):
+def _load_json(arg: str, decode=matrix_from_json):
+    """Decode an inline JSON argument, or the JSON file named by @path."""
     if arg.startswith("@"):
         with open(arg[1:]) as f:
-            obj = json.load(f)
-    else:
-        obj = json.loads(arg)
-    return matrix_from_json(obj)
-
-
-def _load_rep(arg: str):
-    if arg.startswith("@"):
-        with open(arg[1:]) as f:
-            obj = json.load(f)
-    else:
-        obj = json.loads(arg)
-    return rep_from_json(obj)
+            return decode(json.load(f))
+    return decode(json.loads(arg))
 
 
 def _emit(obj):
@@ -156,20 +146,22 @@ def _run(args) -> int:
     tol = _tol(args)
     cmd = args.cmd
     if cmd == "exp":
-        _emit_matrix(expmlog.mat_exp(_load_matrix(args.matrix), tol))
+        _emit_matrix(expmlog.mat_exp(_load_json(args.matrix), tol))
     elif cmd == "log":
-        _emit_matrix(expmlog.mat_log(_load_matrix(args.matrix), tol))
+        _emit_matrix(expmlog.mat_log(_load_json(args.matrix), tol))
     elif cmd == "heislog":
-        _emit_matrix(expmlog.heisenberg_log(_load_matrix(args.matrix)))
+        _emit_matrix(expmlog.heisenberg_log(_load_json(args.matrix)))
     elif cmd == "member":
-        _emit({"member": bool(groups.is_member(_load_matrix(args.matrix), args.group, tol))})
+        g = groups.parse_group(args.group)  # a bad name is reported before a bad matrix
+        _emit({"member": bool(groups.is_member(_load_json(args.matrix), g, tol))})
     elif cmd == "algebra":
-        _emit({"member": bool(liealg.in_algebra(_load_matrix(args.matrix), args.algebra, tol))})
+        a = liealg.parse_algebra(args.algebra)
+        _emit({"member": bool(liealg.in_algebra(_load_json(args.matrix), a, tol))})
     elif cmd == "bracket":
-        _emit_matrix(liealg.bracket(_load_matrix(args.x), _load_matrix(args.y)))
+        _emit_matrix(liealg.bracket(_load_json(args.x), _load_json(args.y)))
     elif cmd == "ad":
         basis = _BASES[args.basis]()
-        _emit_matrix(liealg.ad_matrix(_load_matrix(args.matrix), basis))
+        _emit_matrix(liealg.ad_matrix(_load_json(args.matrix), basis))
     elif cmd == "structconst":
         basis = _BASES[args.basis]()
         c = liealg.structure_constants(basis)
@@ -184,8 +176,8 @@ def _run(args) -> int:
             }
         )
     elif cmd == "bch":
-        X = _load_matrix(args.x)
-        Y = _load_matrix(args.y)
+        X = _load_json(args.x)
+        Y = _load_json(args.y)
         if args.form == "heis":
             _emit_matrix(bchmod.bch_heisenberg(X, Y))
         elif args.form == "series":
@@ -195,7 +187,7 @@ def _run(args) -> int:
                 bchmod.bch_integral(X, Y, args.quad_points, args.terms)
             )
     elif cmd == "su2so3":
-        M = _load_matrix(args.matrix)
+        M = _load_json(args.matrix)
         if args.direction == "fwd":
             _emit_matrix(su2so3.adjoint_to_so3(M, tol))
         else:
@@ -215,14 +207,14 @@ def _run(args) -> int:
                 f.write(repsl3.weight_table_csv(mult))
         _emit(rep_to_json(rep))
     elif cmd == "decompose":
-        _emit({"summands": repsl2.sl2_decompose(_load_rep(args.rep))})
+        _emit({"summands": repsl2.sl2_decompose(_load_json(args.rep, rep_from_json))})
     elif cmd == "cg":
         prod = tensor_product(repsl2.sl2_irrep(args.m), repsl2.sl2_irrep(args.n))
         _emit({"summands": repsl2.sl2_decompose(prod)})
     elif cmd == "dim":
         print(repsl3.sl3_dim_formula(args.m1, args.m2))
     elif cmd == "polar":
-        R, H = groups.polar_decompose_sl(_load_matrix(args.matrix), tol)
+        R, H = groups.polar_decompose_sl(_load_json(args.matrix), tol)
         _emit({"R": matrix_to_json(R), "H": matrix_to_json(H)})
     else:
         raise ValueError(f"unhandled command {cmd}")

@@ -1,8 +1,12 @@
 """Matrix Lie groups: identifiers, membership predicates, constructors.
 
 Groups are named by strings like "SO(3)", "SU(2)", "O(3,1)", "Sp(2,R)",
-"SL(2,C)", "Heis", "E(3)", "P(3,1)".  Membership is always tested
-against the defining algebraic identity within a tolerance.
+"SL(2,C)", "Heis", "E(3)", "P(3,1)"; their Lie algebras by the same names
+in lower case ("so(3)", "su(2)", ...).  This module owns that grammar and
+the defining identity of every family: each group is the set of matrices
+preserving some forms F (A^T F A = F or A^* F A = F), and its algebra is
+the linearised condition X^T F = -F X (or X^* F = -F X).  Membership is
+always tested against that identity within a tolerance.
 """
 
 from __future__ import annotations
@@ -27,100 +31,70 @@ __all__ = [
     "o11_component",
 ]
 
-# family -> (has k parameter, field fixed to)
-_FAMILIES = {
-    "GL",
-    "SL",
-    "O",
-    "SO",
-    "U",
-    "SU",
-    "OC",  # complex orthogonal O(n,C)
-    "SOC",
-    "OK",  # generalized orthogonal O(n,k)
-    "SOK",
-    "SpR",
-    "SpC",
-    "Sp",  # compact symplectic
-    "Heis",
-    "E",
-    "P",
+# ---------------------------------------------------------------------------
+# name grammar
+
+_R, _C = ("", "R"), ("", "C")
+_FIELD = {"n": _R, "nR": _R, "nC": _C}
+_ORTHO = {"n": _R, "nR": _R, "nC": ("C", "C"), "nk": ("K", "R")}
+
+# group token -> {argument shape -> (family suffix, field)}.  The shapes
+# are "" (bare), "n", "nR", "nC" and "nk"; the family is the token plus
+# the suffix ("SO" + "K" = "SOK").  The algebra token is the lowercased
+# group token ("so" + "K" = "soK"), except that O has none: o(n) is so(n).
+_TOKENS = {
+    "GL": _FIELD,
+    "SL": _FIELD,
+    "U": {"n": _C},
+    "SU": {"n": _C},
+    "E": {"n": _R},
+    "O": _ORTHO,
+    "SO": _ORTHO,
+    "Sp": {"n": _C, "nR": ("R", "R"), "nC": ("C", "C")},  # Sp(n) is compact
+    "P": {"nk": _R},
+    "Heis": {"": _R},
 }
+_ALGEBRA_TOKENS = {t.lower(): t for t in _TOKENS if t != "O"}
+
+_NAME_RE = re.compile(r"([A-Za-z]+)(?:\(([1-9][0-9]*)(?:,(R|C|[1-9][0-9]*))?\))?")
 
 
 @dataclass(frozen=True)
-class GroupId:
-    family: str
+class LieId:
+    """A parsed group or algebra name; the family keeps the name's case."""
+
+    family: str  # e.g. GL, SO, SOC, SOK, SpR, Heis; gl, so, soC, soK, spR, heis
     n: int
     k: int = 0
     field: str = "R"  # "R" or "C"
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown group family {self.family!r}")
-        if self.k > 0 and self.family not in ("OK", "SOK", "P"):
-            raise ValueError("k parameter only applies to generalized-orthogonal families")
-
     @property
     def matrix_dim(self) -> int:
-        """Ambient square-matrix size for members of this group."""
-        if self.family in ("OK", "SOK"):
-            return self.n + self.k
-        if self.family in ("SpR", "SpC", "Sp"):
-            return 2 * self.n
-        if self.family == "Heis":
-            return 3
-        if self.family == "E":
-            return self.n + 1
-        if self.family == "P":
-            return self.n + self.k + 1
-        return self.n
+        """Ambient square-matrix size for members of this group or algebra."""
+        fam = self.family.lower()
+        base = 2 * self.n if fam.startswith("sp") else self.n + self.k
+        return base + _spec(fam).affine
 
 
-_GROUP_RE = re.compile(r"^([A-Za-z]+)\((\d+)(?:,(\d+|[RC]))?(?:,([RC]))?\)$")
+GroupId = LieId
+
+
+def _parse(s: str, group: bool) -> LieId:
+    m = _NAME_RE.fullmatch(s)
+    token = m and (m[1] if group else _ALGEBRA_TOKENS.get(m[1]))
+    shapes = _TOKENS.get(token, {})
+    n, arg = (m[2], m[3]) if m else (None, None)
+    shape = "" if n is None else "n" + ("" if arg is None else arg if arg in "RC" else "k")
+    if shape not in shapes:
+        raise ValueError(f"cannot parse {'group' if group else 'algebra'} name {s!r}")
+    suffix, field = shapes[shape]
+    # the bare Heisenberg name is the 3x3 group
+    return LieId(m[1] + suffix, int(n or 3), int(arg) if shape == "nk" else 0, field)
 
 
 def parse_group(s: str) -> GroupId:
     """Parse a group name like "SO(3)", "O(3,1)", "Sp(2,R)", "Heis"."""
-    if s == "Heis":
-        return GroupId("Heis", 3)
-    m = _GROUP_RE.match(s)
-    if not m:
-        raise ValueError(f"cannot parse group name {s!r}")
-    name, n, second, third = m.group(1), int(m.group(2)), m.group(3), m.group(4)
-    field = "R"
-    k = 0
-    if second in ("R", "C"):
-        field = second
-    elif second is not None:
-        k = int(second)
-        if third in ("R", "C"):
-            field = third
-    if name == "GL":
-        return GroupId("GL", n, field=field)
-    if name == "SL":
-        return GroupId("SL", n, field=field)
-    if name == "U":
-        return GroupId("U", n, field="C")
-    if name == "SU":
-        return GroupId("SU", n, field="C")
-    if name == "O":
-        if k > 0:
-            return GroupId("OK", n, k=k)
-        return GroupId("OC", n, field="C") if field == "C" else GroupId("O", n)
-    if name == "SO":
-        if k > 0:
-            return GroupId("SOK", n, k=k)
-        return GroupId("SOC", n, field="C") if field == "C" else GroupId("SO", n)
-    if name == "Sp":
-        if second is None:
-            return GroupId("Sp", n, field="C")
-        return GroupId("SpR", n) if field == "R" else GroupId("SpC", n, field="C")
-    if name == "E":
-        return GroupId("E", n)
-    if name == "P":
-        return GroupId("P", n, k=1)
-    raise ValueError(f"cannot parse group name {s!r}")
+    return _parse(s, group=True)
 
 
 def metric_g(n: int, k: int) -> np.ndarray:
@@ -136,78 +110,110 @@ def symplectic_J(n: int) -> np.ndarray:
     return J
 
 
+# ---------------------------------------------------------------------------
+# defining identities
+
+@dataclass(frozen=True)
+class _Spec:
+    """The defining identity of one family, shared by the group and its algebra.
+
+    real: entries must be real (None: as the id's field says).
+    forms: (F, adj) pairs with F one of "I", "g" (metric_g) or "J"
+        (symplectic_J) and adj "T" (transpose) or "H" (conjugate
+        transpose); the group keeps adj(A) F A = F and the algebra
+        satisfies adj(X) F = -F X.
+    affine: members are [[M, x], [0, 1]] (group) or [[M, x], [0, 0]]
+        (algebra), and the forms apply to M.
+    det: the group's determinant is "1" or "nonzero" ("": unchecked).
+    trace0: the algebra's trace is 0.
+    """
+
+    real: bool | None
+    forms: tuple = ()
+    affine: bool = False
+    det: str = ""
+    trace0: bool = False
+
+
+# keyed by the lowercased family
+_SPECS = {
+    "gl": _Spec(None, det="nonzero"),
+    "sl": _Spec(None, det="1", trace0=True),
+    "o": _Spec(True, (("I", "T"),)),
+    "so": _Spec(True, (("I", "T"),), det="1"),
+    "oc": _Spec(False, (("I", "T"),)),
+    "soc": _Spec(False, (("I", "T"),), det="1"),
+    "ok": _Spec(True, (("g", "T"),)),
+    "sok": _Spec(True, (("g", "T"),), det="1"),
+    "u": _Spec(False, (("I", "H"),)),
+    "su": _Spec(False, (("I", "H"),), det="1", trace0=True),
+    "spr": _Spec(True, (("J", "T"),)),
+    "spc": _Spec(False, (("J", "T"),)),
+    "sp": _Spec(False, (("J", "T"), ("I", "H"))),
+    "heis": _Spec(True),  # unipotent upper triangular: checked by its shape
+    "e": _Spec(True, (("I", "T"),), affine=True),
+    "p": _Spec(True, (("g", "T"),), affine=True),
+}
+
+
+def _spec(family: str) -> _Spec:
+    try:
+        return _SPECS[family.lower()]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
+
+
 def _is_real(A, tol):
-    return bool(np.all(np.abs(A.imag) <= tol.abs))
+    return bool((np.abs(A.imag) <= tol.abs).all())
 
 
 def _close(A, B, tol):
-    return bool(np.all(np.abs(A - B) <= tol.abs + tol.rel * np.abs(B)))
+    return bool((np.abs(A - B) <= tol.abs + tol.rel * np.abs(B)).all())
+
+
+def _satisfies(M: np.ndarray, lid: LieId, tol: Tolerance, group: bool) -> bool:
+    """Test the defining identity of lid on the complex matrix M, within tol:
+    the group's if group is true, else its Lie algebra's."""
+    spec = _spec(lid.family)
+    d = lid.matrix_dim
+    if M.shape != (d, d):
+        raise ShapeError(f"{lid.family} with n={lid.n} needs a {d}x{d} matrix, got {M.shape}")
+    real = lid.field == "R" if spec.real is None else spec.real
+    if real and not _is_real(M, tol):
+        return False
+    unit = np.eye(d) if group else np.zeros((d, d))
+    if lid.family.lower() == "heis":
+        return all(abs(M[i, j] - unit[i, j]) <= tol.abs for i in range(d) for j in range(i + 1))
+    if group and spec.det:
+        det = complex(np.linalg.det(M))
+        if spec.det == "1" and not abs(det - 1) <= tol.abs + tol.rel:
+            return False
+        if spec.det == "nonzero" and not abs(det) > tol.abs:
+            return False
+    if not group and spec.trace0 and not abs(np.trace(M)) <= tol.abs:
+        return False
+    if spec.affine:
+        d -= 1
+        if not _close(M[d, :], unit[d], tol):
+            return False
+        M = M[:d, :d]
+    for form, adj in spec.forms:
+        Ma = M.conj().T if adj == "H" else M.T
+        if form == "I":
+            ok = _close(Ma @ M, np.eye(d), tol) if group else _close(Ma, -M, tol)
+        else:
+            F = metric_g(lid.n, lid.k) if form == "g" else symplectic_J(lid.n)
+            ok = _close(Ma @ F @ M, F, tol) if group else _close(Ma @ F, -(F @ M), tol)
+        if not ok:
+            return False
+    return True
 
 
 def is_member(A: np.ndarray, g, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Test the defining algebraic condition of group g on A, within tol."""
     if isinstance(g, str):
         g = parse_group(g)
-    A = np.asarray(A, dtype=complex)
-    d = g.matrix_dim
-    if A.shape != (d, d):
-        raise ShapeError(f"{g.family} with n={g.n} needs a {d}x{d} matrix, got {A.shape}")
-    I = np.eye(d)
-    det = complex(np.linalg.det(A))
-    fam = g.family
-    if fam == "GL":
-        ok = abs(det) > tol.abs
-        return ok and (g.field == "C" or _is_real(A, tol))
-    if fam == "SL":
-        ok = abs(det - 1) <= tol.abs + tol.rel
-        return ok and (g.field == "C" or _is_real(A, tol))
-    if fam == "O":
-        return _is_real(A, tol) and _close(A.T @ A, I, tol)
-    if fam == "SO":
-        return _is_real(A, tol) and _close(A.T @ A, I, tol) and abs(det - 1) <= tol.abs + tol.rel
-    if fam == "U":
-        return _close(A.conj().T @ A, I, tol)
-    if fam == "SU":
-        return _close(A.conj().T @ A, I, tol) and abs(det - 1) <= tol.abs + tol.rel
-    if fam == "OC":
-        return _close(A.T @ A, I, tol)
-    if fam == "SOC":
-        return _close(A.T @ A, I, tol) and abs(det - 1) <= tol.abs + tol.rel
-    if fam in ("OK", "SOK"):
-        met = metric_g(g.n, g.k)
-        ok = _is_real(A, tol) and _close(A.T @ met @ A, met, tol)
-        if fam == "SOK":
-            ok = ok and abs(det - 1) <= tol.abs + tol.rel
-        return ok
-    if fam == "SpR":
-        J = symplectic_J(g.n)
-        return _is_real(A, tol) and _close(A.T @ J @ A, J, tol)
-    if fam == "SpC":
-        J = symplectic_J(g.n)
-        return _close(A.T @ J @ A, J, tol)
-    if fam == "Sp":
-        J = symplectic_J(g.n)
-        return _close(A.T @ J @ A, J, tol) and _close(A.conj().T @ A, I, tol)
-    if fam == "Heis":
-        upper = _is_real(A, tol) and all(abs(A[i, i] - 1) <= tol.abs for i in range(3))
-        return upper and all(abs(A[i, j]) <= tol.abs for i in range(3) for j in range(i))
-    if fam == "E":
-        n = g.n
-        R = A[:n, :n]
-        bottom_ok = _close(A[n, :], np.eye(n + 1)[n], tol)
-        return (
-            _is_real(A, tol)
-            and bottom_ok
-            and _close(R.T @ R, np.eye(n), tol)
-        )
-    if fam == "P":
-        n, k = g.n, g.k
-        m = n + k
-        R = A[:m, :m]
-        met = metric_g(n, k)
-        bottom_ok = _close(A[m, :], np.eye(m + 1)[m], tol)
-        return _is_real(A, tol) and bottom_ok and _close(R.T @ met @ R, met, tol)
-    raise ValueError(f"unhandled family {fam}")
+    return _satisfies(np.asarray(A, dtype=complex), g, tol, group=True)
 
 
 def su2_matrix(alpha: complex, beta: complex) -> np.ndarray:
@@ -271,7 +277,7 @@ def o11_component(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     3: A11 > 0, det < 0
     4: A11 < 0, det < 0
     """
-    if not is_member(A, GroupId("OK", 1, k=1), tol):
+    if not is_member(A, parse_group("O(1,1)"), tol):
         raise DomainError("matrix is not in O(1,1)")
     A = np.asarray(A, dtype=complex)
     det = np.linalg.det(A).real

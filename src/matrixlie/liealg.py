@@ -11,15 +11,22 @@ coordinates whenever the bracket truly lies in the span.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ClosureError, DomainError, ShapeError
 from .expmlog import mat_exp
-from .groups import is_member, metric_g, parse_group, symplectic_J
+from .groups import (
+    LieId,
+    _parse,
+    _satisfies,
+    is_member,
+    metric_g,
+    parse_group,
+    symplectic_J,
+)
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -49,72 +56,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlgebraId:
-    family: str  # gl, sl, so, soC, soK, u, su, spR, spC, sp, heis, e, p
-    n: int
-    k: int = 0
-    field: str = "R"
-
-    @property
-    def matrix_dim(self) -> int:
-        if self.family == "soK":
-            return self.n + self.k
-        if self.family in ("spR", "spC", "sp"):
-            return 2 * self.n
-        if self.family == "heis":
-            return 3
-        if self.family == "e":
-            return self.n + 1
-        if self.family == "p":
-            return self.n + self.k + 1
-        return self.n
-
-
-_ALG_RE = re.compile(r"^([a-z]+)\((\d+)(?:,(\d+|[RC]))?(?:,([RC]))?\)$")
+AlgebraId = LieId
 
 
 def parse_algebra(s: str) -> AlgebraId:
     """Parse an algebra name like "su(2)", "sl(3,C)", "so(3,1)", "heis"."""
-    if s == "heis":
-        return AlgebraId("heis", 3)
-    m = _ALG_RE.match(s)
-    if not m:
-        raise ValueError(f"cannot parse algebra name {s!r}")
-    name, n, second, third = m.group(1), int(m.group(2)), m.group(3), m.group(4)
-    field = "R"
-    k = 0
-    if second in ("R", "C"):
-        field = second
-    elif second is not None:
-        k = int(second)
-        if third in ("R", "C"):
-            field = third
-    if name in ("gl", "sl"):
-        return AlgebraId(name, n, field=field)
-    if name in ("u", "su"):
-        return AlgebraId(name, n, field="C")
-    if name == "so":
-        if k > 0:
-            return AlgebraId("soK", n, k=k)
-        return AlgebraId("soC", n, field="C") if field == "C" else AlgebraId("so", n)
-    if name == "sp":
-        if second is None:
-            return AlgebraId("sp", n, field="C")
-        return AlgebraId("spR", n) if field == "R" else AlgebraId("spC", n, field="C")
-    if name == "e":
-        return AlgebraId("e", n)
-    if name == "p":
-        return AlgebraId("p", n, k=1)
-    raise ValueError(f"cannot parse algebra name {s!r}")
-
-
-def _is_real(X, tol):
-    return bool(np.all(np.abs(X.imag) <= tol.abs))
-
-
-def _close(A, B, tol):
-    return bool(np.all(np.abs(A - B) <= tol.abs + tol.rel * np.abs(B)))
+    return _parse(s, group=False)
 
 
 def in_algebra(X: np.ndarray, a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -122,52 +69,7 @@ def in_algebra(X: np.ndarray, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     if isinstance(a, str):
         a = parse_algebra(a)
     X = to_complex(X) if is_rational(X) else np.asarray(X, dtype=complex)
-    d = a.matrix_dim
-    if X.shape != (d, d):
-        raise ShapeError(f"{a.family} with n={a.n} needs a {d}x{d} matrix, got {X.shape}")
-    fam = a.family
-    tr = np.trace(X)
-    if fam == "gl":
-        return a.field == "C" or _is_real(X, tol)
-    if fam == "sl":
-        return abs(tr) <= tol.abs and (a.field == "C" or _is_real(X, tol))
-    if fam == "so":
-        return _is_real(X, tol) and _close(X.T, -X, tol)
-    if fam == "soC":
-        return _close(X.T, -X, tol)
-    if fam == "soK":
-        g = metric_g(a.n, a.k)
-        return _is_real(X, tol) and _close(g @ X.T @ g, -X, tol)
-    if fam == "u":
-        return _close(X.conj().T, -X, tol)
-    if fam == "su":
-        return _close(X.conj().T, -X, tol) and abs(tr) <= tol.abs
-    if fam == "spR":
-        J = symplectic_J(a.n)
-        return _is_real(X, tol) and _close(J @ X.T @ J, X, tol)
-    if fam == "spC":
-        J = symplectic_J(a.n)
-        return _close(J @ X.T @ J, X, tol)
-    if fam == "sp":
-        J = symplectic_J(a.n)
-        return _close(J @ X.T @ J, X, tol) and _close(X.conj().T, -X, tol)
-    if fam == "heis":
-        return _is_real(X, tol) and all(
-            abs(X[i, j]) <= tol.abs for i in range(3) for j in range(i + 1)
-        )
-    if fam == "e":
-        n = a.n
-        bottom_ok = bool(np.all(np.abs(X[n, :]) <= tol.abs))
-        return _is_real(X, tol) and bottom_ok and _close(X[:n, :n].T, -X[:n, :n], tol)
-    if fam == "p":
-        n, k = a.n, a.k
-        m = n + k
-        g = metric_g(n, k)
-        bottom_ok = bool(np.all(np.abs(X[m, :]) <= tol.abs))
-        return _is_real(X, tol) and bottom_ok and _close(
-            g @ X[:m, :m].T @ g, -X[:m, :m], tol
-        )
-    raise ValueError(f"unhandled family {fam}")
+    return _satisfies(X, a, tol, group=False)
 
 
 def bracket(X, Y):

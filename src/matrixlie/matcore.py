@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DomainError, ShapeError
 
 __all__ = [
     "Tolerance",
@@ -97,6 +97,8 @@ def approx_eq(A, B, tol: Tolerance = DEFAULT_TOL) -> bool:
 def rmat(rows) -> np.ndarray:
     """Build an exact rational matrix (object array of Fraction)."""
     data = [[Fraction(x) for x in row] for row in rows]
+    if not data:
+        raise ShapeError("a rational matrix needs at least one row")
     A = np.empty((len(data), len(data[0])), dtype=object)
     for i, row in enumerate(data):
         if len(row) != A.shape[1]:
@@ -256,11 +258,15 @@ def matrix_to_json(M: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise DomainError(f"a matrix is a JSON object, got {type(obj).__name__}")
     rows, cols = int(obj["rows"]), int(obj["cols"])
     if "num" in obj:
         num, den = obj["num"], obj["den"]
         if len(num) != rows * cols or len(den) != rows * cols:
             raise ShapeError("entry count does not match rows*cols")
+        if 0 in den:
+            raise DomainError("a denominator is 0")
         return rmat(
             [
                 [Fraction(num[i * cols + j], den[i * cols + j]) for j in range(cols)]

@@ -186,6 +186,8 @@ def rep_to_json(rep: Representation) -> dict:
 
 
 def rep_from_json(obj: dict) -> Representation:
+    if not isinstance(obj, dict):
+        raise DomainError(f"a representation is a JSON object, got {type(obj).__name__}")
     weights = None
     if "weights" in obj:
         weights = {

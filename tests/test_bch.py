@@ -157,3 +157,10 @@ def test_integral_antisymmetry():
     Z1 = bch_integral(X, Y)
     Z2 = bch_integral(-Y, -X)
     assert frobenius_norm(Z1 + Z2) <= 1e-8
+
+
+def test_integral_needs_a_quadrature_point():
+    X = np.array([[0.1, 0], [0, 0.2]], dtype=complex)
+    for q in (0, -3):
+        with pytest.raises(DomainError):
+            bch_integral(X, X, quad_points=q)

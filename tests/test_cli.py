@@ -98,3 +98,34 @@ def test_file_input(tmp_path):
     p.write_text(mat_json([[0, -1], [1, 0]]))
     r = run_cli("member", "SO(2)", f"@{p}")
     assert json.loads(r.stdout) == {"member": True}
+
+
+def test_non_object_matrix_is_a_domain_error():
+    r = run_cli("member", "SO(2)", "[[1, 0], [0, 1]]")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == "domain"
+
+
+def test_zero_denominator_is_a_domain_error():
+    r = run_cli("exp", json.dumps({"rows": 1, "cols": 1, "num": [1], "den": [0]}))
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == "domain"
+
+
+def test_empty_rational_matrix_is_a_shape_error():
+    r = run_cli("exp", json.dumps({"rows": 0, "cols": 0, "num": [], "den": []}))
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == "shape"
+
+
+def test_non_object_rep_is_a_domain_error():
+    r = run_cli("decompose", "sl2", "[]")
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == "domain"
+
+
+def test_bch_integral_zero_quad_points():
+    X = mat_json([[0.1, 0], [0, 0.2]])
+    r = run_cli("bch", "--form", "integral", "--quad-points", "0", X, X)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == "domain"

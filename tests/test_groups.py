@@ -186,3 +186,85 @@ def test_parse_group_grammar():
     assert parse_group("Heis").family == "Heis"
     with pytest.raises(ValueError):
         parse_group("XO(3)")
+
+
+# (name, is a group name, expected (family, n, k, field, matrix_dim))
+ACCEPTED = [
+    ("GL(3)", True, ("GL", 3, 0, "R", 3)),
+    ("GL(2,R)", True, ("GL", 2, 0, "R", 2)),
+    ("GL(2,C)", True, ("GL", 2, 0, "C", 2)),
+    ("SL(3,C)", True, ("SL", 3, 0, "C", 3)),
+    ("U(3)", True, ("U", 3, 0, "C", 3)),
+    ("SU(2)", True, ("SU", 2, 0, "C", 2)),
+    ("E(3)", True, ("E", 3, 0, "R", 4)),
+    ("O(3)", True, ("O", 3, 0, "R", 3)),
+    ("O(3,R)", True, ("O", 3, 0, "R", 3)),
+    ("O(3,C)", True, ("OC", 3, 0, "C", 3)),
+    ("O(1,1)", True, ("OK", 1, 1, "R", 2)),
+    ("SO(3,C)", True, ("SOC", 3, 0, "C", 3)),
+    ("SO(3,1)", True, ("SOK", 3, 1, "R", 4)),
+    ("Sp(2)", True, ("Sp", 2, 0, "C", 4)),
+    ("Sp(1,R)", True, ("SpR", 1, 0, "R", 2)),
+    ("Sp(2,C)", True, ("SpC", 2, 0, "C", 4)),
+    ("P(3,1)", True, ("P", 3, 1, "R", 5)),
+    ("P(3,2)", True, ("P", 3, 2, "R", 6)),
+    ("Heis", True, ("Heis", 3, 0, "R", 3)),
+    ("gl(2,C)", False, ("gl", 2, 0, "C", 2)),
+    ("sl(2)", False, ("sl", 2, 0, "R", 2)),
+    ("u(2)", False, ("u", 2, 0, "C", 2)),
+    ("su(3)", False, ("su", 3, 0, "C", 3)),
+    ("e(2)", False, ("e", 2, 0, "R", 3)),
+    ("so(3)", False, ("so", 3, 0, "R", 3)),
+    ("so(3,C)", False, ("soC", 3, 0, "C", 3)),
+    ("so(2,2)", False, ("soK", 2, 2, "R", 4)),
+    ("sp(1)", False, ("sp", 1, 0, "C", 2)),
+    ("sp(2,R)", False, ("spR", 2, 0, "R", 4)),
+    ("sp(1,C)", False, ("spC", 1, 0, "C", 2)),
+    ("p(3,1)", False, ("p", 3, 1, "R", 5)),
+    ("heis", False, ("heis", 3, 0, "R", 3)),
+]
+
+REJECTED = [
+    *[(s, True) for s in ("SU(2,1)", "GL(3,1)", "SO(3,1,C)", "E(3,C)", "P(3)",
+                          "SO(0)", "O(3,0)", "Heis(3)", "su(2)")],
+    *[(s, False) for s in ("su(2,R)", "u(2,C)", "gl(2,3)", "e(3,1)", "sp(2,1)",
+                           "so(3,C,R)", "so(0)", "o(3)", "SU(2)")],
+]
+
+
+def _parse_either(name, group):
+    from matrixlie.liealg import parse_algebra
+
+    return parse_group(name) if group else parse_algebra(name)
+
+
+@pytest.mark.parametrize("name,group,want", ACCEPTED)
+def test_name_grammar_accepts(name, group, want):
+    lid = _parse_either(name, group)
+    assert (lid.family, lid.n, lid.k, lid.field, lid.matrix_dim) == want
+
+
+@pytest.mark.parametrize("name,group", REJECTED)
+def test_name_grammar_rejects(name, group):
+    with pytest.raises(ValueError):
+        _parse_either(name, group)
+
+
+def test_unknown_family_rejected():
+    from matrixlie.groups import GroupId
+    from matrixlie.liealg import AlgebraId, in_algebra
+
+    assert GroupId is AlgebraId
+    with pytest.raises(ValueError):
+        is_member(np.eye(3), GroupId("XO", 3))
+    with pytest.raises(ValueError):
+        in_algebra(np.zeros((3, 3)), AlgebraId("xo", 3))
+
+
+def test_poincare_honours_k():
+    A = np.eye(6)
+    A[3, 3] = -1  # a reflection keeps diag(1,1,1,-1,-1)
+    A[:5, 5] = [1, 2, 3, 4, 5]
+    assert is_member(A, "P(3,2)")
+    A[3, 4] = A[4, 3] = 0.5  # no longer preserves diag(1,1,1,-1,-1)
+    assert not is_member(A, "P(3,2)")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matrixlie.errors import ShapeError
+from matrixlie.errors import DomainError, ShapeError
 from matrixlie.matcore import (
     Tolerance,
     approx_eq,
@@ -113,3 +113,19 @@ def test_json_round_trip_rational():
 
 def test_json_real_omits_im():
     assert "im" not in matrix_to_json(np.eye(2))
+
+
+def test_json_non_object_rejected():
+    for obj in ([1, 2], "x", 3, None):
+        with pytest.raises(DomainError):
+            matrix_from_json(obj)
+
+
+def test_json_zero_denominator_rejected():
+    with pytest.raises(DomainError):
+        matrix_from_json({"rows": 1, "cols": 2, "num": [1, 2], "den": [1, 0]})
+
+
+def test_rmat_empty_rejected():
+    with pytest.raises(ShapeError):
+        rmat([])
