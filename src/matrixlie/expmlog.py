@@ -58,6 +58,9 @@ def mat_exp(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     X is scaled by 2^-s until its Frobenius norm drops below 0.5, the
     power series is summed until the next term's norm falls below
     tol.abs, and the result is squared s times.  e^0 = I exactly.
+
+    Raises DomainError for a non-finite norm or an overflowing result;
+    both are only possible, and only checked, when ||X|| > 700.
     """
     X = np.asarray(X, dtype=complex)
     _require_square(X)
@@ -65,6 +68,17 @@ def mat_exp(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     norm = frobenius_norm(X)
     if norm == 0.0:
         return np.eye(n, dtype=complex)
+    if not norm <= 700.0:  # e^700 < 1.8e308, so only here can e^X overflow; nan lands here too
+        if not math.isfinite(norm):
+            raise DomainError(f"matrix norm is {norm}; e^X is not finite")
+        k = math.ceil(math.log2(norm / 700.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = mat_exp(X / 2.0**k, tol)  # the same scaled series as below
+            for _ in range(k):
+                E = E @ E
+        if not np.all(np.isfinite(E)):
+            raise DomainError(f"e^X overflows (||X|| = {norm:.6g})")
+        return E
     s = max(0, math.ceil(math.log2(norm / 0.5)))
     Xs = X / (2.0**s)
     E = np.eye(n, dtype=complex)

@@ -145,64 +145,31 @@ def heis_basis() -> Basis:
     return Basis("heis", ("X", "Y", "Z"), (X, Y, Z))
 
 
-def _to_exact_parts(M) -> tuple:
-    """Split a matrix into exact rational real/imaginary parts.
+def _exact_parts(M) -> list:
+    """Real then imaginary parts of M, row-major, as exact rationals.
 
-    Floating entries are dyadic rationals, so Fraction(entry) is exact.
+    Entries are Fractions or floating numbers (an object array may hold
+    either); floating entries are dyadic rationals, so Fraction is exact.
     """
-    if is_rational(M):
-        n, m = M.shape
-        re = M
-        im = rzeros(n, m)
-        return re, im
-    M = np.asarray(M, dtype=complex)
-    n, m = M.shape
-    re = rzeros(n, m)
-    im = rzeros(n, m)
-    for i in range(n):
-        for j in range(m):
-            re[i, j] = Fraction(float(M[i, j].real))
-            im[i, j] = Fraction(float(M[i, j].imag))
-    return re, im
+    flat = np.asarray(M).ravel().tolist()
+    return [Fraction(x.real) for x in flat] + [Fraction(x.imag) for x in flat]
 
 
 def _exact_coords(target, elements):
     """Exact coordinates of target in span(elements), or None.
 
     Handles complex coefficients by solving the doubled real system with
-    unknowns (Re c_j, Im c_j).
+    unknowns (Re c_j, Im c_j): the column of i c_j is (-Im B_j, Re B_j).
     """
-    n = target.shape[0]
-    d = len(elements)
-    A = rzeros(2 * n * n, 2 * d)
-    for j, B in enumerate(elements):
-        bre, bim = _to_exact_parts(B)
-        for i in range(n):
-            for l in range(n):
-                row = i * n + l
-                A[row, j] = bre[i, l]
-                A[row, d + j] = -bim[i, l]
-                A[n * n + row, j] = bim[i, l]
-                A[n * n + row, d + j] = bre[i, l]
-    tre, tim = _to_exact_parts(target)
-    b = rzeros(2 * n * n, 1)
-    for i in range(n):
-        for l in range(n):
-            b[i * n + l, 0] = tre[i, l]
-            b[n * n + i * n + l, 0] = tim[i, l]
-    x = rational_solve(A, b)
+    half = target.size
+    parts = [_exact_parts(B) for B in elements]
+    cols = parts + [[-x for x in p[half:]] + p[:half] for p in parts]
+    A = np.array(cols, dtype=object).T
+    x = rational_solve(A, np.array([_exact_parts(target)], dtype=object).T)
     if x is None:
         return None
+    d = len(elements)
     return [(x[j, 0], x[d + j, 0]) for j in range(d)]
-
-
-def _coords_to_scalars(coords, rational_ok: bool):
-    """Fraction pairs -> Fractions (if all real) or complex numbers."""
-    if all(c[1] == 0 for c in coords):
-        if rational_ok:
-            return [c[0] for c in coords]
-        return [float(c[0]) for c in coords]
-    return [complex(c[0]) + 1j * complex(c[1]) for c in coords]
 
 
 def ad_matrix(X, basis: Basis):

@@ -9,6 +9,10 @@ Two carriers are used throughout the package:
 This module provides the norm/comparison primitives for the floating
 carrier and exact rank/nullspace/solve primitives for the rational one,
 plus the JSON interchange format used by the CLI and test fixtures.
+
+Exact elimination runs on an internal sparse carrier: one dict
+{column: Fraction} of nonzero entries per row.  Object arrays are
+converted to it and back at the boundary of each public function.
 """
 
 from __future__ import annotations
@@ -146,30 +150,58 @@ def to_rational(M: np.ndarray) -> np.ndarray:
     return rmat([[Fraction(float(np.real(x))) for x in row] for row in M])
 
 
+def _sparse_rows(M: np.ndarray) -> list[dict]:
+    """The nonzero entries of a rational matrix, one {column: Fraction} per row."""
+    rows = [{} for _ in range(M.shape[0])]
+    i, j = np.nonzero(M)
+    for r, c in zip(i.tolist(), j.tolist()):
+        rows[r][c] = Fraction(M[r, c])
+    return rows
+
+
+def _rref_rows(rows: list[dict], cols: int):
+    """Gauss-Jordan elimination on sparse rows, which it consumes.
+
+    Returns (reduced nonzero rows, pivots).  The pivot row for a column is
+    the sparsest remaining row with an entry there, to limit fill-in; the
+    reduced form does not depend on that choice.
+    """
+    todo = [row for row in rows if row]
+    done, pivots = [], []
+    for c in range(cols):
+        if not todo:
+            break
+        cands = [k for k, row in enumerate(todo) if c in row]
+        if not cands:
+            continue
+        p = todo.pop(min(cands, key=lambda k: len(todo[k])))
+        inv = 1 / p[c]
+        p = {j: x * inv for j, x in p.items()}
+        for row in todo + done:
+            a = row.get(c)
+            if a:
+                for j, x in p.items():
+                    v = row.get(j, 0) - a * x
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        done.append(p)
+        pivots.append(c)
+    return done, pivots
+
+
 def rational_rref(M: np.ndarray):
     """Reduced row echelon form by exact Gaussian elimination.
 
     Returns (R, pivots) where pivots[i] is the column of the leading 1 in
     row i of R.
     """
-    R = M.copy()
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if R[i, c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            R[[r, pivot]] = R[[pivot, r]]
-        R[r] = R[r] / R[r, c]
-        for i in range(rows):
-            if i != r and R[i, c] != 0:
-                R[i] = R[i] - R[i, c] * R[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    rows, pivots = _rref_rows(_sparse_rows(M), M.shape[1])
+    R = rzeros(*M.shape)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            R[i, j] = x
     return R, pivots
 
 
@@ -187,7 +219,7 @@ def rational_nullspace(M: np.ndarray) -> list[np.ndarray]:
     """
     R, pivots = rational_rref(M)
     cols = M.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+    free = sorted(set(range(cols)) - set(pivots))
     basis = []
     for f in free:
         v = rzeros(cols, 1)
@@ -204,11 +236,8 @@ def rational_solve(A: np.ndarray, b: np.ndarray):
     When the solution is underdetermined an arbitrary particular solution
     (free variables set to zero) is returned.
     """
-    rows, cols = A.shape
-    aug = np.empty((rows, cols + b.shape[1]), dtype=object)
-    aug[:, :cols] = A
-    aug[:, cols:] = b
-    R, pivots = rational_rref(aug)
+    cols = A.shape[1]
+    R, pivots = rational_rref(np.hstack([A, b]))
     if any(p >= cols for p in pivots):
         return None
     x = rzeros(cols, b.shape[1])
@@ -222,8 +251,8 @@ def rational_inverse(A: np.ndarray) -> np.ndarray:
     n = A.shape[0]
     if A.shape[1] != n:
         raise ShapeError("inverse requires a square matrix")
-    x = rational_solve(A, reye(n))
-    if x is None or rational_rank(A) != n:
+    x = rational_solve(A, reye(n))  # None exactly when A is singular
+    if x is None:
         raise ValueError("matrix is singular")
     return x
 
@@ -257,14 +286,27 @@ def matrix_to_json(M: np.ndarray) -> dict:
     return out
 
 
+def _json_entries(obj: dict, key: str, kinds: tuple, n: int) -> list:
+    """obj[key] as a list of n numbers whose types are among kinds (bool never is)."""
+    xs = obj[key]
+    if not isinstance(xs, list) or not all(type(x) in kinds for x in xs):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise DomainError(f'"{key}" must be a list of {names} entries')
+    if len(xs) != n:
+        raise ShapeError("entry count does not match rows*cols")
+    return xs
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise DomainError(f"a matrix is a JSON object, got {type(obj).__name__}")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = obj["rows"], obj["cols"]
+    if type(rows) is not int or type(cols) is not int:
+        raise DomainError('"rows" and "cols" must be integers')
+    n = rows * cols
     if "num" in obj:
-        num, den = obj["num"], obj["den"]
-        if len(num) != rows * cols or len(den) != rows * cols:
-            raise ShapeError("entry count does not match rows*cols")
+        num = _json_entries(obj, "num", (int,), n)
+        den = _json_entries(obj, "den", (int,), n)
         if 0 in den:
             raise DomainError("a denominator is 0")
         return rmat(
@@ -273,10 +315,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
                 for i in range(rows)
             ]
         )
-    re = obj["re"]
-    im = obj.get("im", [0.0] * (rows * cols))
-    if len(re) != rows * cols or len(im) != rows * cols:
-        raise ShapeError("entry count does not match rows*cols")
+    re = _json_entries(obj, "re", (int, float), n)
+    im = _json_entries(obj, "im", (int, float), n) if "im" in obj else [0.0] * n
     return cmat(
         [
             [re[i * cols + j] + 1j * im[i * cols + j] for j in range(cols)]

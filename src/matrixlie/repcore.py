@@ -9,19 +9,22 @@ index convention is row-major, index = i1 * d2 + i2.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+import itertools
+import math
+from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .liealg import Basis, bracket, structure_constants
 from .matcore import (
+    _sparse_rows,
     frobenius_norm,
     is_rational,
     matrix_from_json,
     matrix_to_json,
+    reye,
     rzeros,
 )
 
@@ -66,23 +69,45 @@ def verify_relations(rep: Representation, basis: Basis, tol_abs: float = 1e-10) 
         raise ShapeError("generator count does not match basis size")
     c = structure_constants(basis)
     d = len(basis)
-    exact = all(is_rational(g) for g in rep.generators)
+    if all(is_rational(g) for g in rep.generators):
+        return _relations_hold_exactly(rep.generators, c)
     for i in range(d):
         for j in range(i + 1, d):
             lhs = bracket(rep.generators[i], rep.generators[j])
-            if exact:
-                rhs = rzeros(rep.dim, rep.dim)
-            else:
-                rhs = np.zeros((rep.dim, rep.dim), dtype=complex)
+            rhs = np.zeros((rep.dim, rep.dim), dtype=complex)
             for k in range(d):
                 if c[i, j, k] != 0:
-                    coeff = c[i, j, k] if exact else float(c[i, j, k])
-                    rhs = rhs + coeff * rep.generators[k]
-            if exact:
-                if any(x != 0 for x in (lhs - rhs).flat):
-                    return False
-            elif frobenius_norm(lhs - rhs) > tol_abs:
+                    rhs = rhs + float(c[i, j, k]) * rep.generators[k]
+            if frobenius_norm(lhs - rhs) > tol_abs:
                 return False
+    return True
+
+
+def _add_product(acc, A, B, s):
+    """acc[i, j] += s (A B)_ij for sparse integer rows A, B."""
+    for i, row in enumerate(A):
+        for k, a in row.items():
+            for j, b in B[k].items():
+                acc[i, j] += s * a * b
+
+
+def _relations_hold_exactly(gens, c) -> bool:
+    """The relations in integers: with D the lcm of the denominators of all
+    generator entries and N_i = D pi(b_i), check [N_i, N_j] = D sum_k c_ijk N_k,
+    both sides scaled by the lcm E of the denominators of c_ij."""
+    rows = [_sparse_rows(g) for g in gens]
+    D = math.lcm(*(x.denominator for r in rows for row in r for x in row.values()))
+    N = [[{j: int(x * D) for j, x in row.items()} for row in r] for r in rows]
+    eye = [{r: 1} for r in range(len(rows[0]))]
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        E = math.lcm(*(x.denominator for x in c[i, j]))
+        acc = defaultdict(int)
+        _add_product(acc, N[i], N[j], E)
+        _add_product(acc, N[j], N[i], -E)
+        for k in np.flatnonzero(c[i, j]).tolist():
+            _add_product(acc, eye, N[k], -D * int(E * c[i, j, k]))
+        if any(acc.values()):
+            return False
     return True
 
 
@@ -98,10 +123,7 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
     exact = is_rational(r1.generators[0]) and is_rational(r2.generators[0])
     gens = []
     for g1, g2 in zip(r1.generators, r2.generators):
-        if exact:
-            g = rzeros(d1 + d2, d1 + d2)
-        else:
-            g = np.zeros((d1 + d2, d1 + d2), dtype=complex)
+        g = rzeros(d1 + d2, d1 + d2) if exact else np.zeros((d1 + d2, d1 + d2), dtype=complex)
         g[:d1, :d1] = g1
         g[d1:, d1:] = g2
         gens.append(g)
@@ -126,21 +148,12 @@ def _kron(A, B):
     return np.kron(A, B)
 
 
-def _eye_like(d, exact):
-    if exact:
-        from .matcore import reye
-
-        return reye(d)
-    return np.eye(d, dtype=complex)
-
-
 def tensor_product(r1: Representation, r2: Representation) -> Representation:
     """Generators pi1(b) (x) I + I (x) pi2(b); weights add factorwise."""
     _check_compatible(r1, r2)
     d1, d2 = r1.dim, r2.dim
     exact = is_rational(r1.generators[0]) and is_rational(r2.generators[0])
-    I1 = _eye_like(d1, exact)
-    I2 = _eye_like(d2, exact)
+    I1, I2 = (reye(d) if exact else np.eye(d, dtype=complex) for d in (d1, d2))
     gens = tuple(
         _kron(g1, I2) + _kron(I1, g2)
         for g1, g2 in zip(r1.generators, r2.generators)

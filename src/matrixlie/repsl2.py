@@ -25,8 +25,9 @@ import numpy as np
 from .errors import DecompositionError, DomainError
 from .liealg import Basis
 from .matcore import (
-    rational_inverse,
+    _sparse_rows,
     rational_nullspace,
+    rational_rank,
     reye,
     rmat,
     rzeros,
@@ -121,26 +122,34 @@ def sl2_weights(rep: Representation) -> list:
 def sl2_decompose(rep: Representation) -> list:
     """Multiset of highest weights m of the irreducible summands.
 
-    For each candidate integer eigenvalue lambda (from a Gershgorin
-    bound downward), the number of summands with highest weight lambda
-    is dim(ker pi(X) intersect eigenspace(pi(H), lambda)), computed by an
-    exact nullspace of the stacked system.
+    The number of summands with highest weight lambda is
+    dim(ker pi(X) intersect eigenspace(pi(H), lambda)).  Since [H, X] = 2X,
+    pi(H) maps ker pi(X) into itself, and a kernel basis vector v_f is 1
+    at its free column f and 0 at the other free columns, so the matrix
+    of pi(H) on ker pi(X) is read off as K = (pi(H) v_f)[free].  The count
+    is then r - rank(K - lambda), for each candidate integer lambda from a
+    Gershgorin bound downward.
     """
     if not verify_relations(rep, sl2_basis_rational()):
         raise DomainError("generators do not satisfy the sl(2) relations")
-    H = rep.generator("H")
-    X = rep.generator("X")
+    H = _sparse_rows(rep.generator("H"))
     d = rep.dim
-    bound = max(
-        int(math.ceil(sum(abs(H[i, j]) for j in range(d)))) for i in range(d)
-    )
+    bound = max(int(math.ceil(sum(abs(x) for x in row.values()))) for row in H)
+    kernel = [
+        {i: v[i, 0] for i in np.flatnonzero(v[:, 0]).tolist()}
+        for v in rational_nullspace(rep.generator("X"))
+    ]
+    # the other nonzero entries of v_f sit at pivot columns left of f
+    free = [max(v) for v in kernel]
+    r = len(free)
+    K = rzeros(r, r)
+    for b, v in enumerate(kernel):
+        for a, g in enumerate(free):
+            K[a, b] = sum(H[g][i] * x for i, x in v.items() if i in H[g])
     found = []
     covered = 0
     for lam in range(bound, -1, -1):
-        stacked = rzeros(2 * d, d)
-        stacked[:d, :] = H - lam * reye(d)
-        stacked[d:, :] = X
-        count = len(rational_nullspace(stacked))
+        count = r - rational_rank(K - lam * reye(r))
         found.extend([lam] * count)
         covered += count * (lam + 1)
     if covered != d:

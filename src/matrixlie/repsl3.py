@@ -17,12 +17,7 @@ import numpy as np
 
 from .errors import DomainError, LieError
 from .liealg import Basis
-from .matcore import (
-    rational_rref,
-    rational_solve,
-    rmat,
-    rzeros,
-)
+from .matcore import rmat, rzeros
 from .repcore import Representation
 
 __all__ = [
@@ -114,57 +109,29 @@ def sl3_dim_formula(m1: int, m2: int) -> int:
     return (m1 + 1) * (m2 + 1) * (m1 + m2 + 2) // 2
 
 
-class _Closure:
-    """Exact row-reduced span bookkeeping: add vectors, track rank."""
+def _apply_factorwise(cols_per_factor, vec):
+    """Apply sum_f I x..x g_f x..x I to a sparse vector {index tuple: Fraction}.
 
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self.rows = []  # reduced rows
-        self.pivots = []
-
-    def _reduce(self, v):
-        v = v.copy()
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                v = v - v[p] * row
-        return v
-
-    def add(self, v) -> bool:
-        """Reduce v against the current span; True if it was new."""
-        v = self._reduce(v)
-        nz = next((i for i in range(self.ambient) if v[i] != 0), None)
-        if nz is None:
-            return False
-        v = v / v[nz]
-        for i, row in enumerate(self.rows):
-            if row[nz] != 0:
-                self.rows[i] = row - row[nz] * v
-        self.rows.append(v)
-        self.pivots.append(nz)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def _apply_factorwise(gen_per_factor, vec_support, n_factors):
-    """Apply sum_f I x..x g_f x..x I to a sparse vector.
-
-    vec_support: dict mapping index tuple -> Fraction.
-    gen_per_factor: list of 3x3 rational matrices, one per tensor factor.
-    Returns a new sparse dict.
+    cols_per_factor[f][c] lists the nonzero entries (row, value) of column
+    c of the 3x3 matrix g_f.
     """
     out = {}
-    for idx, coeff in vec_support.items():
-        for f in range(n_factors):
-            g = gen_per_factor[f]
-            col = idx[f]
-            for row in range(3):
-                if g[row, col] != 0:
-                    new_idx = idx[:f] + (row,) + idx[f + 1 :]
-                    out[new_idx] = out.get(new_idx, Fraction(0)) + coeff * g[row, col]
+    for idx, coeff in vec.items():
+        for f, cols in enumerate(cols_per_factor):
+            for row, g in cols[idx[f]]:
+                new_idx = idx[:f] + (row,) + idx[f + 1 :]
+                out[new_idx] = out.get(new_idx, 0) + coeff * g
     return {k: v for k, v in out.items() if v != 0}
+
+
+def _axpy(y: dict, a, x: dict):
+    """y += a x for sparse vectors, dropping entries that cancel."""
+    for k, v in x.items():
+        s = y.get(k, 0) + a * v
+        if s:
+            y[k] = s
+        else:
+            del y[k]
 
 
 def sl3_highest_weight_irrep(m1: int, m2: int, cap: int = 6):
@@ -173,6 +140,12 @@ def sl3_highest_weight_irrep(m1: int, m2: int, cap: int = 6):
     Built as the cyclic closure of e1^(x)m1 (x) e3'^(x)m2 inside
     (standard)^(x)m1 (x) (dual)^(x)m2, in exact rational arithmetic.
     Returns (Representation with weight annotations, weight multiset dict).
+
+    Closure vectors of different weights have disjoint tensor supports, so
+    the span is kept as one fully reduced row set per weight, each row
+    carrying its coordinates over the closure basis.  Reducing a generator
+    image against its weight's rows either adds it to the basis or gives
+    its coordinates, which are that generator's column.
     """
     if m1 < 0 or m2 < 0:
         raise ValueError("m1, m2 must be nonnegative integers")
@@ -181,82 +154,85 @@ def sl3_highest_weight_irrep(m1: int, m2: int, cap: int = 6):
             f"m1 + m2 = {m1 + m2} exceeds the cap {cap} (ambient 3^(m1+m2))"
         )
     N = m1 + m2
-    std = _basis_matrices()
-    antifund = tuple(-(Z.T).copy() for Z in std)
-    factor_gens = [std] * m1 + [antifund] * m2
-    factor_weights = [{0: (1, 0), 1: (-1, 1), 2: (0, -1)}] * m1 + [
-        {0: (-1, 0), 1: (1, -1), 2: (0, 1)}
-    ] * m2
-
     if N == 0:
         gens = tuple(rzeros(1, 1) for _ in _LABELS)
         rep = Representation("sl(3,C)", _LABELS, gens, {0: (0, 0)})
         return rep, {(0, 0): 1}
+
+    std = _basis_matrices()
+    antifund = tuple(-(Z.T).copy() for Z in std)
+    std_cols, anti_cols = (
+        [[[(r, Z[r, c]) for r in range(3) if Z[r, c] != 0] for c in range(3)] for Z in gens]
+        for gens in (std, antifund)
+    )
+    factor_cols = [std_cols] * m1 + [anti_cols] * m2
+    factor_weights = [{0: (1, 0), 1: (-1, 1), 2: (0, -1)}] * m1 + [
+        {0: (-1, 0), 1: (1, -1), 2: (0, 1)}
+    ] * m2
 
     def tensor_weight(idx):
         w1 = sum(factor_weights[f][idx[f]][0] for f in range(N))
         w2 = sum(factor_weights[f][idx[f]][1] for f in range(N))
         return (w1, w2)
 
-    def flat(idx):
-        r = 0
-        for i in idx:
-            r = 3 * r + i
-        return r
-
-    ambient = 3**N
-    # top vector: e1 in each standard factor, e3 in each dual factor
-    top = tuple([0] * m1 + [2] * m2)
-
-    closure = _Closure(ambient)
     basis_vectors = []  # sparse dicts
     basis_weights = []
+    spans = {}  # weight -> [(pivot, reduced row, its closure coordinates)]
 
-    def try_add(support):
-        if not support:
-            return False
-        dense = rzeros(ambient, 1)[:, 0]
-        for idx, c in support.items():
-            dense[flat(idx)] = c
-        if closure.add(dense):
-            ws = {tensor_weight(idx) for idx in support}
-            assert len(ws) == 1, "closure vector is not a weight vector"
-            basis_vectors.append(support)
-            basis_weights.append(ws.pop())
-            return True
-        return False
+    def coords_or_add(v):
+        """Closure coordinates of weight vector v, adding v to the basis if new."""
+        w = tensor_weight(next(iter(v)))
+        rows = spans.setdefault(w, [])
+        res, coords = dict(v), {}
+        for p, row, crd in rows:
+            a = v.get(p)
+            if a:
+                _axpy(res, -a, row)
+                _axpy(coords, a, crd)
+        if not res:
+            return coords
+        assert len({tensor_weight(idx) for idx in v}) == 1, "closure vector is not a weight vector"
+        j = len(basis_vectors)
+        basis_vectors.append(v)
+        basis_weights.append(w)
+        p = min(res)
+        inv = 1 / res[p]
+        row = {k: x * inv for k, x in res.items()}
+        crd = {k: -x * inv for k, x in coords.items()}
+        crd[j] = inv
+        for _, other, other_crd in rows:
+            a = other.get(p)
+            if a:
+                _axpy(other, -a, row)
+                _axpy(other_crd, -a, crd)
+        rows.append((p, row, crd))
+        return {j: Fraction(1)}
 
-    try_add({top: Fraction(1)})
+    # top vector: e1 in each standard factor, e3 in each dual factor
+    coords_or_add({tuple([0] * m1 + [2] * m2): Fraction(1)})
+    columns = [{} for _ in _LABELS]  # generator -> {(i, j): entry}
     frontier = [0]
     while frontier:
         new_frontier = []
         for vi in frontier:
             for gi in range(8):
-                per_factor = [factor_gens[f][gi] for f in range(N)]
-                img = _apply_factorwise(per_factor, basis_vectors[vi], N)
-                if try_add(img):
-                    new_frontier.append(len(basis_vectors) - 1)
+                img = _apply_factorwise([cols[gi] for cols in factor_cols], basis_vectors[vi])
+                if not img:
+                    continue
+                d = len(basis_vectors)
+                for i, x in coords_or_add(img).items():
+                    columns[gi][i, vi] = x
+                if len(basis_vectors) > d:
+                    new_frontier.append(d)
         frontier = new_frontier
 
-    d = closure.rank
-    # dense column matrix of the closure basis, for exact restriction
-    V = rzeros(ambient, d)
-    for j, support in enumerate(basis_vectors):
-        for idx, c in support.items():
-            V[flat(idx), j] = c
-
+    d = len(basis_vectors)
     gens = []
-    for gi in range(8):
-        per_factor = [factor_gens[f][gi] for f in range(N)]
-        B = rzeros(ambient, d)
-        for j in range(d):
-            img = _apply_factorwise(per_factor, basis_vectors[j], N)
-            for idx, c in img.items():
-                B[flat(idx), j] = c
-        G = rational_solve(V, B)
-        assert G is not None, "generator image left the invariant subspace"
+    for entries in columns:
+        G = rzeros(d, d)
+        for (i, j), x in entries.items():
+            G[i, j] = x
         gens.append(G)
-
     weights = {j: basis_weights[j] for j in range(d)}
     rep = Representation("sl(3,C)", _LABELS, tuple(gens), weights)
     mult = {}

@@ -129,3 +129,23 @@ def test_bch_integral_zero_quad_points():
     r = run_cli("bch", "--form", "integral", "--quad-points", "0", X, X)
     assert r.returncode == 1
     assert json.loads(r.stdout)["error"] == "domain"
+
+
+def test_malformed_rational_json_is_a_domain_error():
+    for obj in (
+        {"rows": 1, "cols": 1, "num": [1], "den": [1.5]},
+        {"rows": 1, "cols": 1, "num": ["x"], "den": [1]},
+        {"rows": 1, "cols": 1, "num": [True], "den": [1]},
+        {"rows": None, "cols": 1, "num": [1], "den": [1]},
+        {"rows": 1, "cols": 1.5, "num": [1], "den": [1]},
+    ):
+        r = run_cli("exp", json.dumps(obj))
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["error"] == "domain"
+
+
+def test_exp_overflow_is_a_domain_error():
+    for x in (1e308, 800.0):
+        r = run_cli("exp", mat_json([[x]]))
+        assert r.returncode == 1
+        assert json.loads(r.stdout)["error"] == "domain"

@@ -239,3 +239,16 @@ def test_exp_inverse_and_conjugation():
         assert frobenius_norm(
             mat_exp(C @ X @ Ci, TIGHT) - C @ mat_exp(X, TIGHT) @ Ci
         ) <= 1e-9
+
+
+def test_exp_overflow_and_non_finite_norm_are_domain_errors():
+    for X in ([[800.0]], [[1e308]], [[np.inf]], [[np.nan]], [[0.0, 800.0], [800.0, 0.0]]):
+        with pytest.raises(DomainError):
+            mat_exp(np.array(X))
+
+
+def test_exp_large_norm_with_finite_result():
+    assert abs(mat_exp(np.array([[-800.0]]))[0, 0]) < 1e-300
+    E = mat_exp(rotation_generator(1000.0), TIGHT)
+    R = np.array([[np.cos(1000.0), -np.sin(1000.0)], [np.sin(1000.0), np.cos(1000.0)]])
+    assert approx_eq(E, R, Tolerance(abs=1e-9, rel=0.0))

@@ -129,3 +129,89 @@ def test_json_zero_denominator_rejected():
 def test_rmat_empty_rejected():
     with pytest.raises(ShapeError):
         rmat([])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rows": 1, "cols": 1, "num": [1], "den": [1.5]},
+        {"rows": 1, "cols": 1, "num": ["x"], "den": [1]},
+        {"rows": 1, "cols": 1, "num": [1.0], "den": [1]},
+        {"rows": 1, "cols": 1, "num": [True], "den": [1]},
+        {"rows": 1, "cols": 1, "num": [1], "den": [False]},
+        {"rows": 1, "cols": 1, "num": 1, "den": [1]},
+        {"rows": 1, "cols": 1, "re": [True]},
+        {"rows": 1, "cols": 1, "re": [1.0], "im": ["x"]},
+        {"rows": 1, "cols": 1, "re": [None]},
+        {"rows": None, "cols": 1, "num": [1], "den": [1]},
+        {"rows": 1, "cols": None, "re": [1.0]},
+        {"rows": 1.5, "cols": 1, "re": [1.0]},
+        {"rows": "1", "cols": 1, "re": [1.0]},
+        {"rows": True, "cols": 1, "re": [1.0]},
+    ],
+)
+def test_json_malformed_entries_rejected(obj):
+    with pytest.raises(DomainError):
+        matrix_from_json(obj)
+
+
+def test_json_integer_real_entries_accepted():
+    A = matrix_from_json({"rows": 1, "cols": 2, "re": [1, 2.5], "im": [0, -1]})
+    assert np.array_equal(A, np.array([[1, 2.5 - 1j]]))
+
+
+def _seeded_rational_matrices(seed, count):
+    """Sparse and dense rational matrices with mixed denominators, some with
+    zero rows and some with a repeated (scaled) row."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        r, c = (int(x) for x in rng.integers(1, 8, size=2))
+        density = 0.25 if trial % 2 else 0.9
+        num = rng.integers(-5, 6, size=(r, c)) * (rng.random((r, c)) < density)
+        num[rng.random(r) < 0.2] = 0
+        if r > 1 and trial % 3 == 0:
+            num[-1] = 2 * num[0]
+        den = rng.integers(1, 7, size=(r, c))
+        yield [[Fraction(int(a), int(b)) for a, b in zip(ra, rb)] for ra, rb in zip(num, den)]
+
+
+def _to_sympy(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def _from_sympy(S):
+    return [[Fraction(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)]
+
+
+def test_elimination_matches_sympy_rref():
+    sympy = pytest.importorskip("sympy")
+    from matrixlie.matcore import rational_rref
+
+    for entries in _seeded_rational_matrices(7, 80):
+        M = rmat(entries)
+        S = _to_sympy(sympy, entries)
+        SR, spiv = S.rref()
+        R, piv = rational_rref(M)
+        assert piv == list(spiv)
+        assert R.tolist() == _from_sympy(SR)
+        got = [v[:, 0].tolist() for v in rational_nullspace(M)]
+        assert got == [_from_sympy(v.T)[0] for v in S.nullspace()]
+
+
+def test_solve_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(8)
+    for entries in _seeded_rational_matrices(9, 80):
+        r = len(entries)
+        b_entries = [[Fraction(int(x), int(y)) for x, y in zip(rng.integers(-3, 4, 2), rng.integers(1, 4, 2))]
+                     for _ in range(r)]
+        if rng.random() < 0.5:  # a consistent right-hand side: a combination of columns
+            b_entries = [[row[0] - row[-1] / 3, 2 * row[0]] for row in entries]
+        x = rational_solve(rmat(entries), rmat(b_entries))
+        try:
+            sol, params = _to_sympy(sympy, entries).gauss_jordan_solve(_to_sympy(sympy, b_entries))
+        except ValueError:  # inconsistent
+            assert x is None
+            continue
+        want = sol.subs({p: 0 for p in params})
+        assert x is not None and x.tolist() == _from_sympy(want)

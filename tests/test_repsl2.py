@@ -153,3 +153,49 @@ def test_decompose_rejects_broken_relations():
 
 def test_dual_decomposes_to_same_irrep():
     assert sl2_decompose(dual(sl2_irrep(3))) == [3]
+
+
+def _rational_conjugate(ms):
+    """T^-1 pi T for the direct sum of the irreducibles ms, with T upper
+    triangular, non-unit rational diagonal and rational entries above it."""
+    rep = sl2_irrep(ms[0])
+    for m in ms[1:]:
+        rep = direct_sum(rep, sl2_irrep(m))
+    d = rep.dim
+    diag = [Fraction(2), Fraction(1, 3), Fraction(-5, 2), Fraction(3, 7), Fraction(-1, 4)]
+    T = rzeros(d, d)
+    for i in range(d):
+        T[i, i] = diag[i % len(diag)]
+        for j in range(i + 1, d):
+            T[i, j] = Fraction((i + 2 * j) % 5 - 2, 1 + (i * j) % 3)
+    Ti = rational_inverse(T)
+    gens = tuple(Ti @ g @ T for g in rep.generators)
+    return Representation(rep.algebra, rep.labels, gens)
+
+
+@pytest.mark.parametrize("ms", [[3, 1, 0], [2, 2], [4, 1]])
+def test_rational_conjugate_of_direct_sum(ms):
+    rep = _rational_conjugate(ms)
+    assert any(x.denominator != 1 for g in rep.generators for x in g.flat)
+    assert verify_relations(rep, sl2_basis_rational())
+    assert sl2_decompose(rep) == sorted(ms, reverse=True)
+
+
+def test_rational_conjugate_rejects_every_single_entry_perturbation():
+    rep = _rational_conjugate([3, 1, 0])
+    basis = sl2_basis_rational()
+    for k in range(3):
+        for i in range(rep.dim):
+            for j in range(rep.dim):
+                gens = list(rep.generators)
+                gens[k] = gens[k].copy()
+                gens[k][i, j] += Fraction(1, 7)
+                bad = Representation(rep.algebra, rep.labels, tuple(gens))
+                assert not verify_relations(bad, basis), (k, i, j)
+
+
+def test_clebsch_gordan_up_to_8():
+    for m in range(9):
+        for n in range(m + 1):
+            t = tensor_product(sl2_irrep(m), sl2_irrep(n))
+            assert sl2_decompose(t) == list(range(m + n, m - n - 1, -2))

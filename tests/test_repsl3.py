@@ -261,3 +261,28 @@ def test_cap_enforced():
 
     with pytest.raises(LieError):
         sl3_highest_weight_irrep(4, 3)
+
+
+def gelfand_tsetlin_weights(m1, m2):
+    """Weight multiset of the (m1, m2) irreducible from its Gelfand-Tsetlin
+    patterns with top row (m1 + m2, m2, 0)."""
+    l1, l2, l3 = m1 + m2, m2, 0
+    mult = {}
+    for mu1 in range(l2, l1 + 1):
+        for mu2 in range(l3, l2 + 1):
+            for nu in range(mu2, mu1 + 1):
+                e = (nu, mu1 + mu2 - nu, l1 + l2 + l3 - mu1 - mu2)
+                w = (e[0] - e[1], e[1] - e[2])
+                mult[w] = mult.get(w, 0) + 1
+    return mult
+
+
+@pytest.mark.parametrize("m1,m2", [(a, s - a) for s in range(6) for a in range(s + 1)])
+def test_highest_weight_irrep_against_gelfand_tsetlin(m1, m2):
+    rep, mult = sl3_highest_weight_irrep(m1, m2)
+    assert mult == gelfand_tsetlin_weights(m1, m2)
+    assert rep.dim == sl3_dim_formula(m1, m2)
+    assert rep.weights[0] == (m1, m2)
+    assert verify_relations(rep, BASIS)
+    for label in ("X1", "X2"):
+        assert not any(rep.generator(label)[:, 0])
