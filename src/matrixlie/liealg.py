@@ -152,6 +152,8 @@ def _exact_parts(M) -> list:
     either); floating entries are dyadic rationals, so Fraction is exact.
     """
     flat = np.asarray(M).ravel().tolist()
+    if all(isinstance(x, Fraction) for x in flat):
+        return flat + [Fraction(0)] * len(flat)
     return [Fraction(x.real) for x in flat] + [Fraction(x.imag) for x in flat]
 
 

@@ -155,8 +155,19 @@ def _sparse_rows(M: np.ndarray) -> list[dict]:
     rows = [{} for _ in range(M.shape[0])]
     i, j = np.nonzero(M)
     for r, c in zip(i.tolist(), j.tolist()):
-        rows[r][c] = Fraction(M[r, c])
+        x = M[r, c]
+        rows[r][c] = x if isinstance(x, Fraction) else Fraction(x)
     return rows
+
+
+def _axpy(y: dict, a, x: dict):
+    """y += a x for sparse vectors, dropping entries that cancel."""
+    for k, v in x.items():
+        s = y.get(k, 0) + a * v
+        if s:
+            y[k] = s
+        else:
+            del y[k]
 
 
 def _rref_rows(rows: list[dict], cols: int):
@@ -180,12 +191,7 @@ def _rref_rows(rows: list[dict], cols: int):
         for row in todo + done:
             a = row.get(c)
             if a:
-                for j, x in p.items():
-                    v = row.get(j, 0) - a * x
-                    if v:
-                        row[j] = v
-                    else:
-                        del row[j]
+                _axpy(row, -a, p)
         done.append(p)
         pivots.append(c)
     return done, pivots

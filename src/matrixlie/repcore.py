@@ -123,7 +123,10 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
     exact = is_rational(r1.generators[0]) and is_rational(r2.generators[0])
     gens = []
     for g1, g2 in zip(r1.generators, r2.generators):
-        g = rzeros(d1 + d2, d1 + d2) if exact else np.zeros((d1 + d2, d1 + d2), dtype=complex)
+        if exact:
+            g = rzeros(d1 + d2, d1 + d2)
+        else:
+            g = np.zeros((d1 + d2, d1 + d2), dtype=complex)
         g[:d1, :d1] = g1
         g[d1:, d1:] = g2
         gens.append(g)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, LieError
 from .liealg import Basis
-from .matcore import rmat, rzeros
+from .matcore import _axpy, rmat, rzeros
 from .repcore import Representation
 
 __all__ = [
@@ -122,16 +122,6 @@ def _apply_factorwise(cols_per_factor, vec):
                 new_idx = idx[:f] + (row,) + idx[f + 1 :]
                 out[new_idx] = out.get(new_idx, 0) + coeff * g
     return {k: v for k, v in out.items() if v != 0}
-
-
-def _axpy(y: dict, a, x: dict):
-    """y += a x for sparse vectors, dropping entries that cancel."""
-    for k, v in x.items():
-        s = y.get(k, 0) + a * v
-        if s:
-            y[k] = s
-        else:
-            del y[k]
 
 
 def sl3_highest_weight_irrep(m1: int, m2: int, cap: int = 6):

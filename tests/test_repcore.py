@@ -103,3 +103,18 @@ def test_rep_json_round_trip():
     assert back.weights == rep.weights
     for g1, g2 in zip(back.generators, rep.generators):
         assert all(p == q for p, q in zip(g1.flat, g2.flat))
+
+
+def test_verify_relations_with_fractional_structure_constants():
+    # in the basis (H/3, X, Y): [X, Y] = 3 (H/3) and [H/3, X] = (2/3) X
+    from matrixlie.liealg import Basis
+
+    b = sl2_basis_rational()
+    third = Fraction(1, 3)
+    basis = Basis(b.algebra, b.labels, (b.elements[0] * third, *b.elements[1:]))
+    for m in range(5):
+        rep = sl2_irrep(m)
+        gens = (rep.generators[0] * third, *rep.generators[1:])
+        assert verify_relations(Representation(rep.algebra, rep.labels, gens), basis)
+        if m:
+            assert not verify_relations(rep, basis)
