@@ -24,7 +24,6 @@ from .matcore import (
     is_rational,
     matrix_from_json,
     matrix_to_json,
-    reye,
     rzeros,
 )
 
@@ -137,18 +136,19 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
     return Representation(r1.algebra, r1.labels, tuple(gens), weights)
 
 
-def _kron(A, B):
-    """Kronecker product, exact for rational operands."""
-    if is_rational(A) or is_rational(B):
-        ra, ca = A.shape
-        rb, cb = B.shape
-        out = rzeros(ra * rb, ca * cb)
-        for i in range(ra):
-            for j in range(ca):
-                if A[i, j] != 0:
-                    out[i * rb : (i + 1) * rb, j * cb : (j + 1) * cb] = A[i, j] * B
-        return out
-    return np.kron(A, B)
+def _kron_sum(g1, g2):
+    """g1 (x) I + I (x) g2 for rational g1, g2, filled from their nonzero entries."""
+    d1, d2 = g1.shape[0], g2.shape[0]
+    out = rzeros(d1 * d2, d1 * d2)
+    for i, row in enumerate(_sparse_rows(g1)):
+        for j, x in row.items():
+            for k in range(d2):
+                out[i * d2 + k, j * d2 + k] += x
+    for k, row in enumerate(_sparse_rows(g2)):
+        for l, x in row.items():
+            for i in range(d1):
+                out[i * d2 + k, i * d2 + l] += x
+    return out
 
 
 def tensor_product(r1: Representation, r2: Representation) -> Representation:
@@ -156,9 +156,9 @@ def tensor_product(r1: Representation, r2: Representation) -> Representation:
     _check_compatible(r1, r2)
     d1, d2 = r1.dim, r2.dim
     exact = is_rational(r1.generators[0]) and is_rational(r2.generators[0])
-    I1, I2 = (reye(d) if exact else np.eye(d, dtype=complex) for d in (d1, d2))
+    I1, I2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
     gens = tuple(
-        _kron(g1, I2) + _kron(I1, g2)
+        _kron_sum(g1, g2) if exact else np.kron(g1, I2) + np.kron(I1, g2)
         for g1, g2 in zip(r1.generators, r2.generators)
     )
     weights = None
