@@ -180,6 +180,8 @@ def ad_matrix(X, basis: Basis):
     Column j holds the exact coordinates of [X, basis_j]; a bracket
     outside the span raises ClosureError.
     """
+    if is_rational(X) and not all(is_rational(b) for b in basis.elements):
+        X = to_complex(X)  # brackets with a floating basis are floating
     d = len(basis)
     cols = []
     any_complex = False

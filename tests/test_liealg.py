@@ -193,3 +193,18 @@ def test_parse_algebra_grammar():
     assert parse_algebra("heis").family == "heis"
     with pytest.raises(ValueError):
         parse_algebra("SU(2)")
+
+
+def test_ad_of_rational_matrix_in_floating_and_exact_bases():
+    from matrixlie.matcore import is_rational, rmat, to_complex
+
+    X = rmat([[Fraction(1, 3), 2], [-1, Fraction(-1, 3)]])
+    # a floating basis gives the floating ad, the same as for the floating input
+    got = ad_matrix(X, gl_basis(2))
+    assert not is_rational(got)
+    assert np.array_equal(got, ad_matrix(to_complex(X), gl_basis(2)))
+    # an exact basis keeps the result exact
+    Z = rmat([[Fraction(1, 3), 0, 0], [0, Fraction(-1, 3), 0], [0, 0, 0]])
+    adZ = ad_matrix(Z, sl3_basis())
+    assert is_rational(adZ)
+    assert adZ[2, 2] == Fraction(2, 3)  # [Z, X1] = (2/3) X1
