@@ -9,14 +9,12 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import DomainError, OutOfDomainError, ShapeError
 from .expmlog import mat_exp
-from .liealg import Basis, ad_matrix, bracket, gl_basis
-from .matcore import Tolerance, frobenius_norm, is_rational, to_complex
+from .liealg import Basis, _coords, ad_matrix, bracket, gl_basis
+from .matcore import Tolerance, frobenius_norm, is_rational, reye, to_complex
 
 __all__ = ["bch_heisenberg", "bch_series", "g_operator", "bch_integral"]
 
@@ -35,8 +33,7 @@ def bch_heisenberg(X, Y):
     C = bracket(X, Y)
     if not (_is_zero(bracket(X, C)) and _is_zero(bracket(Y, C))):
         raise DomainError("inputs must commute with their commutator")
-    half = Fraction(1, 2) if is_rational(X) else 0.5
-    return X + Y + half * C
+    return X + Y + C / 2
 
 
 def bch_series(X, Y, order: int = 3):
@@ -45,15 +42,12 @@ def bch_series(X, Y, order: int = 3):
         raise ValueError("order must be 1, 2, or 3")
     if X.shape != Y.shape or X.shape[0] != X.shape[1]:
         raise ShapeError(f"need equal square shapes, got {X.shape}, {Y.shape}")
-    exact = is_rational(X)
-    half = Fraction(1, 2) if exact else 0.5
-    twelfth = Fraction(1, 12) if exact else 1.0 / 12.0
     Z = X + Y
     if order >= 2:
         C = bracket(X, Y)
-        Z = Z + half * C
+        Z = Z + C / 2
     if order >= 3:
-        Z = Z + twelfth * bracket(X, C) - twelfth * bracket(Y, C)
+        Z = Z + bracket(X, C) / 12 - bracket(Y, C) / 12
     return Z
 
 
@@ -63,51 +57,21 @@ def g_operator(M: np.ndarray, terms: int = 30) -> np.ndarray:
     Requires ||M - I|| < 1, unless M - I is nilpotent (then the series
     terminates exactly).
     """
-    exact = is_rational(M)
     n = M.shape[0]
     if M.shape[1] != n:
         raise ShapeError("g_operator needs a square matrix")
-    if exact:
-        from .matcore import rdot, reye
-
-        B = M - reye(n)
-        P = B.copy()
-        for _ in range(n - 1):
-            P = rdot(P, B)
-        nilpotent = all(x == 0 for x in P.flat)
-        if not nilpotent and frobenius_norm(B) >= 1.0:
-            raise OutOfDomainError("||M - I|| >= 1 and M - I is not nilpotent")
-        G = reye(n)
-        P = reye(n)
-        for m in range(1, terms + 1):
-            P = rdot(P, B)
-            if all(x == 0 for x in P.flat):
-                break
-            G = G + Fraction((-1) ** (m + 1), m * (m + 1)) * P
-        return G
-    M = np.asarray(M, dtype=complex)
-    B = M - np.eye(n)
-    nilpotent = frobenius_norm(np.linalg.matrix_power(B, n)) <= 1e-12
-    if not nilpotent and frobenius_norm(B) >= 1.0:
+    I = reye(n) if is_rational(M) else np.eye(n, dtype=complex)
+    B = I - M  # g(M) = 1 - sum_{m>=1} B^m / (m(m+1))
+    Bn = np.linalg.matrix_power(B, n)
+    if not _is_zero(Bn) and frobenius_norm(B) >= 1.0:
         raise OutOfDomainError("||M - I|| >= 1 and M - I is not nilpotent")
-    G = np.eye(n, dtype=complex)
-    P = np.eye(n, dtype=complex)
+    if not Bn.any():  # B^m is exactly zero from m = n on
+        terms = min(terms, n - 1)
+    G = P = I
     for m in range(1, terms + 1):
         P = P @ B
-        G = G + ((-1) ** (m + 1)) / (m * (m + 1)) * P
+        G = G - P / (m * (m + 1))
     return G
-
-
-def _coords_in_basis(Y, basis: Basis) -> np.ndarray:
-    """Least-squares-free exact coordinates are overkill here; the bases
-    used (full gl(n), su(2), sl(3)) are orthogonal-ish and small, so a
-    dense complex solve is adequate for the floating route."""
-    cols = np.column_stack([np.asarray(b, dtype=complex).reshape(-1) for b in basis.elements])
-    y = np.asarray(Y, dtype=complex).reshape(-1)
-    coords, residual, *_ = np.linalg.lstsq(cols, y, rcond=None)
-    if frobenius_norm((cols @ coords - y).reshape(1, -1)) > 1e-9 * (1 + np.linalg.norm(y)):
-        raise DomainError("Y does not lie in the span of the basis")
-    return coords
 
 
 def bch_integral(
@@ -120,7 +84,8 @@ def bch_integral(
     """Z = X + int_0^1 g(e^(ad X) e^(t ad Y))(Y) dt by composite Simpson.
 
     ad X and ad Y are materialized in `basis` (default: the full
-    elementary basis of gl(n)).  Every quadrature node must satisfy
+    elementary basis of gl(n)), in which Y must lie exactly (DomainError
+    otherwise; gl(n) spans everything).  Every quadrature node must satisfy
     ||e^(ad X) e^(t ad Y) - I|| < 1 or an out-of-domain error is raised.
     """
     if quad_points < 1:
@@ -132,9 +97,13 @@ def bch_integral(
     n = X.shape[0]
     if basis is None:
         basis = gl_basis(n)
-    adX = np.asarray(ad_matrix(X, basis), dtype=complex)
-    adY = np.asarray(ad_matrix(Y, basis), dtype=complex)
-    y = _coords_in_basis(Y, basis)
+    adX = ad_matrix(X, basis)
+    adY = ad_matrix(Y, basis)
+    coords = _coords([Y], basis.elements)
+    if coords is None:
+        raise DomainError("Y does not lie in the span of the basis")
+    re, im = coords
+    y = re[:, 0].astype(complex) + 1j * im[:, 0].astype(complex)
     tight = Tolerance(abs=1e-15, rel=0.0)
     EadX = mat_exp(adX, tight)
     d = len(basis)

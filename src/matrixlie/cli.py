@@ -9,6 +9,7 @@ floating, {"rows", "cols", "num", "den"} for exact rational) or as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -71,6 +72,7 @@ def _tol(args) -> Tolerance:
     return Tolerance(abs=args.tol_abs, rel=args.tol_rel)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="matrixlie")
     p.add_argument("--tol-abs", type=float, default=1e-9)

@@ -9,6 +9,7 @@ rational treatment since their series terminate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from .errors import (
     OutOfDomainError,
     ShapeError,
 )
+from .liealg import bracket
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -158,10 +160,6 @@ def heisenberg_log(A: np.ndarray) -> np.ndarray:
     return N - rdot(N, N) / Fraction(2)
 
 
-def _bracket(X, Y):
-    return X @ Y - Y @ X
-
-
 def exp_directional_derivative(X, Y, terms: int = 20) -> np.ndarray:
     """d/dt e^(X+tY) at t=0, as e^X times a truncated ad-series.
 
@@ -178,12 +176,14 @@ def exp_directional_derivative(X, Y, terms: int = 20) -> np.ndarray:
     adk = Y.copy()
     for k in range(terms):
         S = S + ((-1) ** k) * adk / math.factorial(k + 1)
-        adk = _bracket(X, adk)
+        adk = bracket(X, adk)
     return mat_exp(X, Tolerance(abs=1e-15, rel=0.0)) @ S
 
 
 def lie_product_step(X, Y, m: int) -> np.ndarray:
-    """(e^(X/m) e^(Y/m))^m — one step of the Lie product formula."""
+    """(e^(X/m) e^(Y/m))^m — one step of the Lie product formula, for an int m >= 1."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise DomainError(f"m must be an integer >= 1, got {m!r}")
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     _require_square(X)

@@ -6,7 +6,10 @@ Algebras are named by lowercase strings mirroring the group names:
 ad and structure constants are always materialized in an explicit basis
 and solved exactly: floating entries are dyadic rationals, so converting
 them to fractions and running exact Gaussian elimination gives exact
-coordinates whenever the bracket truly lies in the span.
+coordinates whenever the bracket truly lies in the span.  One elimination
+serves each basis: every bracket wanted from it (all d columns of ad X,
+all i<j pairs of the structure constants) is one right-hand side of a
+single exact solve.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ClosureError, DomainError, ShapeError
-from .expmlog import mat_exp
+from . import expmlog  # the module, not mat_exp: expmlog imports bracket from here
 from .groups import (
     LieId,
     _parse,
@@ -32,6 +35,7 @@ from .matcore import (
     Tolerance,
     is_rational,
     rational_solve,
+    rmat,
     rzeros,
     to_complex,
 )
@@ -47,6 +51,7 @@ __all__ = [
     "gl_basis",
     "heis_basis",
     "sl2_basis",
+    "sl2_basis_rational",
     "ad_matrix",
     "Ad_apply",
     "structure_constants",
@@ -113,12 +118,18 @@ def so3_basis() -> Basis:
     return Basis("so(3)", ("F1", "F2", "F3"), (F1, F2, F3))
 
 
-def sl2_basis() -> Basis:
-    """H = diag(1,-1), X = E_12, Y = E_21 — the standard sl(2) triple."""
-    H = np.array([[1, 0], [0, -1]], dtype=complex)
-    X = np.array([[0, 1], [0, 0]], dtype=complex)
-    Y = np.array([[0, 0], [1, 0]], dtype=complex)
+def sl2_basis_rational() -> Basis:
+    """H = diag(1,-1), X = E_12, Y = E_21 — the standard sl(2) triple, exact."""
+    H = rmat([[1, 0], [0, -1]])
+    X = rmat([[0, 1], [0, 0]])
+    Y = rmat([[0, 0], [1, 0]])
     return Basis("sl(2,C)", ("H", "X", "Y"), (H, X, Y))
+
+
+def sl2_basis() -> Basis:
+    """The sl(2) triple as complex floating matrices."""
+    b = sl2_basis_rational()
+    return Basis(b.algebra, b.labels, tuple(to_complex(M) for M in b.elements))
 
 
 def gl_basis(n: int) -> Basis:
@@ -157,21 +168,27 @@ def _exact_parts(M) -> list:
     return [Fraction(x.real) for x in flat] + [Fraction(x.imag) for x in flat]
 
 
-def _exact_coords(target, elements):
-    """Exact coordinates of target in span(elements), or None.
+def _coords(targets, elements):
+    """Exact coordinates of every target in span(elements), or None.
 
-    Handles complex coefficients by solving the doubled real system with
-    unknowns (Re c_j, Im c_j): the column of i c_j is (-Im B_j, Re B_j).
+    Returns (re, im): object arrays of Fractions, column t holding the real
+    and imaginary parts of the coefficients of targets[t].  Complex
+    coefficients come from the doubled real system with unknowns
+    (Re c_j, Im c_j), whose column for i c_j is (-Im B_j, Re B_j); it is
+    built and eliminated once, with one right-hand side per target.  None
+    means some target lies outside the span.
     """
-    half = target.size
+    d = len(elements)
+    if not targets:  # a basis of at most one element has no bracket pairs
+        return rzeros(d, 0), rzeros(d, 0)
+    half = elements[0].size
     parts = [_exact_parts(B) for B in elements]
     cols = parts + [[-x for x in p[half:]] + p[:half] for p in parts]
     A = np.array(cols, dtype=object).T
-    x = rational_solve(A, np.array([_exact_parts(target)], dtype=object).T)
+    x = rational_solve(A, np.array([_exact_parts(T) for T in targets], dtype=object).T)
     if x is None:
         return None
-    d = len(elements)
-    return [(x[j, 0], x[d + j, 0]) for j in range(d)]
+    return x[:d], x[d:]
 
 
 def ad_matrix(X, basis: Basis):
@@ -182,26 +199,13 @@ def ad_matrix(X, basis: Basis):
     """
     if is_rational(X) and not all(is_rational(b) for b in basis.elements):
         X = to_complex(X)  # brackets with a floating basis are floating
-    d = len(basis)
-    cols = []
-    any_complex = False
-    for b in basis.elements:
-        coords = _exact_coords(bracket(X, b), basis.elements)
-        if coords is None:
-            raise ClosureError("bracket leaves the span of the basis")
-        any_complex = any_complex or any(c[1] != 0 for c in coords)
-        cols.append(coords)
-    if is_rational(X) and not any_complex:
-        M = rzeros(d, d)
-        for j, coords in enumerate(cols):
-            for i in range(d):
-                M[i, j] = coords[i][0]
-        return M
-    M = np.zeros((d, d), dtype=complex)
-    for j, coords in enumerate(cols):
-        for i in range(d):
-            M[i, j] = complex(coords[i][0]) + 1j * complex(coords[i][1])
-    return M
+    coords = _coords([bracket(X, b) for b in basis.elements], basis.elements)
+    if coords is None:
+        raise ClosureError("bracket leaves the span of the basis")
+    re, im = coords
+    if is_rational(X) and not im.any():
+        return re
+    return re.astype(complex) + 1j * im.astype(complex)
 
 
 def Ad_apply(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -223,20 +227,19 @@ def structure_constants(basis: Basis) -> np.ndarray:
     coefficient is not real.
     """
     d = len(basis)
+    els = basis.elements
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     c = np.empty((d, d, d), dtype=object)
     c[:] = Fraction(0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            coords = _exact_coords(
-                bracket(basis.elements[i], basis.elements[j]), basis.elements
-            )
-            if coords is None:
-                raise ClosureError("bracket leaves the span of the basis")
-            for k, (re, im) in enumerate(coords):
-                if im != 0:
-                    raise DomainError("structure constants are not real rational")
-                c[i, j, k] = re
-                c[j, i, k] = -re
+    coords = _coords([bracket(els[i], els[j]) for i, j in pairs], els)
+    if coords is None:
+        raise ClosureError("bracket leaves the span of the basis")
+    re, im = coords
+    if im.any():
+        raise DomainError("structure constants are not real rational")
+    for t, (i, j) in enumerate(pairs):
+        c[i, j] = re[:, t]
+        c[j, i] = -re[:, t]
     return c
 
 
@@ -265,7 +268,7 @@ def algebra_membership_via_exp(
     if X.shape != (d, d):
         raise ShapeError(f"need a {d}x{d} matrix, got {X.shape}")
     tight = Tolerance(abs=1e-15, rel=0.0)
-    return all(is_member(mat_exp(t * X, tight), g, tol) for t in samples)
+    return all(is_member(expmlog.mat_exp(t * X, tight), g, tol) for t in samples)
 
 
 def random_algebra_element(a, rng, scale: float = 0.5) -> np.ndarray:

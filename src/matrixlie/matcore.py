@@ -17,6 +17,7 @@ converted to it and back at the boundary of each public function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,7 +83,13 @@ def frobenius_norm(M: np.ndarray) -> float:
     """
     if is_rational(M):
         M = to_complex(M)
-    return float(np.linalg.norm(np.asarray(M, dtype=complex), "fro"))
+    M = np.asarray(M, dtype=complex)
+    s = np.vdot(M, M).real  # vdot does not warn when the sum overflows
+    if not s < np.inf:  # overflow (inf or nan), or a non-finite entry
+        with np.errstate(over="ignore"):
+            m = np.abs(M).max()  # rescale by the largest modulus
+            return float(m * np.sqrt(np.vdot(M / m, M / m).real)) if m < np.inf else float(m)
+    return math.sqrt(s)
 
 
 def approx_eq(A, B, tol: Tolerance = DEFAULT_TOL) -> bool:

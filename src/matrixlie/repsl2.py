@@ -23,13 +23,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DecompositionError, DomainError
-from .liealg import Basis
+from .liealg import sl2_basis_rational
 from .matcore import (
     _sparse_rows,
     rational_nullspace,
     rational_rank,
     reye,
-    rmat,
     rzeros,
 )
 from .repcore import Representation, verify_relations
@@ -42,14 +41,6 @@ __all__ = [
     "sl2_weights",
     "sl2_decompose",
 ]
-
-
-def sl2_basis_rational() -> Basis:
-    """H = diag(1,-1), X = E_12, Y = E_21 as exact rational matrices."""
-    H = rmat([[1, 0], [0, -1]])
-    X = rmat([[0, 1], [0, 0]])
-    Y = rmat([[0, 0], [1, 0]])
-    return Basis("sl(2,C)", ("H", "X", "Y"), (H, X, Y))
 
 
 def sl2_irrep(m: int) -> Representation:

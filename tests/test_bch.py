@@ -7,7 +7,7 @@ from matrixlie.bch import bch_heisenberg, bch_integral, bch_series, g_operator
 from matrixlie.errors import DomainError, OutOfDomainError
 from matrixlie.expmlog import mat_exp, mat_exp_nilpotent, mat_log
 from matrixlie.liealg import random_algebra_element
-from matrixlie.matcore import Tolerance, frobenius_norm, rmat, rzeros
+from matrixlie.matcore import Tolerance, frobenius_norm, reye, rmat, rzeros
 
 TIGHT = Tolerance(abs=1e-15, rel=0.0)
 
@@ -164,3 +164,26 @@ def test_integral_needs_a_quadrature_point():
     for q in (0, -3):
         with pytest.raises(DomainError):
             bch_integral(X, X, quad_points=q)
+
+
+def test_integral_needs_y_exactly_in_the_span():
+    # Y is within 1e-12 of su(2) and its brackets with su(2) stay in su(2),
+    # but Y itself is not in the span, so it has no coordinates
+    from matrixlie.liealg import E1, E2, su2_basis
+
+    Y = 0.1 * E1 + 1e-12 * np.eye(2)
+    with pytest.raises(DomainError, match="span"):
+        bch_integral(0.1 * E2, Y, quad_points=2, basis=su2_basis())
+    Z = bch_integral(0.1 * E2, 0.1 * E1, quad_points=2, basis=su2_basis())
+    assert frobenius_norm(Z - log_of_product(0.1 * E2, 0.1 * E1)) <= 1e-8
+
+
+def test_g_operator_one_body_for_both_carriers():
+    N = rmat([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+    G = g_operator(reye(3) + N)
+    # g(1 + N) = 1 + N/2 - N^2/6 exactly, since N^3 = 0
+    assert (G == reye(3) + N / 2 - (N @ N) / 6).all()
+    Gf = g_operator(np.eye(3) + N.astype(float))
+    assert Gf.dtype == complex and np.allclose(Gf, G.astype(float), rtol=0, atol=1e-15)
+    M = np.eye(2) + np.array([[0.1, 0.2], [-0.05, 0.3]])
+    assert np.array_equal(g_operator(M), g_operator(M.astype(complex)))

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from matrixlie.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -149,3 +154,18 @@ def test_exp_overflow_is_a_domain_error():
         r = run_cli("exp", mat_json([[x]]))
         assert r.returncode == 1
         assert json.loads(r.stdout)["error"] == "domain"
+
+
+def test_usage_error_then_valid_calls_in_one_process():
+    assert _build_parser() is _build_parser()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with pytest.raises(SystemExit) as e:
+            main(["structconst", "--basis", "nosuch"])
+        assert e.value.code == 2
+        assert main(["structconst", "--basis", "su2"]) == 0
+        assert main(["bch", "--form", "series", mat_json([[0.0, 1.0], [0.0, 0.0]]),
+                     mat_json([[0.0, 0.0], [1.0, 0.0]])]) == 0
+    first, second = (json.loads(line) for line in out.getvalue().splitlines())
+    assert first["labels"] == ["E1", "E2", "E3"] and first["c"][0][1] == ["0", "0", "1"]
+    assert second["rows"] == 2 and len(second["re"]) == 4

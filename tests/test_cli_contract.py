@@ -113,3 +113,66 @@ def test_member_and_algebra_contract(cmd, group, data, matrix):
         assert isinstance(out["member"], bool)
     else:
         assert out["error"] == "shape"
+
+
+BASES = ["gl2", "gl3", "heis", "sl2", "sl3", "so3", "su2"]
+BASIS_DIM = {"gl2": 2, "gl3": 3, "heis": 3, "sl2": 2, "sl3": 3, "so3": 3, "su2": 2}
+BASIS_LEN = {"gl2": 4, "gl3": 9, "heis": 3, "sl2": 3, "sl3": 8, "so3": 3, "su2": 3}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(basis=st.sampled_from(BASES + ["gl4", "SU2", ""]), matrix=matrices())
+def test_ad_contract(basis, matrix):
+    code, stdout = run_main(["ad", "--basis", basis, matrix])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert stdout == "" and basis not in BASES
+        return
+    out = json.loads(stdout)
+    obj = json.loads(matrix)
+    square = obj["rows"] == obj["cols"] == BASIS_DIM[basis]
+    if code == 0:
+        assert square and out["rows"] == out["cols"] == BASIS_LEN[basis]
+    else:
+        assert out["error"] == ("closure" if square else "shape")
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(basis=st.sampled_from(BASES + ["gl4", "sl(3)", ""]))
+def test_structconst_contract(basis):
+    code, stdout = run_main(["structconst", "--basis", basis])
+    assert code in (0, 2)
+    if code == 2:
+        assert stdout == "" and basis not in BASES
+        return
+    out = json.loads(stdout)
+    d = BASIS_LEN[basis]
+    assert len(out["labels"]) == d
+    assert [len(row) for plane in out["c"] for row in plane] == [d] * d * d
+
+
+@st.composite
+def small_squares(draw, n):
+    entry = st.floats(-0.3, 0.3, allow_nan=False, allow_infinity=False)
+    return json.dumps({"rows": n, "cols": n,
+                       "re": draw(st.lists(entry, min_size=n * n, max_size=n * n))})
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data(), q=st.integers(-1, 3))
+def test_bch_integral_contract(data, q):
+    if data.draw(st.booleans()):
+        x, y = data.draw(matrices()), data.draw(matrices())
+    else:
+        n = data.draw(st.integers(1, 4))
+        x, y = data.draw(small_squares(n)), data.draw(small_squares(n))
+    code, stdout = run_main(["bch", "--form", "integral", "--quad-points", str(q), x, y])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert stdout == ""
+        return
+    out = json.loads(stdout)
+    if code == 0:
+        assert q >= 1 and out["rows"] == out["cols"] == json.loads(x)["rows"]
+    else:
+        assert out["error"] in ("shape", "domain", "out_of_domain")

@@ -252,3 +252,21 @@ def test_exp_large_norm_with_finite_result():
     E = mat_exp(rotation_generator(1000.0), TIGHT)
     R = np.array([[np.cos(1000.0), -np.sin(1000.0)], [np.sin(1000.0), np.cos(1000.0)]])
     assert approx_eq(E, R, Tolerance(abs=1e-9, rel=0.0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_exp_of_huge_negative_entry_is_zero():
+    assert np.array_equal(mat_exp(np.array([[-1e200]])), np.zeros((1, 1)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", [0, -1, 2.5, True])
+def test_lie_product_step_rejects_bad_m(m):
+    X = rotation_generator(0.1)
+    with pytest.raises(DomainError):
+        lie_product_step(X, X.T, m)
+
+
+def test_lie_product_step_accepts_numpy_integer():
+    X, Y = rotation_generator(0.1), np.diag([0.2, -0.1]).astype(complex)
+    assert np.array_equal(lie_product_step(X, Y, np.int64(3)), lie_product_step(X, Y, 3))

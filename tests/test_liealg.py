@@ -5,8 +5,10 @@ import pytest
 
 from matrixlie.errors import ClosureError, ShapeError
 from matrixlie.expmlog import mat_exp
+from matrixlie.cli import _BASES
 from matrixlie.liealg import (
     Ad_apply,
+    Basis,
     E1,
     E2,
     E3,
@@ -21,11 +23,13 @@ from matrixlie.liealg import (
     in_algebra,
     parse_algebra,
     random_algebra_element,
+    sl2_basis,
+    sl2_basis_rational,
     structure_constants,
     su2_basis,
     u_decompose,
 )
-from matrixlie.matcore import Tolerance, frobenius_norm
+from matrixlie.matcore import Tolerance, frobenius_norm, is_rational, to_complex
 from matrixlie.repsl3 import sl3_basis
 
 TIGHT = Tolerance(abs=1e-15, rel=0.0)
@@ -208,3 +212,47 @@ def test_ad_of_rational_matrix_in_floating_and_exact_bases():
     adZ = ad_matrix(Z, sl3_basis())
     assert is_rational(adZ)
     assert adZ[2, 2] == Fraction(2, 3)  # [Z, X1] = (2/3) X1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ad_gl_matches_kronecker_oracle(n):
+    # row-major vec(XA - AX) = (X kron I - I kron X^T) vec(A)
+    rng = np.random.default_rng(40 + n)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    want = np.kron(X, np.eye(n)) - np.kron(np.eye(n), X.T)
+    assert np.allclose(ad_matrix(X, gl_basis(n)), want, rtol=0, atol=1e-15)
+
+
+def test_ad_complex_coefficients_in_a_complex_basis():
+    # su(2) spans sl(2,C) over C, and ad is C-linear
+    a, b, c = 0.5 + 2j, -1j, 3.0
+    X = a * E1 + b * E2 + c * E3
+    assert np.allclose(ad_matrix(X, su2_basis()), a * F1 + b * F2 + c * F3, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(_BASES))
+def test_structure_constants_match_float_coordinates(name):
+    basis = _BASES[name]()
+    els = [np.asarray(to_complex(b) if is_rational(b) else b) for b in basis.elements]
+    A = np.column_stack([b.ravel() for b in els])
+    c = structure_constants(basis)
+    for i in range(len(els)):
+        for j in range(len(els)):
+            coords = np.linalg.lstsq(A, bracket(els[i], els[j]).ravel(), rcond=None)[0]
+            assert np.allclose(c[i, j].astype(float), coords, rtol=0, atol=1e-12)
+
+
+def test_structure_constants_closure_error():
+    partial = Basis("partial", ("E1", "E2"), (E1, E2))
+    with pytest.raises(ClosureError):
+        structure_constants(partial)
+
+
+def test_sl2_basis_is_the_complex_view_of_the_rational_triple():
+    from matrixlie import repsl2
+
+    assert repsl2.sl2_basis_rational is sl2_basis_rational
+    q, f = sl2_basis_rational(), sl2_basis()
+    assert (f.algebra, f.labels) == (q.algebra, q.labels) == ("sl(2,C)", ("H", "X", "Y"))
+    for Q, F in zip(q.elements, f.elements):
+        assert F.dtype == complex and np.array_equal(F, to_complex(Q))

@@ -215,3 +215,23 @@ def test_solve_matches_sympy():
             continue
         want = sol.subs({p: 0 for p in params})
         assert x is not None and x.tolist() == _from_sympy(want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_frobenius_norm_does_not_overflow():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 8):
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert frobenius_norm(M) == pytest.approx(np.linalg.norm(M), rel=1e-15)
+    big = 1e200
+    assert frobenius_norm(np.array([[big, -big], [1j * big, 0]])) == pytest.approx(
+        np.sqrt(3) * big, rel=1e-15
+    )
+    assert frobenius_norm(np.array([[1e308 + 1e308j, 1e308]])) == pytest.approx(
+        np.sqrt(3) * 1e308, rel=1e-15
+    )
+    # a norm beyond the largest float, and non-finite entries
+    assert frobenius_norm(np.full((2, 2), 1e308)) == np.inf
+    assert frobenius_norm(np.array([[np.inf, 1.0]])) == np.inf
+    assert np.isnan(frobenius_norm(np.array([[np.nan, 1e200]])))
+    assert np.isnan(frobenius_norm(np.array([[np.nan, 1.0]])))
