@@ -1,8 +1,7 @@
 """sl(3,C) highest-weight representations and their weight diagrams.
 
-Constructs irreducibles by exact cyclic closure inside tensor powers of
-the standard representation and its dual, and prints weight tables with
-multiplicities (Weyl-symmetric by construction).
+Constructs irreducibles exactly on their Gelfand-Tsetlin bases and prints
+weight tables with multiplicities (Weyl-symmetric, as the checks confirm).
 """
 
 from matrixlie import sl3_dim_formula, sl3_highest_weight_irrep, sl3_roots, weyl_invariance_check

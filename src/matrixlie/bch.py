@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, OutOfDomainError, ShapeError
+from .errors import ClosureError, DomainError, OutOfDomainError, ShapeError
 from .expmlog import mat_exp
-from .liealg import Basis, _coords, ad_matrix, bracket, gl_basis
+from .liealg import Basis, _coords, bracket, gl_basis
 from .matcore import Tolerance, frobenius_norm, is_rational, reye, to_complex
 
 __all__ = ["bch_heisenberg", "bch_series", "g_operator", "bch_integral"]
@@ -90,6 +90,8 @@ def bch_integral(
     """
     if quad_points < 1:
         raise DomainError(f"quad_points must be at least 1, got {quad_points}")
+    if terms < 1:
+        raise DomainError(f"terms must be at least 1, got {terms}")
     X = to_complex(X) if is_rational(X) else np.asarray(X, dtype=complex)
     Y = to_complex(Y) if is_rational(Y) else np.asarray(Y, dtype=complex)
     if X.shape != Y.shape or X.shape[0] != X.shape[1]:
@@ -97,16 +99,20 @@ def bch_integral(
     n = X.shape[0]
     if basis is None:
         basis = gl_basis(n)
-    adX = ad_matrix(X, basis)
-    adY = ad_matrix(Y, basis)
-    coords = _coords([Y], basis.elements)
+    # one elimination gives ad X, ad Y (the coordinates of the brackets
+    # with each basis element) and the coordinates of Y
+    d = len(basis)
+    brackets = [bracket(Z, b) for Z in (X, Y) for b in basis.elements]
+    coords = _coords(brackets + [Y], basis.elements)
     if coords is None:
+        if _coords(brackets, basis.elements) is None:
+            raise ClosureError("bracket leaves the span of the basis")
         raise DomainError("Y does not lie in the span of the basis")
     re, im = coords
-    y = re[:, 0].astype(complex) + 1j * im[:, 0].astype(complex)
+    C = re.astype(complex) + 1j * im.astype(complex)
+    adX, adY, y = C[:, :d], C[:, d : 2 * d], C[:, 2 * d]
     tight = Tolerance(abs=1e-15, rel=0.0)
     EadX = mat_exp(adX, tight)
-    d = len(basis)
 
     def integrand(t: float) -> np.ndarray:
         M = EadX @ mat_exp(t * adY, tight)

@@ -36,7 +36,6 @@ __all__ = [
     "rdot",
     "is_rational",
     "to_complex",
-    "to_rational",
     "rational_rref",
     "rational_rank",
     "rational_nullspace",
@@ -146,15 +145,6 @@ def is_rational(M) -> bool:
 def to_complex(M: np.ndarray) -> np.ndarray:
     """Rational matrix -> complex floating matrix."""
     return np.array([[complex(x) for x in row] for row in M], dtype=complex)
-
-
-def to_rational(M: np.ndarray) -> np.ndarray:
-    """Real floating matrix -> exact rational matrix (floats are dyadic, so
-    the conversion is exact with respect to the stored values)."""
-    M = np.asarray(M)
-    if np.iscomplexobj(M) and np.any(M.imag != 0):
-        raise ValueError("cannot convert a matrix with nonzero imaginary part")
-    return rmat([[Fraction(float(np.real(x))) for x in row] for row in M])
 
 
 def _sparse_rows(M: np.ndarray) -> list[dict]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matrixlie.bch import bch_heisenberg, bch_integral, bch_series, g_operator
-from matrixlie.errors import DomainError, OutOfDomainError
+from matrixlie.errors import ClosureError, DomainError, OutOfDomainError
 from matrixlie.expmlog import mat_exp, mat_exp_nilpotent, mat_log
 from matrixlie.liealg import random_algebra_element
 from matrixlie.matcore import Tolerance, frobenius_norm, reye, rmat, rzeros
@@ -164,6 +164,24 @@ def test_integral_needs_a_quadrature_point():
     for q in (0, -3):
         with pytest.raises(DomainError):
             bch_integral(X, X, quad_points=q)
+
+
+def test_integral_needs_a_series_term():
+    X = np.array([[0, 0.1], [0, 0]], dtype=complex)
+    Y = np.array([[0, 0], [0.1, 0]], dtype=complex)
+    for terms in (0, -1):
+        with pytest.raises(DomainError, match="terms"):
+            bch_integral(X, Y, terms=terms)
+
+
+def test_integral_needs_brackets_in_the_span():
+    # span{E12} holds Y but not [X, E12] = 0.1 (E22 - E11)
+    from matrixlie.liealg import Basis
+
+    E12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    E21 = np.array([[0, 0], [1, 0]], dtype=complex)
+    with pytest.raises(ClosureError):
+        bch_integral(0.1 * E21, 0.1 * E12, quad_points=2, basis=Basis("b", ("E12",), (E12,)))
 
 
 def test_integral_needs_y_exactly_in_the_span():

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +135,24 @@ def test_bch_integral_zero_quad_points():
     r = run_cli("bch", "--form", "integral", "--quad-points", "0", X, X)
     assert r.returncode == 1
     assert json.loads(r.stdout)["error"] == "domain"
+
+
+def test_bch_integral_zero_terms():
+    X = mat_json([[0, 0.1], [0, 0]])
+    Y = mat_json([[0, 0], [0.1, 0]])
+    r = run_cli("bch", "--form", "integral", "--terms", "0", X, Y)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == "domain"
+
+
+def test_readme_exp_example():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    line = next(l for l in readme.splitlines() if l.startswith("matrixlie exp "))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(shlex.split(line)[1:]) == 0
+    Z = json.loads(out.getvalue())
+    assert Z["rows"] == 2 and len(Z["re"]) == 4
 
 
 def test_malformed_rational_json_is_a_domain_error():

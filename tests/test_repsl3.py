@@ -286,3 +286,53 @@ def test_highest_weight_irrep_against_gelfand_tsetlin(m1, m2):
     assert verify_relations(rep, BASIS)
     for label in ("X1", "X2"):
         assert not any(rep.generator(label)[:, 0])
+
+
+def tensor_closure_weights(m1, m2):
+    """Weight multiset of the paper's construction: the span of
+    e1^(x)m1 (x) e3^(x)m2 under Y1, Y2 in std^(x)m1 (x) dual^(x)m2, one
+    weight level at a time, with floating-point ranks."""
+    N = m1 + m2
+
+    def total(g):
+        factors = [g] * m1 + [-g.T] * m2
+        out = np.zeros((3**N, 3**N))
+        for f in range(N):
+            term = np.ones((1, 1))
+            for k in range(N):
+                term = np.kron(term, factors[k] if k == f else np.eye(3))
+            out += term
+        return out
+
+    E21, E32 = np.zeros((3, 3)), np.zeros((3, 3))
+    E21[1, 0] = E32[2, 1] = 1
+    lowering = ((total(E21), (2, -1)), (total(E32), (-1, 2)))
+    top = np.zeros((3**N, 1))
+    top[int("0" * m1 + "2" * m2 or "0", 3), 0] = 1
+    level, mult = {(m1, m2): top}, {}
+    while level:
+        mult.update({w: V.shape[1] for w, V in level.items()})
+        images = {}
+        for (w1, w2), V in level.items():
+            for Y, (a1, a2) in lowering:
+                images.setdefault((w1 - a1, w2 - a2), []).append(Y @ V)
+        level = {}
+        for w, blocks in images.items():
+            U, s, _ = np.linalg.svd(np.hstack(blocks), full_matrices=False)
+            r = int((s > 1e-9).sum())
+            if r:
+                level[w] = U[:, :r]
+    return mult
+
+
+@pytest.mark.parametrize("m1,m2", [(a, s - a) for s in range(7) for a in range(s + 1)])
+def test_highest_weight_irrep_against_tensor_closure(m1, m2):
+    rep, mult = sl3_highest_weight_irrep(m1, m2)
+    for k, label in enumerate(("H1", "H2")):
+        H = rep.generator(label)
+        want = np.diag([rep.weights[j][k] for j in range(rep.dim)])
+        assert (H == want).all()
+    counts = {}
+    for w in rep.weights.values():
+        counts[w] = counts.get(w, 0) + 1
+    assert counts == mult == tensor_closure_weights(m1, m2)
