@@ -93,7 +93,8 @@ class Basis:
     elements: tuple
 
     def __post_init__(self):
-        assert len(self.labels) == len(self.elements)
+        if len(self.labels) != len(self.elements):
+            raise ShapeError("label count does not match element count")
 
     def __len__(self):
         return len(self.elements)

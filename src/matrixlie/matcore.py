@@ -1,18 +1,14 @@
-"""Dense matrix carriers and the primitives everything else builds on.
+"""Matrix carriers and the primitives everything else builds on.
 
-Two carriers are used throughout the package:
-
-* complex floating matrices: plain ``numpy`` arrays of ``complex128``;
-* exact rational matrices: ``numpy`` object arrays whose entries are
-  ``fractions.Fraction`` (never rounded, always in lowest terms).
-
-This module provides the norm/comparison primitives for the floating
-carrier and exact rank/nullspace/solve primitives for the rational one,
-plus the JSON interchange format used by the CLI and test fixtures.
-
-Exact elimination runs on an internal sparse carrier: one dict
-{column: Fraction} of nonzero entries per row.  Object arrays are
-converted to it and back at the boundary of each public function.
+The public functions take and return dense matrices: complex floating
+ones are ``numpy`` arrays of ``complex128``, exact rational ones are
+``numpy`` object arrays of ``fractions.Fraction`` (never rounded, always
+in lowest terms).  Exact elimination and representation generators use
+sparse rows instead, one dict {column: entry} of nonzero entries per
+row, Fraction or complex: ``_sparse_rows`` and ``_dense`` convert between
+the forms, ``_rref_rows`` eliminates on rows and ``_rows_to_json`` writes
+them.  Also here: norm/comparison primitives, exact rank/nullspace/solve,
+and the JSON interchange format used by the CLI and test fixtures.
 """
 
 from __future__ import annotations
@@ -148,13 +144,25 @@ def to_complex(M: np.ndarray) -> np.ndarray:
 
 
 def _sparse_rows(M: np.ndarray) -> list[dict]:
-    """The nonzero entries of a rational matrix, one {column: Fraction} per row."""
+    """The nonzero entries of a matrix, one {column: entry} per row: Fraction
+    entries for a rational matrix, complex ones for any other."""
+    kind = Fraction if is_rational(M) else complex
     rows = [{} for _ in range(M.shape[0])]
     i, j = np.nonzero(M)
     for r, c in zip(i.tolist(), j.tolist()):
         x = M[r, c]
-        rows[r][c] = x if isinstance(x, Fraction) else Fraction(x)
+        rows[r][c] = x if type(x) is kind else kind(x)
     return rows
+
+
+def _dense(rows: list[dict], shape: tuple, exact: bool = True) -> np.ndarray:
+    """The rational (or complex) matrix of the given shape whose leading rows
+    are these sparse rows; the rest is zero."""
+    M = rzeros(*shape) if exact else np.zeros(shape, dtype=complex)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            M[i, j] = x
+    return M
 
 
 def _axpy(y: dict, a, x: dict):
@@ -164,7 +172,7 @@ def _axpy(y: dict, a, x: dict):
         if s:
             y[k] = s
         else:
-            del y[k]
+            y.pop(k, None)  # a floating product can underflow to 0
 
 
 def _rref_rows(rows: list[dict], cols: int):
@@ -201,11 +209,7 @@ def rational_rref(M: np.ndarray):
     row i of R.
     """
     rows, pivots = _rref_rows(_sparse_rows(M), M.shape[1])
-    R = rzeros(*M.shape)
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            R[i, j] = x
-    return R, pivots
+    return _dense(rows, M.shape), pivots
 
 
 def rational_rank(M: np.ndarray) -> int:
@@ -220,17 +224,22 @@ def rational_nullspace(M: np.ndarray) -> list[np.ndarray]:
     len(result) == cols - rational_rank(M), and M @ v == 0 exactly for
     every returned v.
     """
-    R, pivots = rational_rref(M)
     cols = M.shape[1]
-    free = sorted(set(range(cols)) - set(pivots))
-    basis = []
-    for f in free:
-        v = rzeros(cols, 1)
-        v[f, 0] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p, 0] = -R[i, f]
-        basis.append(v)
-    return basis
+    return [_dense([v], (1, cols)).T for v in _nullspace_rows(_sparse_rows(M), cols)]
+
+
+def _nullspace_rows(rows: list[dict], cols: int) -> list[dict]:
+    """Sparse basis of the right nullspace of the matrix with these rows
+    (which it consumes).  The vector of free column f is 1 at f, -R_i[f] at
+    the pivot column of each reduced row R_i, and 0 at the other free
+    columns; the vectors come in the order of their free columns."""
+    reduced, pivots = _rref_rows(rows, cols)
+    kernel = {f: {f: Fraction(1)} for f in sorted(set(range(cols)) - set(pivots))}
+    for p, row in zip(pivots, reduced):
+        for f, x in row.items():
+            if f != p:
+                kernel[f][p] = -x
+    return list(kernel.values())
 
 
 def rational_solve(A: np.ndarray, b: np.ndarray):
@@ -271,22 +280,25 @@ def rational_inverse(A: np.ndarray) -> np.ndarray:
 def matrix_to_json(M: np.ndarray) -> dict:
     rows, cols = M.shape
     if is_rational(M):
-        flat = [M[i, j] for i in range(rows) for j in range(cols)]
-        return {
-            "rows": rows,
-            "cols": cols,
-            "num": [int(x.numerator) for x in flat],
-            "den": [int(x.denominator) for x in flat],
-        }
+        return _rows_to_json(_sparse_rows(M), cols)
     M = np.asarray(M, dtype=complex)
-    out = {
-        "rows": rows,
-        "cols": cols,
-        "re": [float(M[i, j].real) for i in range(rows) for j in range(cols)],
-    }
+    out = {"rows": rows, "cols": cols, "re": M.real.ravel().tolist()}
     if np.any(M.imag != 0):
-        out["im"] = [float(M[i, j].imag) for i in range(rows) for j in range(cols)]
+        out["im"] = M.imag.ravel().tolist()
     return out
+
+
+def _rows_to_json(rows: list[dict], cols: int, exact: bool = True) -> dict:
+    """The JSON object of the matrix with these sparse rows.  Zeros of an
+    exact matrix are written as 0/1 without making a Fraction; a floating
+    one goes through its dense form."""
+    if not exact:
+        return matrix_to_json(_dense(rows, (len(rows), cols), exact=False))
+    num, den = [0] * (len(rows) * cols), [1] * (len(rows) * cols)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            num[i * cols + j], den[i * cols + j] = x.numerator, x.denominator
+    return {"rows": len(rows), "cols": cols, "num": num, "den": den}
 
 
 def _json_entries(obj: dict, key: str, kinds: tuple, n: int) -> list:
@@ -312,17 +324,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         den = _json_entries(obj, "den", (int,), n)
         if 0 in den:
             raise DomainError("a denominator is 0")
-        return rmat(
-            [
-                [Fraction(num[i * cols + j], den[i * cols + j]) for j in range(cols)]
-                for i in range(rows)
-            ]
-        )
-    re = _json_entries(obj, "re", (int, float), n)
-    im = _json_entries(obj, "im", (int, float), n) if "im" in obj else [0.0] * n
-    return cmat(
-        [
-            [re[i * cols + j] + 1j * im[i * cols + j] for j in range(cols)]
-            for i in range(rows)
-        ]
-    )
+        flat, build = [Fraction(a, b) for a, b in zip(num, den)], rmat
+    else:
+        re = _json_entries(obj, "re", (int, float), n)
+        im = _json_entries(obj, "im", (int, float), n) if "im" in obj else [0.0] * n
+        flat, build = [a + 1j * b for a, b in zip(re, im)], cmat
+    return build([flat[i * cols : (i + 1) * cols] for i in range(rows)])

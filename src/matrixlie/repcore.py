@@ -1,30 +1,35 @@
 """Representation values and structural constructions.
 
-A Representation is a labeled family of generator matrices (one per
-basis symbol of the algebra) acting on a common d-dimensional space,
-optionally annotated with a weight per basis vector.  Direct sum,
-tensor product, and dual preserve the homomorphism property; the tensor
-index convention is row-major, index = i1 * d2 + i2.
+A Representation is a labeled family of generators (one per basis symbol
+of the algebra) acting on a common d-dimensional space, optionally
+annotated with a weight per basis vector.  Generators are held as sparse
+rows (see matcore), with Fraction entries if the representation is exact
+and complex ones if it is floating; rows are never changed once held.
+Builders, constructions, the relation check and JSON output work on rows
+with no dense d x d scan; dense arrays are accepted at construction and
+built on demand.  Direct sum, tensor product and dual
+preserve the homomorphism property; the tensor index convention is
+row-major, index = i1 * d2 + i2.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .liealg import Basis, bracket, structure_constants
+from .liealg import Basis, structure_constants
 from .matcore import (
+    _axpy,
+    _dense,
+    _rows_to_json,
     _sparse_rows,
     frobenius_norm,
     is_rational,
     matrix_from_json,
-    matrix_to_json,
-    rzeros,
 )
 
 __all__ = [
@@ -38,76 +43,102 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Representation:
-    algebra: str
-    labels: tuple
-    generators: tuple
-    weights: dict | None = None  # basis index -> weight (int or tuple)
+    """Generators as sparse rows (``rows``, one list of row dicts per label),
+    exact or floating (``exact``), with optional weights (basis index ->
+    int or tuple)."""
 
-    def __post_init__(self):
-        d = self.generators[0].shape[0]
-        assert all(g.shape == (d, d) for g in self.generators)
-        assert len(self.labels) == len(self.generators)
+    def __init__(self, algebra: str, labels, generators, weights: dict | None = None):
+        """Take generators as object (exact) or complex (floating) arrays."""
+        gens = tuple(np.asarray(g) for g in generators)
+        if not gens:
+            raise ShapeError("a representation needs at least one generator")
+        if len(labels) != len(gens):
+            raise ShapeError("label count does not match generator count")
+        shape = gens[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0] or any(
+            g.shape != shape for g in gens
+        ):
+            raise ShapeError("generators must be nonempty square matrices of one size")
+        exact = all(is_rational(g) for g in gens)
+        self._take(algebra, labels, [_sparse_rows(g) for g in gens], weights, exact)
+
+    @classmethod
+    def from_rows(cls, algebra: str, labels, rows, weights=None, exact=True):
+        """A representation on generators given as sparse rows."""
+        rep = cls.__new__(cls)
+        rep._take(algebra, labels, rows, weights, exact)
+        return rep
+
+    def _take(self, algebra, labels, rows, weights, exact):
+        if not exact:
+            rows = [[{j: complex(x) for j, x in row.items()} for row in g] for g in rows]
+        self.algebra, self.labels, self.rows = algebra, tuple(labels), tuple(rows)
+        self.weights, self.exact = weights, exact
 
     @property
     def dim(self) -> int:
-        return self.generators[0].shape[0]
+        return len(self.rows[0])
+
+    @property
+    def generators(self) -> tuple:
+        return tuple(_dense(g, (self.dim, self.dim), self.exact) for g in self.rows)
+
+    def rows_of(self, label: str) -> list:
+        return self.rows[self.labels.index(label)]
 
     def generator(self, label: str):
-        return self.generators[self.labels.index(label)]
+        return _dense(self.rows_of(label), (self.dim, self.dim), self.exact)
+
+
+def _commutator(A, B, s=1):
+    """Sparse rows of s (AB - BA)."""
+    out = [{} for _ in A]
+    for P, Q, t in ((A, B, s), (B, A, -s)):
+        for i, row in enumerate(P):
+            for k, a in row.items():
+                _axpy(out[i], t * a, Q[k])
+    return out
 
 
 def verify_relations(rep: Representation, basis: Basis, tol_abs: float = 1e-10) -> bool:
     """Check pi([b_i, b_j]) = [pi(b_i), pi(b_j)] for all basis pairs.
 
-    Uses the exact structure constants of the basis; exact for rational
-    representations, within tol_abs in Frobenius norm for floating ones.
+    Uses the exact structure constants of the basis.  A rational
+    representation is checked in integers: with D the lcm of the
+    denominators of all generator entries and N_i = D pi(b_i), check
+    [N_i, N_j] = D sum_k c_ijk N_k, both sides scaled by the lcm E of the
+    denominators of c_ij.  A floating one passes when the residual of
+    each pair is within tol_abs in Frobenius norm.
     """
-    if len(rep.generators) != len(basis):
+    if len(rep.rows) != len(basis):
         raise ShapeError("generator count does not match basis size")
     c = structure_constants(basis)
-    d = len(basis)
-    if all(is_rational(g) for g in rep.generators):
-        return _relations_hold_exactly(rep.generators, c)
-    for i in range(d):
-        for j in range(i + 1, d):
-            lhs = bracket(rep.generators[i], rep.generators[j])
-            rhs = np.zeros((rep.dim, rep.dim), dtype=complex)
-            for k in range(d):
-                if c[i, j, k] != 0:
-                    rhs = rhs + float(c[i, j, k]) * rep.generators[k]
-            if frobenius_norm(lhs - rhs) > tol_abs:
-                return False
-    return True
-
-
-def _add_product(acc, A, B, s):
-    """acc[i, j] += s (A B)_ij for sparse integer rows A, B."""
-    for i, row in enumerate(A):
-        for k, a in row.items():
-            for j, b in B[k].items():
-                acc[i, j] += s * a * b
-
-
-def _relations_hold_exactly(gens, c) -> bool:
-    """The relations in integers: with D the lcm of the denominators of all
-    generator entries and N_i = D pi(b_i), check [N_i, N_j] = D sum_k c_ijk N_k,
-    both sides scaled by the lcm E of the denominators of c_ij."""
-    rows = [_sparse_rows(g) for g in gens]
-    D = math.lcm(*(x.denominator for r in rows for row in r for x in row.values()))
-    N = [[{j: int(x * D) for j, x in row.items()} for row in r] for r in rows]
-    eye = [{r: 1} for r in range(len(rows[0]))]
+    exact = rep.exact
+    if exact:
+        D = math.lcm(*(x.denominator for g in rep.rows for row in g for x in row.values()))
+        gens = [[{j: int(x * D) for j, x in row.items()} for row in g] for g in rep.rows]
+    else:
+        D, gens = 1, rep.rows
+    scalar = int if exact else complex
     for i, j in itertools.combinations(range(len(gens)), 2):
-        E = math.lcm(*(x.denominator for x in c[i, j]))
-        acc = defaultdict(int)
-        _add_product(acc, N[i], N[j], E)
-        _add_product(acc, N[j], N[i], -E)
+        E = math.lcm(*(x.denominator for x in c[i, j])) if exact else 1
+        acc = _commutator(gens[i], gens[j], E)
         for k in np.flatnonzero(c[i, j]).tolist():
-            _add_product(acc, eye, N[k], -D * int(E * c[i, j, k]))
-        if any(acc.values()):
-            return False
+            s = scalar(-D * E * c[i, j, k])
+            for r, row in enumerate(gens[k]):
+                _axpy(acc[r], s, row)
+        if exact:
+            if any(acc):
+                return False
+        elif not frobenius_norm(np.array([x for r in acc for x in r.values()], complex)) <= tol_abs:
+            return False  # also when the residual overflows to inf or nan
     return True
+
+
+def _weight_map(f, *ws):
+    """f applied to weights: entrywise to tuples, directly to integers."""
+    return tuple(map(f, *ws)) if isinstance(ws[0], tuple) else f(*ws)
 
 
 def _check_compatible(r1: Representation, r2: Representation):
@@ -118,72 +149,60 @@ def _check_compatible(r1: Representation, r2: Representation):
 def direct_sum(r1: Representation, r2: Representation) -> Representation:
     """Block-diagonal sum; weight annotations concatenate."""
     _check_compatible(r1, r2)
-    d1, d2 = r1.dim, r2.dim
-    exact = is_rational(r1.generators[0]) and is_rational(r2.generators[0])
-    gens = []
-    for g1, g2 in zip(r1.generators, r2.generators):
-        if exact:
-            g = rzeros(d1 + d2, d1 + d2)
-        else:
-            g = np.zeros((d1 + d2, d1 + d2), dtype=complex)
-        g[:d1, :d1] = g1
-        g[d1:, d1:] = g2
-        gens.append(g)
+    d1 = r1.dim
+    rows = tuple(
+        g1 + [{d1 + j: x for j, x in row.items()} for row in g2]
+        for g1, g2 in zip(r1.rows, r2.rows)
+    )
     weights = None
     if r1.weights is not None and r2.weights is not None:
         weights = dict(r1.weights)
         weights.update({d1 + i: w for i, w in r2.weights.items()})
-    return Representation(r1.algebra, r1.labels, tuple(gens), weights)
+    return Representation.from_rows(r1.algebra, r1.labels, rows, weights, r1.exact and r2.exact)
 
 
-def _kron_sum(g1, g2):
-    """g1 (x) I + I (x) g2 for rational g1, g2, filled from their nonzero entries."""
-    d1, d2 = g1.shape[0], g2.shape[0]
-    out = rzeros(d1 * d2, d1 * d2)
-    for i, row in enumerate(_sparse_rows(g1)):
-        for j, x in row.items():
-            for k in range(d2):
-                out[i * d2 + k, j * d2 + k] += x
-    for k, row in enumerate(_sparse_rows(g2)):
-        for l, x in row.items():
-            for i in range(d1):
-                out[i * d2 + k, i * d2 + l] += x
+def _kron_sum(A, B):
+    """Sparse rows of A (x) I + I (x) B."""
+    d2 = len(B)
+    out = []
+    for i, a in enumerate(A):
+        for k, b in enumerate(B):
+            row = {j * d2 + k: x for j, x in a.items()}
+            _axpy(row, 1, {i * d2 + l: y for l, y in b.items()})
+            out.append(row)
     return out
 
 
 def tensor_product(r1: Representation, r2: Representation) -> Representation:
     """Generators pi1(b) (x) I + I (x) pi2(b); weights add factorwise."""
     _check_compatible(r1, r2)
-    d1, d2 = r1.dim, r2.dim
-    exact = is_rational(r1.generators[0]) and is_rational(r2.generators[0])
-    I1, I2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
-    gens = tuple(
-        _kron_sum(g1, g2) if exact else np.kron(g1, I2) + np.kron(I1, g2)
-        for g1, g2 in zip(r1.generators, r2.generators)
-    )
+    d2 = r2.dim
+    rows = tuple(_kron_sum(g1, g2) for g1, g2 in zip(r1.rows, r2.rows))
     weights = None
     if r1.weights is not None and r2.weights is not None:
-        weights = {}
-        for i1, w1 in r1.weights.items():
-            for i2, w2 in r2.weights.items():
-                if isinstance(w1, tuple):
-                    w = tuple(a + b for a, b in zip(w1, w2))
-                else:
-                    w = w1 + w2
-                weights[i1 * d2 + i2] = w
-    return Representation(r1.algebra, r1.labels, gens, weights)
+        weights = {
+            i1 * d2 + i2: _weight_map(operator.add, w1, w2)
+            for i1, w1 in r1.weights.items()
+            for i2, w2 in r2.weights.items()
+        }
+    return Representation.from_rows(r1.algebra, r1.labels, rows, weights, r1.exact and r2.exact)
+
+
+def _negated_transpose(rows):
+    out = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = -x
+    return out
 
 
 def dual(rep: Representation) -> Representation:
     """Generators -(pi(b))^T; weights negate.  dual(dual(r)) == r."""
-    gens = tuple(-g.T.copy() for g in rep.generators)
+    rows = tuple(_negated_transpose(g) for g in rep.rows)
     weights = None
     if rep.weights is not None:
-        weights = {
-            i: tuple(-a for a in w) if isinstance(w, tuple) else -w
-            for i, w in rep.weights.items()
-        }
-    return Representation(rep.algebra, rep.labels, gens, weights)
+        weights = {i: _weight_map(operator.neg, w) for i, w in rep.weights.items()}
+    return Representation.from_rows(rep.algebra, rep.labels, rows, weights, rep.exact)
 
 
 def rep_to_json(rep: Representation) -> dict:
@@ -191,7 +210,7 @@ def rep_to_json(rep: Representation) -> dict:
         "algebra": rep.algebra,
         "labels": list(rep.labels),
         "dim": rep.dim,
-        "generators": [matrix_to_json(g) for g in rep.generators],
+        "generators": [_rows_to_json(g, rep.dim, rep.exact) for g in rep.rows],
     }
     if rep.weights is not None:
         out["weights"] = {
@@ -204,15 +223,11 @@ def rep_to_json(rep: Representation) -> dict:
 def rep_from_json(obj: dict) -> Representation:
     if not isinstance(obj, dict):
         raise DomainError(f"a representation is a JSON object, got {type(obj).__name__}")
-    weights = None
-    if "weights" in obj:
-        weights = {
-            int(i): tuple(w) if isinstance(w, list) else w
-            for i, w in obj["weights"].items()
-        }
-    return Representation(
-        obj["algebra"],
-        tuple(obj["labels"]),
-        tuple(matrix_from_json(g) for g in obj["generators"]),
-        weights,
-    )
+    labels, gens, weights = obj["labels"], obj["generators"], obj.get("weights")
+    if not isinstance(labels, list) or not isinstance(gens, list):
+        raise DomainError('"labels" and "generators" must be lists')
+    if weights is not None:
+        if not isinstance(weights, dict):
+            raise DomainError('"weights" must be an object of basis index -> weight')
+        weights = {int(i): tuple(w) if isinstance(w, list) else w for i, w in weights.items()}
+    return Representation(obj["algebra"], labels, [matrix_from_json(g) for g in gens], weights)

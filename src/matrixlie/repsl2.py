@@ -24,13 +24,7 @@ import numpy as np
 
 from .errors import DecompositionError, DomainError
 from .liealg import sl2_basis_rational
-from .matcore import (
-    _sparse_rows,
-    rational_nullspace,
-    rational_rank,
-    reye,
-    rzeros,
-)
+from .matcore import _axpy, _nullspace_rows, _rref_rows, rzeros
 from .repcore import Representation, verify_relations
 
 __all__ = [
@@ -43,42 +37,29 @@ __all__ = [
 ]
 
 
-def sl2_irrep(m: int) -> Representation:
-    """The (m+1)-dimensional irreducible representation, abstract basis."""
+def _sl2_model(m: int, x, y) -> Representation:
+    """The rep on u_0..u_m with pi(H) u_k = (m - 2k) u_k,
+    pi(X) u_k = x(k) u_{k-1} and pi(Y) u_k = y(k) u_{k+1}, written as
+    sparse rows."""
     if m < 0:
         raise ValueError("m must be a nonnegative integer")
-    d = m + 1
-    H = rzeros(d, d)
-    X = rzeros(d, d)
-    Y = rzeros(d, d)
-    for k in range(d):
-        H[k, k] = Fraction(m - 2 * k)
-        if k + 1 <= m:
-            Y[k + 1, k] = Fraction(1)
-        if k >= 1:
-            X[k - 1, k] = Fraction(k * m - k * (k - 1))
-    weights = {k: m - 2 * k for k in range(d)}
-    return Representation("sl(2,C)", ("H", "X", "Y"), (H, X, Y), weights)
+    H = [{k: Fraction(m - 2 * k)} if m != 2 * k else {} for k in range(m + 1)]
+    X = [{k: Fraction(x(k))} for k in range(1, m + 1)] + [{}]  # row k-1, column k
+    Y = [{}] + [{k: Fraction(y(k))} for k in range(m)]  # row k+1, column k
+    weights = {k: m - 2 * k for k in range(m + 1)}
+    return Representation.from_rows("sl(2,C)", ("H", "X", "Y"), (H, X, Y), weights)
+
+
+def sl2_irrep(m: int) -> Representation:
+    """The (m+1)-dimensional irreducible representation, abstract basis."""
+    return _sl2_model(m, lambda k: k * m - k * (k - 1), lambda k: 1)
 
 
 def sl2_poly_irrep(m: int) -> Representation:
-    """The same irreducible on homogeneous polynomials, monomial basis."""
-    if m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    d = m + 1
-    H = rzeros(d, d)
-    X = rzeros(d, d)
-    Y = rzeros(d, d)
-    for k in range(d):
-        H[k, k] = Fraction(m - 2 * k)
-        # pi(X) z1^k z2^(m-k) = -k z1^(k-1) z2^(m-k+1)
-        if k >= 1:
-            X[k - 1, k] = Fraction(-k)
-        # pi(Y) z1^k z2^(m-k) = -(m-k) z1^(k+1) z2^(m-k-1)
-        if k + 1 <= m:
-            Y[k + 1, k] = Fraction(-(m - k))
-    weights = {k: m - 2 * k for k in range(d)}
-    return Representation("sl(2,C)", ("H", "X", "Y"), (H, X, Y), weights)
+    """The same irreducible on homogeneous polynomials, monomial basis:
+    pi(X) z1^k z2^(m-k) = -k z1^(k-1) z2^(m-k+1) and
+    pi(Y) z1^k z2^(m-k) = -(m-k) z1^(k+1) z2^(m-k-1)."""
+    return _sl2_model(m, lambda k: -k, lambda k: -(m - k))
 
 
 def sl2_intertwiner(m: int) -> np.ndarray:
@@ -95,16 +76,17 @@ def sl2_intertwiner(m: int) -> np.ndarray:
 
 def sl2_weights(rep: Representation) -> list:
     """Sorted multiset of integer H-eigenvalues of a rational rep."""
+    if not rep.exact:
+        raise DomainError("the generators must be rational matrices")
     if rep.weights is not None:
         return sorted(rep.weights.values(), reverse=True)
-    H = rep.generator("H")
-    d = rep.dim
+    H = rep.rows_of("H")
     # triangular is enough to read the spectrum off the diagonal
-    lower = all(H[i, j] == 0 for i in range(d) for j in range(i + 1, d))
-    upper = all(H[i, j] == 0 for j in range(d) for i in range(j + 1, d))
+    lower = all(j <= i for i, row in enumerate(H) for j in row)
+    upper = all(j >= i for i, row in enumerate(H) for j in row)
     if not (lower or upper):
         raise DomainError("pi(H) must be triangular or the rep weight-annotated")
-    diag = [H[i, i] for i in range(d)]
+    diag = [row.get(i, 0) for i, row in enumerate(H)]
     if any(x.denominator != 1 for x in diag):
         raise DomainError("pi(H) spectrum is not integral")
     return sorted((int(x) for x in diag), reverse=True)
@@ -115,32 +97,33 @@ def sl2_decompose(rep: Representation) -> list:
 
     The number of summands with highest weight lambda is
     dim(ker pi(X) intersect eigenspace(pi(H), lambda)).  Since [H, X] = 2X,
-    pi(H) maps ker pi(X) into itself, and a kernel basis vector v_f is 1
-    at its free column f and 0 at the other free columns, so the matrix
-    of pi(H) on ker pi(X) is read off as K = (pi(H) v_f)[free].  The count
-    is then r - rank(K - lambda), for each candidate integer lambda from a
-    Gershgorin bound downward.
+    pi(H) maps ker pi(X) into itself.  Eliminating the rows of pi(X) gives
+    a kernel basis vector v_f per free column f, 1 at f and 0 at the other
+    free columns, so the matrix of pi(H) on ker pi(X) is read off as
+    K = (pi(H) v_f)[free].  The count is then r - rank(K - lambda), for
+    each candidate integer lambda from a Gershgorin bound downward.
     """
+    if not rep.exact:
+        raise DomainError("the generators must be rational matrices")
     if not verify_relations(rep, sl2_basis_rational()):
         raise DomainError("generators do not satisfy the sl(2) relations")
-    H = _sparse_rows(rep.generator("H"))
-    d = rep.dim
+    H, d = rep.rows_of("H"), rep.dim
     bound = max(int(math.ceil(sum(abs(x) for x in row.values()))) for row in H)
-    kernel = [
-        {i: v[i, 0] for i in np.flatnonzero(v[:, 0]).tolist()}
-        for v in rational_nullspace(rep.generator("X"))
-    ]
-    # the other nonzero entries of v_f sit at pivot columns left of f
-    free = [max(v) for v in kernel]
+    kernel = _nullspace_rows([dict(row) for row in rep.rows_of("X")], d)
+    free = [max(v) for v in kernel]  # the other entries of v_f sit left of f
     r = len(free)
-    K = rzeros(r, r)
-    for b, v in enumerate(kernel):
-        for a, g in enumerate(free):
-            K[a, b] = sum(H[g][i] * x for i, x in v.items() if i in H[g])
+
+    def entry(g, v):  # (pi(H) v)[g]
+        return sum(h * v.get(i, 0) for i, h in H[g].items())
+
+    K = [{b: x for b, v in enumerate(kernel) if (x := entry(g, v))} for g in free]
     found = []
     covered = 0
     for lam in range(bound, -1, -1):
-        count = r - rational_rank(K - lam * reye(r))
+        shifted = [dict(row) for row in K]
+        for a, row in enumerate(shifted):
+            _axpy(row, Fraction(-lam), {a: 1})
+        count = r - len(_rref_rows(shifted, r)[1])
         found.extend([lam] * count)
         covered += count * (lam + 1)
     if covered != d:

@@ -2,10 +2,11 @@
 
 The irreducible with highest weight (m1, m2) is built directly on its
 Gelfand-Tsetlin basis, one vector per pattern, with the rational
-(non-unitary) formulas for the generators: every basis vector is a
-weight vector, every generator has O(d) nonzero entries, and all
-arithmetic is exact.  The source paper's construction, the cyclic span of
-the top vector inside std^(x)m1 (x) dual^(x)m2, serves as the test oracle.
+(non-unitary) formulas for the generators, written straight into sparse
+rows: every basis vector is a weight vector, every generator has O(d)
+nonzero entries, and all arithmetic is exact.  The source paper's
+construction, the cyclic span of the top vector inside
+std^(x)m1 (x) dual^(x)m2, serves as the test oracle.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .errors import LieError
 from .liealg import Basis
-from .matcore import rmat, rzeros
-from .repcore import Representation, _add_product
+from .matcore import rmat
+from .repcore import Representation, _commutator, dual
 
 __all__ = [
     "sl3_basis",
@@ -96,10 +97,7 @@ def sl3_standard_rep() -> Representation:
 
 def sl3_antifundamental_rep() -> Representation:
     """pi(Z) = -Z^T on C^3; weights (-1,0), (1,-1), (0,1)."""
-    gens = tuple(-(Z.T).copy() for Z in _basis_matrices())
-    return Representation(
-        "sl(3,C)", _LABELS, gens, {0: (-1, 0), 1: (1, -1), 2: (0, 1)}
-    )
+    return dual(sl3_standard_rep())
 
 
 def sl3_dim_formula(m1: int, m2: int) -> int:
@@ -143,7 +141,9 @@ def sl3_highest_weight_irrep(m1: int, m2: int, cap: int = 6):
     for j, (u1, u2, v) in enumerate(patterns):
         e = (v, u1 + u2 - v, l1 + l2 - u1 - u2)  # gl(3) weight
         weights[j] = (e[0] - e[1], e[1] - e[2])
-        H1[j][j], H2[j][j] = map(Fraction, weights[j])
+        for H, w in zip((H1, H2), weights[j]):
+            if w:
+                H[j][j] = Fraction(w)
         put(X1, (u1, u2, v + 1), j, (u1 - v) * (v - u2 + 1))
         put(Y1, (u1, u2, v - 1), j, 1)
         # E23 raises and E32 lowers one middle entry; li is the shifted
@@ -155,20 +155,10 @@ def sl3_highest_weight_irrep(m1: int, m2: int, cap: int = 6):
             put(X2, up, j, Fraction(-(li - l1) * (li - l2 + 1) * (li + 2), li - lo))
             put(Y2, down, j, Fraction(li - v, li - lo))
 
-    def dense(rows):
-        G = rzeros(d, d)
-        for i, row in enumerate(rows):
-            for k, x in row.items():
-                G[i, k] = x
-        return G
-
-    X3, Y3 = rzeros(d, d), rzeros(d, d)
-    _add_product(X3, X1, X2, 1)  # X3 = [X1, X2]
-    _add_product(X3, X2, X1, -1)
-    _add_product(Y3, Y2, Y1, 1)  # Y3 = [Y2, Y1]
-    _add_product(Y3, Y1, Y2, -1)
-    gens = (*map(dense, (H1, H2, X1, X2)), X3, *map(dense, (Y1, Y2)), Y3)
-    rep = Representation("sl(3,C)", _LABELS, gens, weights)
+    X3, Y3 = _commutator(X1, X2), _commutator(Y2, Y1)
+    rep = Representation.from_rows(
+        "sl(3,C)", _LABELS, (H1, H2, X1, X2, X3, Y1, Y2, Y3), weights
+    )
     mult = {}
     for w in weights.values():
         mult[w] = mult.get(w, 0) + 1

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from matrixlie.cli import _build_parser, main
+from matrixlie.repcore import rep_to_json
+from matrixlie.repsl2 import sl2_irrep
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -188,3 +190,37 @@ def test_usage_error_then_valid_calls_in_one_process():
     first, second = (json.loads(line) for line in out.getvalue().splitlines())
     assert first["labels"] == ["E1", "E2", "E3"] and first["c"][0][1] == ["0", "0", "1"]
     assert second["rows"] == 2 and len(second["re"]) == 4
+
+
+def _zero_json(rows, cols):
+    return {"rows": rows, "cols": cols, "num": [0] * (rows * cols), "den": [1] * (rows * cols)}
+
+
+def _floating_json(g):
+    return {"rows": g["rows"], "cols": g["cols"],
+            "re": [n / d for n, d in zip(g["num"], g["den"])]}
+
+
+SL2_2 = rep_to_json(sl2_irrep(2))
+H, X, Y = SL2_2["generators"]
+
+# edits of the JSON of sl2_irrep(2), and the error kind `decompose sl2` must
+# answer each with
+MALFORMED_REPS = {
+    "mixed_shapes": ({"generators": [H, _zero_json(4, 4), Y]}, "shape"),
+    "non_square": ({"generators": [_zero_json(3, 2)] * 3}, "shape"),
+    "label_count": ({"labels": ["H", "X"]}, "shape"),
+    "no_generators": ({"generators": [], "labels": []}, "shape"),
+    "weights_list": ({"weights": [2, 0, -2]}, "domain"),
+    "floating": ({"generators": [_floating_json(g) for g in (H, X, Y)]}, "domain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPS))
+def test_malformed_rep_is_a_typed_error(case):
+    edit, kind = MALFORMED_REPS[case]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["decompose", "sl2", json.dumps({**SL2_2, **edit})])
+    assert code == 1
+    assert json.loads(out.getvalue())["error"] == kind

@@ -1,8 +1,10 @@
-"""Property test of the CLI contract for `member` and `algebra`.
+"""Property tests of the CLI contract.
 
-Whatever the name and the matrix, the command exits 0, 1 or 2, prints JSON
-unless it is a usage error, and a name outside the grammar table is a
-value error.
+Whatever the arguments, a command exits 0, 1 or 2 and prints JSON unless it
+is a usage error.  For `member` and `algebra`, a name outside the grammar
+table is a value error; the representation commands (`rep sl2`, `rep sl3`,
+`cg`, `dim sl3`, `decompose sl2`) answer each malformed input with its
+typed error.
 """
 
 import contextlib
@@ -17,6 +19,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from matrixlie.cli import main  # noqa: E402
+from matrixlie.repcore import direct_sum, rep_to_json  # noqa: E402
+from matrixlie.repsl2 import sl2_irrep  # noqa: E402
 
 # group token -> accepted argument shapes; the algebra token is the
 # lowercased group token, and O has none
@@ -176,3 +180,100 @@ def test_bch_integral_contract(data, q):
         assert q >= 1 and out["rows"] == out["cols"] == json.loads(x)["rows"]
     else:
         assert out["error"] in ("shape", "domain", "out_of_domain")
+
+
+# --- representation commands ---------------------------------------------------
+
+INTS = st.one_of(st.integers(-3, 10), st.sampled_from(["x", "1.5", ""]))
+
+
+def contract(argv):
+    """Run argv; check exit code and JSON stdout; return (code, parsed stdout)."""
+    code, stdout = run_main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert stdout == ""
+        return code, None
+    return code, json.loads(stdout)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(m=INTS, model=st.sampled_from(["abstract", "poly", "other"]))
+def test_rep_sl2_contract(m, model):
+    code, out = contract(["rep", "sl2", str(m), "--model", model])
+    if code == 0:
+        assert out["dim"] == int(m) + 1 and len(out["generators"]) == 3
+    elif code == 1:
+        assert int(m) < 0 and out["error"] == "value"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cmd=st.sampled_from([["rep", "sl3"], ["dim", "sl3"], ["cg"]]), m1=INTS, m2=INTS)
+def test_sl3_and_cg_contract(cmd, m1, m2):
+    code, out = contract([*cmd, str(m1), str(m2)])
+    if code == 0:
+        a, b = int(m1), int(m2)
+        assert min(a, b) >= 0
+        if cmd == ["cg"]:
+            assert sum(s + 1 for s in out["summands"]) == (a + 1) * (b + 1)
+        else:
+            want = (a + 1) * (b + 1) * (a + b + 2) // 2
+            assert (out["dim"] if cmd == ["rep", "sl3"] else out) == want
+    elif code == 1:
+        assert out["error"] in ("value", "error")
+
+
+def _zero_json(rows, cols):
+    return {"rows": rows, "cols": cols, "num": [0] * (rows * cols), "den": [1] * (rows * cols)}
+
+
+@st.composite
+def decompose_inputs(draw):
+    """The JSON of a direct sum of sl(2) irreducibles, maybe made malformed,
+    and the error kind it must give (None: it decomposes; "any": any kind)."""
+    ms = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    rep = sl2_irrep(ms[0])
+    for m in ms[1:]:
+        rep = direct_sum(rep, sl2_irrep(m))
+    obj, d = rep_to_json(rep), rep.dim
+    if draw(st.booleans()):
+        del obj["weights"]
+    gens = obj["generators"]
+    case = draw(st.sampled_from(["valid", "floating", "no_generators", "mixed_shapes",
+                                 "non_square", "label_count", "weights_list", "entry"]))
+    kind = "shape"
+    if case == "valid":
+        return obj, None, sorted(ms, reverse=True)
+    if case == "floating":
+        obj["generators"] = [{"rows": d, "cols": d, "re": [n / q for n, q in
+                              zip(g["num"], g["den"])]} for g in gens]
+        kind = "domain"
+    elif case == "no_generators":
+        obj["generators"] = []
+    elif case == "mixed_shapes":
+        gens[draw(st.integers(0, 2))] = _zero_json(d + 1, d + 1)
+    elif case == "non_square":
+        obj["generators"] = [_zero_json(d, d + draw(st.sampled_from([-1, 1])))] * 3
+    elif case == "label_count":
+        obj["labels"] = draw(st.sampled_from([["H", "X"], ["H", "X", "Y", "Z"], []]))
+    elif case == "weights_list":
+        obj["weights"] = [0] * d
+        kind = "domain"
+    else:  # one entry changed: the relations may or may not still hold
+        g = gens[draw(st.integers(0, 2))]
+        g["num"][draw(st.integers(0, d * d - 1))] += draw(st.sampled_from([-1, 1, 3]))
+        kind = "any"
+    return obj, kind, None
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=decompose_inputs())
+def test_decompose_contract(case):
+    obj, kind, summands = case
+    code, out = contract(["decompose", "sl2", json.dumps(obj)])
+    if kind is None:
+        assert code == 0 and out == {"summands": summands}
+    elif kind == "any":
+        assert code == 0 or out["error"] in ("domain", "decomposition")
+    else:
+        assert code == 1 and out["error"] == kind

@@ -256,3 +256,8 @@ def test_sl2_basis_is_the_complex_view_of_the_rational_triple():
     assert (f.algebra, f.labels) == (q.algebra, q.labels) == ("sl(2,C)", ("H", "X", "Y"))
     for Q, F in zip(q.elements, f.elements):
         assert F.dtype == complex and np.array_equal(F, to_complex(Q))
+
+
+def test_basis_label_count_is_a_shape_error():
+    with pytest.raises(ShapeError):
+        Basis("sl(2,C)", ("H", "X"), sl3_basis().elements[:3])

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matrixlie.errors import DomainError
+from matrixlie.errors import DomainError, ShapeError
+from matrixlie.matcore import matrix_to_json, to_complex
 from matrixlie.repcore import (
     Representation,
     direct_sum,
@@ -15,7 +16,7 @@ from matrixlie.repcore import (
     verify_relations,
 )
 from matrixlie.repsl2 import sl2_basis_rational, sl2_irrep
-from matrixlie.repsl3 import sl3_basis, sl3_standard_rep
+from matrixlie.repsl3 import sl3_basis, sl3_highest_weight_irrep, sl3_standard_rep
 
 
 def diag_of(M):
@@ -118,3 +119,83 @@ def test_verify_relations_with_fractional_structure_constants():
         assert verify_relations(Representation(rep.algebra, rep.labels, gens), basis)
         if m:
             assert not verify_relations(rep, basis)
+
+
+# --- the sparse-row carrier ---------------------------------------------------
+
+def library_reps():
+    yield sl2_irrep(0)
+    yield sl2_irrep(4)
+    yield direct_sum(sl2_irrep(2), sl2_irrep(1))
+    yield tensor_product(sl2_irrep(2), sl2_irrep(2))
+    yield dual(sl2_irrep(3))
+    yield sl3_highest_weight_irrep(2, 1)[0]
+    yield tensor_product(sl3_standard_rep(), dual(sl3_standard_rep()))
+
+
+def floating(rep):
+    gens = tuple(to_complex(g) for g in rep.generators)
+    return Representation(rep.algebra, rep.labels, gens, rep.weights)
+
+
+def test_library_reps_store_only_nonzero_entries():
+    for rep in library_reps():
+        assert rep.exact
+        assert all(x != 0 for g in rep.rows for row in g for x in row.values())
+        for g, G in zip(rep.rows, rep.generators):
+            assert sum(map(len, g)) == sum(1 for x in G.flat if x != 0)
+            assert all(type(x) is Fraction for x in G.flat)
+
+
+def test_rep_to_json_matches_dense_generators():
+    for rep in library_reps():
+        for r in (rep, floating(rep)):
+            assert rep_to_json(r)["generators"] == [matrix_to_json(g) for g in r.generators]
+
+
+def test_constructor_shape_errors():
+    g = sl2_irrep(2).generators
+    for gens, labels in (
+        ((), ()),
+        ((g[0], g[1], sl2_irrep(3).generators[2]), ("H", "X", "Y")),
+        ((g[0][:, :2], g[1][:, :2], g[2][:, :2]), ("H", "X", "Y")),
+        (g, ("H", "X")),
+    ):
+        with pytest.raises(ShapeError):
+            Representation("sl(2,C)", labels, gens)
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_verify_relations_floating_sl2(m):
+    assert verify_relations(floating(sl2_irrep(m)), sl2_basis_rational())
+
+
+def test_verify_relations_floating_sl3():
+    assert verify_relations(floating(sl3_highest_weight_irrep(1, 1)[0]), sl3_basis())
+
+
+def test_verify_relations_floating_rejects_perturbation():
+    rep = floating(sl2_irrep(3))
+    basis = sl2_basis_rational()
+    for k in range(3):
+        for i, j in ((0, 0), (0, 1), (2, 1), (3, 3)):
+            gens = list(rep.generators)
+            gens[k] = gens[k].copy()
+            gens[k][i, j] += 1e-6
+            bad = Representation(rep.algebra, rep.labels, tuple(gens))
+            assert not verify_relations(bad, basis, tol_abs=1e-10), (k, i, j)
+
+
+def test_floating_constructions_match_exact_ones():
+    a, b = sl2_irrep(2), sl2_irrep(3)
+    s3 = sl3_standard_rep()
+    for exact, float_ in (
+        (direct_sum(a, b), direct_sum(floating(a), floating(b))),
+        (tensor_product(a, b), tensor_product(floating(a), floating(b))),
+        (tensor_product(a, b), tensor_product(a, floating(b))),
+        (dual(b), dual(floating(b))),
+        (tensor_product(s3, dual(s3)), tensor_product(floating(s3), dual(floating(s3)))),
+    ):
+        assert not float_.exact and float_.weights == exact.weights
+        for g, h in zip(float_.generators, exact.generators):
+            assert g.dtype == complex and np.array_equal(g, to_complex(h))

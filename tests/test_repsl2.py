@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matrixlie.errors import DomainError
-from matrixlie.matcore import rational_inverse, rational_rank, rzeros
+from matrixlie.matcore import rational_inverse, rational_rank, rzeros, to_complex
 from matrixlie.repcore import Representation, direct_sum, dual, tensor_product, verify_relations
 from matrixlie.repsl2 import (
     sl2_basis_rational,
@@ -199,3 +199,40 @@ def test_clebsch_gordan_up_to_8():
         for n in range(m + 1):
             t = tensor_product(sl2_irrep(m), sl2_irrep(n))
             assert sl2_decompose(t) == list(range(m + n, m - n - 1, -2))
+
+
+def test_floating_rep_is_outside_the_domain():
+    rep = tensor_product(sl2_irrep(2), sl2_irrep(1))
+    for weights in (rep.weights, None):
+        gens = tuple(to_complex(g) for g in rep.generators)
+        floating = Representation(rep.algebra, rep.labels, gens, weights)
+        assert verify_relations(floating, sl2_basis_rational())
+        for f in (sl2_decompose, sl2_weights):
+            with pytest.raises(DomainError):
+                f(floating)
+
+
+def test_decompose_large_tensor_product():
+    t = tensor_product(sl2_irrep(30), sl2_irrep(25))
+    assert sl2_decompose(t) == list(range(55, 4, -2))
+    assert sl2_weights(t) == sorted(t.weights.values(), reverse=True)
+
+
+def test_weights_read_off_a_triangular_h():
+    for ms in ([3, 1, 0], [2, 2]):
+        want = sorted((m - 2 * k for m in ms for k in range(m + 1)), reverse=True)
+        upper = _rational_conjugate(ms)  # T^-1 pi(H) T with T upper triangular
+        assert upper.weights is None and sl2_weights(upper) == want
+        assert sl2_weights(dual(upper)) == want  # -pi(H)^T is lower triangular
+    rep = sl2_irrep(1)
+    R = rzeros(2, 2)
+    R[0, 0] = R[0, 1] = R[1, 1] = Fraction(1)
+    R[1, 0] = Fraction(-1)
+    Ri = rational_inverse(R)
+    full = Representation(rep.algebra, rep.labels, tuple(Ri @ g @ R for g in rep.generators))
+    with pytest.raises(DomainError):
+        sl2_weights(full)
+    half = rzeros(2, 2)
+    half[0, 0], half[1, 1] = Fraction(1, 2), Fraction(-1, 2)
+    with pytest.raises(DomainError):
+        sl2_weights(Representation(rep.algebra, rep.labels, (half, rzeros(2, 2), rzeros(2, 2))))
