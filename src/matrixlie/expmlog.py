@@ -47,22 +47,23 @@ __all__ = [
 ]
 
 MAX_SERIES_TERMS = 200
+_EPS = float(np.finfo(float).eps)  # series stop below max(tol.abs, _EPS): tol.abs may be 0
 
 
 def _require_square(X: np.ndarray, name: str = "matrix"):
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {X.shape}")
+    if X.ndim != 2 or X.shape[0] != X.shape[1] or not X.size:
+        raise ShapeError(f"{name} must be square and nonempty, got shape {X.shape}")
 
 
 def mat_exp(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """e^X by scaling-and-squaring.
 
     X is scaled by 2^-s until its Frobenius norm drops below 0.5, the
-    power series is summed until the next term's norm falls below
-    tol.abs, and the result is squared s times.  e^0 = I exactly.
+    power series is summed until a term's norm is below max(tol.abs,
+    machine epsilon), and the result is squared s times.  e^0 = I exactly.
 
     Raises DomainError for a non-finite norm or an overflowing result;
-    both are only possible, and only checked, when ||X|| > 700.
+    an overflow is only possible, and only checked, when ||X|| > 700.
     """
     X = np.asarray(X, dtype=complex)
     _require_square(X)
@@ -70,30 +71,29 @@ def mat_exp(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     norm = frobenius_norm(X)
     if norm == 0.0:
         return np.eye(n, dtype=complex)
-    if not norm <= 700.0:  # e^700 < 1.8e308, so only here can e^X overflow; nan lands here too
-        if not math.isfinite(norm):
-            raise DomainError(f"matrix norm is {norm}; e^X is not finite")
-        k = math.ceil(math.log2(norm / 700.0))
-        with np.errstate(over="ignore", invalid="ignore"):
-            E = mat_exp(X / 2.0**k, tol)  # the same scaled series as below
-            for _ in range(k):
-                E = E @ E
-        if not np.all(np.isfinite(E)):
-            raise DomainError(f"e^X overflows (||X|| = {norm:.6g})")
-        return E
-    s = max(0, math.ceil(math.log2(norm / 0.5)))
-    Xs = X / (2.0**s)
+    if not math.isfinite(norm):
+        raise DomainError(f"matrix norm is {norm}; e^X is not finite")
+    s = max(0, math.ceil(math.log2(norm) + 1))  # ||X|| / 2^s <= 0.5
+    Xs = X * 0.5**s  # exact: s <= 1025, and 0.5**1074 is the least float
     E = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
+    floor = max(tol.abs, _EPS)
     for k in range(1, MAX_SERIES_TERMS + 1):
         term = term @ Xs / k
         E = E + term
-        if frobenius_norm(term) < tol.abs:
+        if frobenius_norm(term) < floor:
             break
     else:
         raise ConvergenceError("exponential series did not converge in 200 terms")
-    for _ in range(s):
-        E = E @ E
+    if norm <= 700.0:  # e^700 < 1.8e308, so only a bigger X can overflow
+        for _ in range(s):
+            E = E @ E
+        return E
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            E = E @ E
+    if not np.all(np.isfinite(E)):
+        raise DomainError(f"e^X overflows (||X|| = {norm:.6g})")
     return E
 
 
@@ -119,7 +119,9 @@ def mat_exp_nilpotent(X: np.ndarray) -> np.ndarray:
 def mat_log(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """log A via the series sum (-1)^(m+1) (A-I)^m / m.
 
-    Requires ||A - I|| < 1 (Frobenius); real input yields real output.
+    Requires finite entries and ||A - I|| < 1 (Frobenius); real input
+    yields real output.  The series stops once a term's norm is below
+    max(tol.abs, machine epsilon).
     """
     A = np.asarray(A)
     _require_square(A)
@@ -127,17 +129,19 @@ def mat_log(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     real_input = not (np.iscomplexobj(A) and np.any(A.imag != 0))
     A = A.astype(complex)
     B = A - np.eye(n)
-    if frobenius_norm(B) >= 1.0:
-        raise OutOfDomainError(
-            f"||A - I|| = {frobenius_norm(B):.6g} >= 1; logarithm series diverges"
-        )
+    norm = frobenius_norm(B)
+    if not math.isfinite(norm):
+        raise DomainError(f"||A - I|| is {norm}; log A is not defined")
+    if norm >= 1.0:
+        raise OutOfDomainError(f"||A - I|| = {norm:.6g} >= 1; logarithm series diverges")
     L = np.zeros((n, n), dtype=complex)
     P = np.eye(n, dtype=complex)
+    floor = max(tol.abs, _EPS)
     for m in range(1, MAX_SERIES_TERMS + 1):
         P = P @ B
         term = ((-1) ** (m + 1)) * P / m
         L = L + term
-        if frobenius_norm(term) < tol.abs:
+        if frobenius_norm(term) < floor:
             break
     else:
         raise ConvergenceError("logarithm series did not converge in 200 terms")
@@ -171,7 +175,7 @@ def exp_directional_derivative(X, Y, terms: int = 20) -> np.ndarray:
     if X.shape != Y.shape:
         raise ShapeError(f"shape mismatch: {X.shape} vs {Y.shape}")
     if terms < 1:
-        raise ValueError("terms must be >= 1")
+        raise DomainError(f"terms must be >= 1, got {terms}")
     S = np.zeros_like(Y)
     adk = Y.copy()
     for k in range(terms):
@@ -236,6 +240,8 @@ def in_exp_image_sl2r(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     A = np.asarray(A, dtype=complex)
     if A.shape != (2, 2):
         raise ShapeError("expected a 2x2 matrix")
+    if not np.all(np.isfinite(A)):
+        raise DomainError("matrix entries must be finite")
     if np.any(np.abs(A.imag) > tol.abs):
         raise DomainError("matrix must be real")
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]

@@ -163,8 +163,40 @@ def _spec(family: str) -> _Spec:
         raise ValueError(f"unknown family {family!r}") from None
 
 
-def _is_real(A, tol):
-    return bool((np.abs(A.imag) <= tol.abs).all())
+def _real(lid: LieId) -> bool:
+    """Whether members of lid's group and algebra have real entries."""
+    real = _spec(lid.family).real
+    return lid.field == "R" if real is None else real
+
+
+def _form(form: str, lid: LieId, d: int) -> np.ndarray:
+    """The d x d matrix F of a form named in a _Spec."""
+    if form == "I":
+        return np.eye(d, dtype=complex)
+    return metric_g(lid.n, lid.k) if form == "g" else symplectic_J(lid.n)
+
+
+def _project(X: np.ndarray, lid: LieId) -> np.ndarray:
+    """The orthogonal projection of the square matrix X onto the algebra of
+    lid, read off its _Spec: real part; (X - F^T adj(X) F)/2 for each form
+    (F^-1 = F^T, and the two forms of sp(n) commute); minus the trace part;
+    for an affine family on the linear block, with the bottom row zeroed."""
+    d = lid.matrix_dim
+    X = np.array(X.real if _real(lid) else X, dtype=complex)
+    if lid.family.lower() == "heis":
+        return np.triu(X, 1)
+    spec = _spec(lid.family)
+    if spec.affine:
+        d -= 1
+        X[d] = 0
+    M = X[:d, :d]
+    for form, adj in spec.forms:
+        F = _form(form, lid, d)
+        M = (M - F.T @ (M.conj().T if adj == "H" else M.T) @ F) / 2
+    if spec.trace0:
+        M = M - np.trace(M) / d * np.eye(d)
+    X[:d, :d] = M
+    return X
 
 
 def _close(A, B, tol):
@@ -178,8 +210,7 @@ def _satisfies(M: np.ndarray, lid: LieId, tol: Tolerance, group: bool) -> bool:
     d = lid.matrix_dim
     if M.shape != (d, d):
         raise ShapeError(f"{lid.family} with n={lid.n} needs a {d}x{d} matrix, got {M.shape}")
-    real = lid.field == "R" if spec.real is None else spec.real
-    if real and not _is_real(M, tol):
+    if _real(lid) and not (np.abs(M.imag) <= tol.abs).all():
         return False
     unit = np.eye(d) if group else np.zeros((d, d))
     if lid.family.lower() == "heis":
@@ -199,10 +230,10 @@ def _satisfies(M: np.ndarray, lid: LieId, tol: Tolerance, group: bool) -> bool:
         M = M[:d, :d]
     for form, adj in spec.forms:
         Ma = M.conj().T if adj == "H" else M.T
-        if form == "I":
+        if form == "I":  # the same identity, without the products with F = I
             ok = _close(Ma @ M, np.eye(d), tol) if group else _close(Ma, -M, tol)
         else:
-            F = metric_g(lid.n, lid.k) if form == "g" else symplectic_J(lid.n)
+            F = _form(form, lid, d)
             ok = _close(Ma @ F @ M, F, tol) if group else _close(Ma @ F, -(F @ M), tol)
         if not ok:
             return False
@@ -249,8 +280,10 @@ def polar_decompose_sl(A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     R <- (R + R^-T)/2, then H = R^T A.
     """
     A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError("polar decomposition needs a square matrix")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ShapeError("polar decomposition needs a nonempty square matrix")
+    if not np.all(np.isfinite(A)):
+        raise DomainError("matrix entries must be finite")
     if np.any(np.abs(A.imag) > tol.abs):
         raise DomainError("matrix must be real")
     A = A.real

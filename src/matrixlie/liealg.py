@@ -21,15 +21,7 @@ import numpy as np
 
 from .errors import ClosureError, DomainError, ShapeError
 from . import expmlog  # the module, not mat_exp: expmlog imports bracket from here
-from .groups import (
-    LieId,
-    _parse,
-    _satisfies,
-    is_member,
-    metric_g,
-    parse_group,
-    symplectic_J,
-)
+from .groups import LieId, _parse, _project, _satisfies, is_member, parse_group
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -273,74 +265,10 @@ def algebra_membership_via_exp(
 
 
 def random_algebra_element(a, rng, scale: float = 0.5) -> np.ndarray:
-    """Draw a random element of the named algebra (for property tests)."""
+    """Draw a random element of the named algebra (for property tests): a
+    complex Gaussian matrix with entries of scale `scale`, projected onto
+    the algebra by the family's defining identity."""
     if isinstance(a, str):
         a = parse_algebra(a)
     d = a.matrix_dim
-    fam = a.family
-
-    def rand(n, m, cplx):
-        M = rng.standard_normal((n, m)) * scale
-        if cplx:
-            M = M + 1j * rng.standard_normal((n, m)) * scale
-        return M.astype(complex)
-
-    if fam == "gl":
-        return rand(d, d, a.field == "C")
-    if fam == "sl":
-        M = rand(d, d, a.field == "C")
-        return M - np.trace(M) / d * np.eye(d)
-    if fam == "so":
-        M = rand(d, d, False)
-        return M - M.T
-    if fam == "soC":
-        M = rand(d, d, True)
-        return M - M.T
-    if fam == "soK":
-        g = metric_g(a.n, a.k)
-        M = rand(d, d, False)
-        return g @ (M - M.T)
-    if fam == "u":
-        M = rand(d, d, True)
-        return (M - M.conj().T) / 2
-    if fam == "su":
-        M = rand(d, d, True)
-        M = (M - M.conj().T) / 2
-        return M - np.trace(M) / d * np.eye(d)
-    if fam in ("spR", "spC"):
-        J = symplectic_J(a.n)
-        M = rand(d, d, fam == "spC")
-        return J @ (M + M.T) / 2
-    if fam == "sp":
-        n = a.n
-        A = rand(n, n, True)
-        A = (A - A.conj().T) / 2
-        B = rand(n, n, True)
-        B = (B + B.T) / 2
-        X = np.zeros((d, d), dtype=complex)
-        X[:n, :n] = A
-        X[:n, n:] = B
-        X[n:, :n] = -B.conj()
-        X[n:, n:] = A.conj()
-        return X
-    if fam == "heis":
-        X = np.zeros((3, 3), dtype=complex)
-        X[0, 1], X[0, 2], X[1, 2] = rng.standard_normal(3) * scale
-        return X
-    if fam == "e":
-        n = a.n
-        M = rand(n, n, False)
-        X = np.zeros((d, d), dtype=complex)
-        X[:n, :n] = M - M.T
-        X[:n, n] = rng.standard_normal(n) * scale
-        return X
-    if fam == "p":
-        n, k = a.n, a.k
-        m = n + k
-        g = metric_g(n, k)
-        M = rand(m, m, False)
-        X = np.zeros((d, d), dtype=complex)
-        X[:m, :m] = g @ (M - M.T)
-        X[:m, m] = rng.standard_normal(m) * scale
-        return X
-    raise ValueError(f"unhandled family {fam}")
+    return _project((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * scale, a)

@@ -324,9 +324,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         den = _json_entries(obj, "den", (int,), n)
         if 0 in den:
             raise DomainError("a denominator is 0")
-        flat, build = [Fraction(a, b) for a, b in zip(num, den)], rmat
-    else:
-        re = _json_entries(obj, "re", (int, float), n)
-        im = _json_entries(obj, "im", (int, float), n) if "im" in obj else [0.0] * n
-        flat, build = [a + 1j * b for a, b in zip(re, im)], cmat
-    return build([flat[i * cols : (i + 1) * cols] for i in range(rows)])
+        if rows < 1:
+            raise ShapeError("a rational matrix needs at least one row")
+        zero = Fraction(0)  # one shared zero: most entries of a generator are 0
+        flat = [Fraction(a, b) if a else zero for a, b in zip(num, den)]
+        return np.array(flat, dtype=object).reshape(rows, cols)
+    re = _json_entries(obj, "re", (int, float), n)
+    im = _json_entries(obj, "im", (int, float), n) if "im" in obj else [0.0] * n
+    flat = [a + 1j * b for a, b in zip(re, im)]
+    return cmat([flat[i * cols : (i + 1) * cols] for i in range(rows)])

@@ -224,3 +224,20 @@ def test_malformed_rep_is_a_typed_error(case):
         code = main(["decompose", "sl2", json.dumps({**SL2_2, **edit})])
     assert code == 1
     assert json.loads(out.getvalue())["error"] == kind
+
+
+@pytest.mark.parametrize(
+    "cmd, A, oracle",
+    [
+        ("exp", [[0.0, 1.0], [-1.0, 0.0]], "expm"),
+        ("log", [[1.1, 0.0], [0.0, 0.9]], "logm"),
+    ],
+)
+def test_zero_absolute_tolerance_is_accepted(cmd, A, oracle):
+    sla = pytest.importorskip("scipy.linalg")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--tol-abs", "0", cmd, mat_json(A)]) == 0
+    Z = json.loads(out.getvalue())
+    got = np.array(Z["re"]).reshape(2, 2)
+    assert np.abs(got - getattr(sla, oracle)(np.array(A))).max() <= 1e-14

@@ -270,3 +270,29 @@ def test_lie_product_step_rejects_bad_m(m):
 def test_lie_product_step_accepts_numpy_integer():
     X, Y = rotation_generator(0.1), np.diag([0.2, -0.1]).astype(complex)
     assert np.array_equal(lie_product_step(X, Y, np.int64(3)), lie_product_step(X, Y, 3))
+
+
+NAN2 = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mat_log(NAN2),
+        lambda: mat_log(np.array([[np.inf, 0.0], [0.0, 1.0]])),
+        lambda: in_exp_image_sl2r(NAN2),
+        lambda: exp_directional_derivative(rotation_generator(0.1), rotation_generator(0.2), terms=0),
+    ],
+    ids=["log_nan", "log_inf", "exp_image_nan", "derivative_zero_terms"],
+)
+def test_floating_layer_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f", [mat_exp, mat_log], ids=["exp", "log"])
+def test_empty_matrix_is_a_shape_error(f):
+    with pytest.raises(ShapeError):
+        f(np.zeros((0, 0)))

@@ -6,6 +6,9 @@ import pytest
 from matrixlie.errors import DomainError, ShapeError
 from matrixlie.expmlog import mat_exp
 from matrixlie.groups import (
+    _SPECS,
+    LieId,
+    _project,
     euclidean_embed,
     is_member,
     metric_g,
@@ -268,3 +271,75 @@ def test_poincare_honours_k():
     assert is_member(A, "P(3,2)")
     A[3, 4] = A[4, 3] = 0.5  # no longer preserves diag(1,1,1,-1,-1)
     assert not is_member(A, "P(3,2)")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "A", [np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([[2.0, np.inf], [0.0, 0.5]])]
+)
+def test_polar_non_finite_is_a_domain_error(A):
+    with pytest.raises(DomainError):
+        polar_decompose_sl(A)
+
+
+def test_polar_empty_is_a_shape_error():
+    with pytest.raises(ShapeError):
+        polar_decompose_sl(np.zeros((0, 0)))
+
+
+# (algebra, its group, whether the algebra is real); together they name
+# every family of the table, including ones the acceptance catalog lacks
+FAMILIES = [
+    ("gl(2,R)", "GL(2,R)", True),
+    ("gl(2,C)", "GL(2,C)", False),
+    ("sl(3,R)", "SL(3,R)", True),
+    ("sl(2,C)", "SL(2,C)", False),
+    ("so(3)", "O(3)", True),
+    ("so(3)", "SO(3)", True),
+    ("so(3,C)", "O(3,C)", False),
+    ("so(3,C)", "SO(3,C)", False),
+    ("so(2,2)", "O(2,2)", True),
+    ("so(2,2)", "SO(2,2)", True),
+    ("u(3)", "U(3)", False),
+    ("su(2)", "SU(2)", False),
+    ("sp(2,R)", "Sp(2,R)", True),
+    ("sp(2,C)", "Sp(2,C)", False),
+    ("sp(2)", "Sp(2)", False),
+    ("heis", "Heis", True),
+    ("e(2)", "E(2)", True),
+    ("p(3,2)", "P(3,2)", True),
+]
+
+
+def test_families_cover_the_table():
+    from matrixlie.liealg import parse_algebra
+
+    covered = {parse_group(g).family.lower() for _, g, _ in FAMILIES}
+    covered |= {parse_algebra(a).family.lower() for a, _, _ in FAMILIES}
+    assert covered == set(_SPECS)
+
+
+@pytest.mark.parametrize("aname, gname, real", FAMILIES, ids=[g for _, g, _ in FAMILIES])
+def test_random_algebra_element_is_projected_onto_the_family(aname, gname, real):
+    from matrixlie.liealg import in_algebra, parse_algebra, random_algebra_element
+
+    rng = np.random.default_rng(17)
+    lid = parse_algebra(aname)
+    for _ in range(5):
+        X = random_algebra_element(aname, rng)
+        assert X.shape == (lid.matrix_dim,) * 2 and frobenius_norm(X) > 0
+        assert in_algebra(X, aname, Tolerance(abs=1e-12, rel=0))
+        if real:
+            assert np.all(X.imag == 0)
+        assert np.abs(_project(X, lid) - X).max() <= 1e-15
+        assert is_member(mat_exp(X, TIGHT), gname, Tolerance(abs=1e-9, rel=0))
+
+
+def test_random_algebra_element_rejects_unknown_family():
+    from matrixlie.liealg import random_algebra_element
+
+    rng = np.random.default_rng(18)
+    with pytest.raises(ValueError):
+        random_algebra_element(LieId("xx", 2), rng)
+    with pytest.raises(ValueError):
+        random_algebra_element("xx(2)", rng)

@@ -235,3 +235,32 @@ def test_frobenius_norm_does_not_overflow():
     assert frobenius_norm(np.array([[np.inf, 1.0]])) == np.inf
     assert np.isnan(frobenius_norm(np.array([[np.nan, 1e200]])))
     assert np.isnan(frobenius_norm(np.array([[np.nan, 1.0]])))
+
+
+def test_json_rational_decodes_each_entry_once_with_one_zero():
+    A = matrix_from_json({"rows": 2, "cols": 2, "num": [0, 2, -3, 0], "den": [5, 4, 9, 1]})
+    assert A.shape == (2, 2) and A.dtype == object
+    assert A.tolist() == [[0, Fraction(1, 2)], [Fraction(-1, 3), 0]]
+    assert all(type(x) is Fraction for x in A.flat)
+    assert A[0, 0] is A[1, 1]
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        # a zero denominator is reported before a row count below 1
+        ({"rows": -1, "cols": -1, "num": [1], "den": [0]}, DomainError),
+        ({"rows": -1, "cols": -1, "num": [1], "den": [1]}, ShapeError),
+        ({"rows": 0, "cols": 0, "num": [], "den": []}, ShapeError),
+        # entry types are checked before entry counts
+        ({"rows": 1, "cols": 2, "num": [1.5], "den": [1]}, DomainError),
+        ({"rows": 1, "cols": 2, "num": [1], "den": [1]}, ShapeError),
+    ],
+)
+def test_json_rational_error_precedence(obj, error):
+    with pytest.raises(error):
+        matrix_from_json(obj)
+
+
+def test_json_rational_with_no_columns():
+    assert matrix_from_json({"rows": 2, "cols": 0, "num": [], "den": []}).shape == (2, 0)
