@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ClosureError, DomainError, OutOfDomainError, ShapeError
-from .expmlog import mat_exp
-from .liealg import Basis, _coords, bracket, gl_basis
+from .expmlog import _exp_scaled, mat_exp
+from .liealg import Basis, _coords, bracket
 from .matcore import Tolerance, frobenius_norm, is_rational, reye, to_complex
 
 __all__ = ["bch_heisenberg", "bch_series", "g_operator", "bch_integral"]
@@ -51,6 +51,16 @@ def bch_series(X, Y, order: int = 3):
     return Z
 
 
+def _g_series(B, V, terms: int):
+    """g(I - B) V = V - sum_{m=1..terms} B^m V / (m(m+1)), for a matrix B or
+    a stack of them; V = I gives the matrix g(I - B)."""
+    G = P = V
+    for m in range(1, terms + 1):
+        P = B @ P
+        G = G - P / (m * (m + 1))
+    return G
+
+
 def g_operator(M: np.ndarray, terms: int = 30) -> np.ndarray:
     """g(M) for g(z) = 1 + sum_{n>=1} (-1)^(n+1) / (n(n+1)) (z-1)^n.
 
@@ -67,11 +77,11 @@ def g_operator(M: np.ndarray, terms: int = 30) -> np.ndarray:
         raise OutOfDomainError("||M - I|| >= 1 and M - I is not nilpotent")
     if not Bn.any():  # B^m is exactly zero from m = n on
         terms = min(terms, n - 1)
-    G = P = I
-    for m in range(1, terms + 1):
-        P = P @ B
-        G = G - P / (m * (m + 1))
-    return G
+    return _g_series(B, I, terms)
+
+
+def _outside(t: float) -> OutOfDomainError:
+    return OutOfDomainError(f"||e^(adX) e^(t adY) - I|| >= 1 at quadrature node t = {t}")
 
 
 def bch_integral(
@@ -83,10 +93,18 @@ def bch_integral(
 ) -> np.ndarray:
     """Z = X + int_0^1 g(e^(ad X) e^(t ad Y))(Y) dt by composite Simpson.
 
-    ad X and ad Y are materialized in `basis` (default: the full
-    elementary basis of gl(n)), in which Y must lie exactly (DomainError
-    otherwise; gl(n) spans everything).  Every quadrature node must satisfy
-    ||e^(ad X) e^(t ad Y) - I|| < 1 or an out-of-domain error is raised.
+    ad X and ad Y are matrices on the coordinates of a basis.  By default
+    the basis is the row-major elementary basis of gl(n), where
+    ad Z = Z (x) I - I (x) Z^T in closed form.  A custom `basis` gets them
+    from one exact elimination (`_coords`), together with the coordinates
+    of Y, which must lie exactly in its span (DomainError otherwise).
+
+    All 2 quad_points + 1 nodes are evaluated as one stack: the node
+    exponentials e^(t ad Y) with one scaling and one series, and the g
+    series applied to the coordinates of Y rather than formed as a matrix.
+    Every node must satisfy ||e^(ad X) e^(t ad Y) - I|| < 1; otherwise
+    OutOfDomainError names the first failing node in ascending t.
+    Non-finite entries raise DomainError.
     """
     if quad_points < 1:
         raise DomainError(f"quad_points must be at least 1, got {quad_points}")
@@ -96,44 +114,48 @@ def bch_integral(
     Y = to_complex(Y) if is_rational(Y) else np.asarray(Y, dtype=complex)
     if X.shape != Y.shape or X.shape[0] != X.shape[1]:
         raise ShapeError(f"need equal square shapes, got {X.shape}, {Y.shape}")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise DomainError("X and Y must have finite entries")
     n = X.shape[0]
-    if basis is None:
-        basis = gl_basis(n)
-    # one elimination gives ad X, ad Y (the coordinates of the brackets
-    # with each basis element) and the coordinates of Y
-    d = len(basis)
-    brackets = [bracket(Z, b) for Z in (X, Y) for b in basis.elements]
-    coords = _coords(brackets + [Y], basis.elements)
-    if coords is None:
-        if _coords(brackets, basis.elements) is None:
-            raise ClosureError("bracket leaves the span of the basis")
-        raise DomainError("Y does not lie in the span of the basis")
-    re, im = coords
-    C = re.astype(complex) + 1j * im.astype(complex)
-    adX, adY, y = C[:, :d], C[:, d : 2 * d], C[:, 2 * d]
+    if basis is None:  # the row-major elementary basis E_ij of gl(n)
+        In = np.eye(n)
+        adX, adY = (np.kron(Z, In) - np.kron(In, Z.T) for Z in (X, Y))
+        y, elements = Y.ravel(), np.eye(n * n).reshape(-1, n, n)
+    else:
+        # one elimination gives ad X, ad Y (the coordinates of the brackets
+        # with each basis element) and the coordinates of Y
+        d = len(basis)
+        brackets = [bracket(Z, b) for Z in (X, Y) for b in basis.elements]
+        coords = _coords(brackets + [Y], basis.elements)
+        if coords is None:
+            if _coords(brackets, basis.elements) is None:
+                raise ClosureError("bracket leaves the span of the basis")
+            raise DomainError("Y does not lie in the span of the basis")
+        re, im = coords
+        C = re.astype(complex) + 1j * im.astype(complex)
+        adX, adY, y = C[:, :d], C[:, d : 2 * d], C[:, 2 * d]
+        elements = np.asarray(basis.elements, dtype=complex)
+    # composite Simpson: quad_points panels of width h, each sampled at its
+    # endpoints and midpoint; the nodes are built as a + h/2 and a + h
+    h = 1.0 / quad_points
+    a = np.arange(quad_points) * h
+    t = np.zeros(2 * quad_points + 1)
+    t[1::2], t[2::2] = a + h / 2, a + h
+    w = np.full(t.size, 2.0)
+    w[1::2], w[0], w[-1] = 4.0, 1.0, 1.0
     tight = Tolerance(abs=1e-15, rel=0.0)
     EadX = mat_exp(adX, tight)
-
-    def integrand(t: float) -> np.ndarray:
-        M = EadX @ mat_exp(t * adY, tight)
-        if frobenius_norm(M - np.eye(d)) >= 1.0:
-            raise OutOfDomainError(
-                f"||e^(adX) e^(t adY) - I|| >= 1 at quadrature node t = {t}"
-            )
-        return g_operator(M, terms) @ y
-
-    # composite Simpson: quad_points panels, each sampled at its
-    # endpoints and midpoint
-    h = 1.0 / quad_points
-    total = np.zeros(d, dtype=complex)
-    left = integrand(0.0)
-    for i in range(quad_points):
-        a = i * h
-        mid = integrand(a + h / 2)
-        right = integrand(a + h)
-        total = total + (h / 6) * (left + 4 * mid + right)
-        left = right
-    Z = X.copy()
-    for c, b in zip(total, basis.elements):
-        Z = Z + c * np.asarray(b, dtype=complex)
-    return Z
+    I = np.eye(len(y))
+    if not frobenius_norm(EadX - I) < 1.0:  # the node t = 0 needs no e^(t ad Y)
+        raise _outside(0.0)
+    # a node's e^(t ad Y) can overflow only when ||ad Y|| > 700; its B is
+    # then inf or nan, and its distance fails the test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = t[:, None, None] * adY  # the largest node norm is the last one's
+        B = I - EadX @ _exp_scaled(S, frobenius_norm(S[-1]), tight)
+        dist = np.linalg.norm(B, axis=(1, 2))
+    out = np.flatnonzero(~(dist < 1.0))
+    if out.size:
+        raise _outside(float(t[out[0]]))
+    G = _g_series(B, y[:, None], terms)[:, :, 0]  # g(e^(adX) e^(t adY)) y per node
+    return X + np.tensordot((h / 6) * (w @ G), elements, axes=1)

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .liealg import bracket
 from .matcore import (
+    _EPS,
     DEFAULT_TOL,
     Tolerance,
     approx_eq,
@@ -47,12 +48,40 @@ __all__ = [
 ]
 
 MAX_SERIES_TERMS = 200
-_EPS = float(np.finfo(float).eps)  # series stop below max(tol.abs, _EPS): tol.abs may be 0
 
 
 def _require_square(X: np.ndarray, name: str = "matrix"):
     if X.ndim != 2 or X.shape[0] != X.shape[1] or not X.size:
         raise ShapeError(f"{name} must be square and nonempty, got shape {X.shape}")
+
+
+def _exp_scaled(X: np.ndarray, norm: float, tol: Tolerance) -> np.ndarray:
+    """e^X for a matrix or a stack of matrices, by scaling-and-squaring.
+
+    norm is the finite Frobenius norm of X, or the largest over the stack.
+    X is scaled by 2^-s so that this norm is at most 0.5, the power series
+    is summed until the Frobenius norm of a term (every term, for a stack)
+    is below max(tol.abs, machine epsilon), and the result is squared s
+    times.  It can overflow to inf or nan only when norm > 700; callers
+    check.
+    """
+    s = max(0, math.ceil(math.log2(norm) + 1)) if norm > 0.5 else 0
+    Xs = X * 0.5**s  # exact: s <= 1025, and 0.5**1074 is the least float
+    E = term = np.eye(X.shape[-1], dtype=complex)
+    floor = max(tol.abs, _EPS)
+    for k in range(1, MAX_SERIES_TERMS + 1):
+        term = term @ Xs / k
+        E = E + term
+        # a stack's norms are summed without a BLAS dot: OpenBLAS spreads a
+        # dot over more than 10000 entries across threads, at a cost of ms
+        size = frobenius_norm(term) if term.ndim == 2 else np.linalg.norm(term, axis=(1, 2)).max()
+        if size < floor:
+            break
+    else:
+        raise ConvergenceError("exponential series did not converge in 200 terms")
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def mat_exp(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -67,31 +96,13 @@ def mat_exp(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """
     X = np.asarray(X, dtype=complex)
     _require_square(X)
-    n = X.shape[0]
     norm = frobenius_norm(X)
-    if norm == 0.0:
-        return np.eye(n, dtype=complex)
     if not math.isfinite(norm):
         raise DomainError(f"matrix norm is {norm}; e^X is not finite")
-    s = max(0, math.ceil(math.log2(norm) + 1))  # ||X|| / 2^s <= 0.5
-    Xs = X * 0.5**s  # exact: s <= 1025, and 0.5**1074 is the least float
-    E = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    floor = max(tol.abs, _EPS)
-    for k in range(1, MAX_SERIES_TERMS + 1):
-        term = term @ Xs / k
-        E = E + term
-        if frobenius_norm(term) < floor:
-            break
-    else:
-        raise ConvergenceError("exponential series did not converge in 200 terms")
     if norm <= 700.0:  # e^700 < 1.8e308, so only a bigger X can overflow
-        for _ in range(s):
-            E = E @ E
-        return E
+        return _exp_scaled(X, norm, tol)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            E = E @ E
+        E = _exp_scaled(X, norm, tol)
     if not np.all(np.isfinite(E)):
         raise DomainError(f"e^X overflows (||X|| = {norm:.6g})")
     return E

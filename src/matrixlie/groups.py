@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ShapeError
-from .matcore import DEFAULT_TOL, Tolerance, frobenius_norm
+from .matcore import _EPS, DEFAULT_TOL, Tolerance, frobenius_norm
 
 __all__ = [
     "GroupId",
@@ -210,6 +210,8 @@ def _satisfies(M: np.ndarray, lid: LieId, tol: Tolerance, group: bool) -> bool:
     d = lid.matrix_dim
     if M.shape != (d, d):
         raise ShapeError(f"{lid.family} with n={lid.n} needs a {d}x{d} matrix, got {M.shape}")
+    if not np.isfinite(M).all():  # inf passes |A - B| <= tol.abs + tol.rel |B|
+        raise DomainError("matrix entries must be finite")
     if _real(lid) and not (np.abs(M.imag) <= tol.abs).all():
         return False
     unit = np.eye(d) if group else np.zeros((d, d))
@@ -277,7 +279,8 @@ def polar_decompose_sl(A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """A = R H with R orthogonal, H symmetric positive-definite (A real, invertible).
 
     The orthogonal factor is found by the Newton iteration
-    R <- (R + R^-T)/2, then H = R^T A.
+    R <- (R + R^-T)/2, stopped once a step's norm is below
+    max(tol.abs, machine epsilon * ||R||), then H = R^T A.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
@@ -292,7 +295,7 @@ def polar_decompose_sl(A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     R = A.copy()
     for _ in range(100):
         R_next = (R + np.linalg.inv(R).T) / 2
-        if frobenius_norm(R_next - R) < tol.abs:
+        if frobenius_norm(R_next - R) < max(tol.abs, _EPS * frobenius_norm(R_next)):
             R = R_next
             break
         R = R_next

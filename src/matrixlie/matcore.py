@@ -57,6 +57,8 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+# iterations stop below max(tol.abs, _EPS) (scaled as needed): tol.abs may be 0
+_EPS = float(np.finfo(float).eps)
 
 
 def cmat(rows) -> np.ndarray:

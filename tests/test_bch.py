@@ -6,7 +6,7 @@ import pytest
 from matrixlie.bch import bch_heisenberg, bch_integral, bch_series, g_operator
 from matrixlie.errors import ClosureError, DomainError, OutOfDomainError
 from matrixlie.expmlog import mat_exp, mat_exp_nilpotent, mat_log
-from matrixlie.liealg import random_algebra_element
+from matrixlie.liealg import ad_matrix, gl_basis, random_algebra_element, sl2_basis, su2_basis
 from matrixlie.matcore import Tolerance, frobenius_norm, reye, rmat, rzeros
 
 TIGHT = Tolerance(abs=1e-15, rel=0.0)
@@ -205,3 +205,126 @@ def test_g_operator_one_body_for_both_carriers():
     assert Gf.dtype == complex and np.allclose(Gf, G.astype(float), rtol=0, atol=1e-15)
     M = np.eye(2) + np.array([[0.1, 0.2], [-0.05, 0.3]])
     assert np.array_equal(g_operator(M), g_operator(M.astype(complex)))
+
+
+def simpson_loop(X, Y, q, terms=30, basis=None):
+    """Reference for bch_integral: the per-node loop it replaced, with one
+    mat_exp and one matrix g per node, panel by panel, and ad from
+    ad_matrix."""
+    basis = basis or gl_basis(X.shape[0])
+    adX, adY = ad_matrix(X, basis), ad_matrix(Y, basis)
+    A = np.array([b.ravel() for b in basis.elements]).T
+    y = np.linalg.lstsq(A, np.asarray(Y, dtype=complex).ravel(), rcond=None)[0]
+    EadX = mat_exp(adX, TIGHT)
+
+    def f(t):
+        return g_operator(EadX @ mat_exp(t * adY, TIGHT), terms) @ y
+
+    h = 1.0 / q
+    total = sum((h / 6) * (f(i * h) + 4 * f(i * h + h / 2) + f(i * h + h)) for i in range(q))
+    return X + sum(c * b for c, b in zip(total, basis.elements))
+
+
+def gl_pair(rng, n, size):
+    X, Y = rng.standard_normal((2, n, n))
+    return size * X / frobenius_norm(X), size * Y / frobenius_norm(Y)
+
+
+@pytest.mark.parametrize("q", [1, 2, 16])
+def test_integral_matches_the_per_node_loop(q):
+    # batching changes only the order of rounding: 1e-14 relative is about
+    # 50 machine epsilons
+    rng = np.random.default_rng(20)
+    cases = [(*gl_pair(rng, n, 0.3 / n**0.5), None) for n in (2, 3)]
+    X = random_algebra_element("su(2)", rng)
+    Y = random_algebra_element("su(2)", rng)
+    cases.append((0.2 * X / frobenius_norm(X), 0.2 * Y / frobenius_norm(Y), su2_basis()))
+    for X, Y, basis in cases:
+        want = simpson_loop(X, Y, q, basis=basis)
+        got = bch_integral(X, Y, quad_points=q, basis=basis)
+        assert frobenius_norm(got - want) <= 1e-14 * frobenius_norm(want)
+
+
+def test_integral_one_panel():
+    # three nodes, t = 0, 1/2, 1: still a fair quadrature on small inputs
+    rng = np.random.default_rng(21)
+    X, Y = gl_pair(rng, 2, 0.2)
+    Z = bch_integral(X, Y, quad_points=1)
+    assert frobenius_norm(Z - log_of_product(X, Y)) <= 1e-4 * frobenius_norm(Z)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integral_default_basis_is_the_closed_form_of_gl(n):
+    rng = np.random.default_rng(22 + n)
+    X, Y = gl_pair(rng, n, 0.2 / n**0.5)
+    X = X + 1j * gl_pair(rng, n, 0.1 / n**0.5)[0]
+    assert np.array_equal(bch_integral(X, Y, 8), bch_integral(X, Y, 8, basis=gl_basis(n)))
+
+
+def mp_log_of_product(X, Y):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        L = mp.logm(mp.expm(mp.matrix(X.tolist())) * mp.expm(mp.matrix(Y.tolist())))
+        return np.array(L.tolist(), dtype=complex)
+
+
+# Relative error bounds against mpmath at 40 digits, set from the per-node
+# loop's errors on these inputs: its largest were 1.43e-14 (q = 16, where
+# Simpson's rule dominates), 9.3e-16 (q = 64) and 7.9e-16 (heis).
+MP_BOUND = {16: 2e-14, 64: 1.5e-15}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integral_against_mpmath_gl(n):
+    rng = np.random.default_rng(2024 + n)
+    for _ in range(3):
+        X, Y = gl_pair(rng, n, 0.3 / n**0.5)
+        want = mp_log_of_product(X, Y)
+        for q, bound in MP_BOUND.items():
+            err = frobenius_norm(bch_integral(X, Y, q) - want) / frobenius_norm(want)
+            assert err <= bound, (q, err)
+
+
+def test_integral_against_mpmath_heis():
+    from matrixlie.liealg import heis_basis
+
+    X = heis(0.3, -0.2, 0).astype(float)
+    Y = heis(0.1, 0, 0.4).astype(float)
+    want = mp_log_of_product(X, Y)
+    for q in (16, 64):
+        Z = bch_integral(X, Y, q, basis=heis_basis())
+        assert frobenius_norm(Z - want) / frobenius_norm(want) <= 1.5e-15
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("basis", [None, "sl2"])
+@pytest.mark.parametrize("q, t", [(4, "0.375"), (5, "0.4"), (64, "0.3359375")])
+def test_integral_reports_the_first_interior_node_outside(basis, q, t):
+    # X, Y = 0.05 H, 0.8 H with H = diag(1, -1): ||e^(adX) e^(t adY) - I||^2
+    # = (e^u - 1)^2 + (e^-u - 1)^2 with u = 0.1 + 1.6 t, which reaches 1 at
+    # t = 0.3331, away from every node of these q; t = 0 is inside
+    H = np.diag([1.0, -1.0])
+    basis = sl2_basis() if basis else None
+    with pytest.raises(OutOfDomainError, match=f"at quadrature node t = {t}$"):
+        bch_integral(0.05 * H, 0.8 * H, q, basis=basis)
+
+
+@pytest.mark.filterwarnings("error")
+def test_integral_overflowing_nodes_are_outside():
+    # ||ad Y|| > 700: the stacked e^(t adY) overflows at the last nodes, but
+    # the first node outside is t = 1/128, as when each node was separate
+    Y = np.diag([400.0, -400.0])
+    with pytest.raises(OutOfDomainError, match=r"t = 0\.0078125$"):
+        bch_integral(np.zeros((2, 2)), Y, 64)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("basis", [None, "sl2"])
+def test_integral_non_finite_is_a_domain_error(bad, basis):
+    basis = sl2_basis() if basis else None
+    H = np.diag([0.1, -0.1])
+    B = np.diag([bad, -0.1])
+    for X, Y in ((B, H), (H, B)):
+        with pytest.raises(DomainError, match="finite"):
+            bch_integral(X, Y, 4, basis=basis)

@@ -241,3 +241,15 @@ def test_zero_absolute_tolerance_is_accepted(cmd, A, oracle):
     Z = json.loads(out.getvalue())
     got = np.array(Z["re"]).reshape(2, 2)
     assert np.abs(got - getattr(sla, oracle)(np.array(A))).max() <= 1e-14
+
+
+def test_zero_absolute_tolerance_polar():
+    sla = pytest.importorskip("scipy.linalg")
+    A = np.array([[2.0, 1.0], [0.0, 1.0]])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["--tol-abs", "0", "polar", mat_json(A)]) == 0
+    got = json.loads(out.getvalue())
+    U, P = sla.polar(A)
+    for key, want in (("R", U), ("H", P)):
+        assert np.abs(np.array(got[key]["re"]).reshape(2, 2) - want).max() <= 1e-14

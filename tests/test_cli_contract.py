@@ -4,7 +4,9 @@ Whatever the arguments, a command exits 0, 1 or 2 and prints JSON unless it
 is a usage error.  For `member` and `algebra`, a name outside the grammar
 table is a value error; the representation commands (`rep sl2`, `rep sl3`,
 `cg`, `dim sl3`, `decompose sl2`) answer each malformed input with its
-typed error.
+typed error.  `exp`, `log` and `polar`, also under `--tol-abs 0`, fail with
+a shape error exactly when the input is not a nonempty square, and `bch
+--form series` rejects an order outside 1..3 as a value error.
 """
 
 import contextlib
@@ -277,3 +279,37 @@ def test_decompose_contract(case):
         assert code == 0 or out["error"] in ("domain", "decomposition")
     else:
         assert code == 1 and out["error"] == kind
+
+
+# --- exp, log, polar and the closed BCH forms ---------------------------------
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cmd=st.sampled_from(["exp", "log", "polar"]), zero_tol=st.booleans(), matrix=matrices())
+def test_exp_log_polar_contract(cmd, zero_tol, matrix):
+    code, out = contract([*(["--tol-abs", "0"] if zero_tol else []), cmd, matrix])
+    obj = json.loads(matrix)
+    square = obj["rows"] == obj["cols"] >= 1
+    if code == 0:
+        for m in [out["R"], out["H"]] if cmd == "polar" else [out]:
+            assert square and m["rows"] == m["cols"] == obj["rows"]
+    elif code == 1 and not square:
+        assert out["error"] == "shape"
+    elif code == 1:  # log's series and polar's Newton iteration have step limits
+        assert out["error"] in ("domain", "out_of_domain", *(["convergence"] * (cmd != "exp")))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), form=st.sampled_from(["heis", "series"]), order=st.integers(0, 4))
+def test_bch_closed_forms_contract(data, form, order):
+    if data.draw(st.booleans()):
+        x, y = data.draw(matrices()), data.draw(matrices())
+    else:
+        n = data.draw(st.integers(1, 4))
+        x, y = data.draw(small_squares(n)), data.draw(small_squares(n))
+    code, out = contract(["bch", "--form", form, "--order", str(order), x, y])
+    bad_order = form == "series" and order not in (1, 2, 3)
+    if code == 0:
+        assert not bad_order and out["rows"] == out["cols"] == json.loads(x)["rows"]
+    elif code == 1:
+        assert out["error"] in (("value", "shape") if bad_order else ("shape", "domain"))

@@ -18,6 +18,7 @@ from matrixlie.groups import (
     su2_matrix,
     symplectic_J,
 )
+from matrixlie.liealg import in_algebra
 from matrixlie.matcore import Tolerance, frobenius_norm, rmat
 
 TIGHT = Tolerance(abs=1e-15, rel=0.0)
@@ -285,6 +286,23 @@ def test_polar_non_finite_is_a_domain_error(A):
 def test_polar_empty_is_a_shape_error():
     with pytest.raises(ShapeError):
         polar_decompose_sl(np.zeros((0, 0)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    "check, name",
+    [(is_member, "SO(2)"), (is_member, "GL(2,C)"), (is_member, "Sp(1,R)"), (is_member, "Heis"),
+     (in_algebra, "so(2)"), (in_algebra, "sl(2,R)"), (in_algebra, "u(2)"), (in_algebra, "heis")],
+)
+def test_membership_of_non_finite_input_is_a_domain_error(check, name, bad):
+    # [[0, inf], [inf, 0]] used to pass the so(2) identity X^T = -X, since
+    # |A - B| <= tol.abs + tol.rel |B| holds when B is infinite
+    d = 3 if name.lower() == "heis" else 2
+    A = np.eye(d) if check is is_member else np.zeros((d, d))
+    A[0, d - 1] = A[d - 1, 0] = bad
+    with pytest.raises(DomainError, match="finite"):
+        check(A, name)
 
 
 # (algebra, its group, whether the algebra is real); together they name
