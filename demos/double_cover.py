@@ -6,10 +6,8 @@ shadow ad E_i = F_i, and a round trip through the quaternion lift.
 
 import numpy as np
 
-from matrixlie import Tolerance, adjoint_to_so3, frobenius_norm, mat_exp, so3_lift, su2_matrix
+from matrixlie import adjoint_to_so3, frobenius_norm, mat_exp, so3_lift, su2_matrix
 from matrixlie.liealg import E1, F1, ad_matrix, su2_basis
-
-tight = Tolerance(abs=1e-15, rel=0.0)
 
 print("=== kernel: U and -U give the same rotation ===")
 U = su2_matrix((1 + 1j) / 2, (1 - 1j) / 2)
@@ -18,7 +16,7 @@ print("R(U) == R(-U):", np.array_equal(adjoint_to_so3(U), adjoint_to_so3(-U)))
 print()
 print("=== a one-parameter rotation ===")
 theta = 0.4
-V = mat_exp(theta * E1, tight)
+V = mat_exp(theta * E1)
 R = adjoint_to_so3(V)
 print(f"rotation from exp({theta} E1):")
 print(R.real.round(10))

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ClosureError, DomainError, OutOfDomainError, ShapeError
 from .expmlog import _exp_scaled, mat_exp
 from .liealg import Basis, _coords, bracket
-from .matcore import Tolerance, frobenius_norm, is_rational, reye, to_complex
+from .matcore import _one_carrier, frobenius_norm, is_rational, reye, to_complex
 
 __all__ = ["bch_heisenberg", "bch_series", "g_operator", "bch_integral"]
 
@@ -28,8 +28,10 @@ def _is_zero(M, tol_abs=1e-12) -> bool:
 def bch_heisenberg(X, Y):
     """Z with e^X e^Y = e^Z when X, Y commute with their commutator.
 
-    Z = X + Y + [X,Y]/2; exact for rational inputs.
+    Z = X + Y + [X,Y]/2; exact for rational inputs, floating if either
+    input is floating.
     """
+    X, Y = _one_carrier(X, Y)
     C = bracket(X, Y)
     if not (_is_zero(bracket(X, C)) and _is_zero(bracket(Y, C))):
         raise DomainError("inputs must commute with their commutator")
@@ -37,11 +39,15 @@ def bch_heisenberg(X, Y):
 
 
 def bch_series(X, Y, order: int = 3):
-    """Partial BCH sum: X+Y, then +[X,Y]/2, then +/-[.,[X,Y]]/12 terms."""
+    """Partial BCH sum: X+Y, then +[X,Y]/2, then +/-[.,[X,Y]]/12 terms.
+
+    Exact for rational inputs, floating if either input is floating.
+    """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2, or 3")
     if X.shape != Y.shape or X.shape[0] != X.shape[1]:
         raise ShapeError(f"need equal square shapes, got {X.shape}, {Y.shape}")
+    X, Y = _one_carrier(X, Y)
     Z = X + Y
     if order >= 2:
         C = bracket(X, Y)
@@ -100,8 +106,9 @@ def bch_integral(
     of Y, which must lie exactly in its span (DomainError otherwise).
 
     All 2 quad_points + 1 nodes are evaluated as one stack: the node
-    exponentials e^(t ad Y) with one scaling and one series, and the g
-    series applied to the coordinates of Y rather than formed as a matrix.
+    exponentials e^(t ad Y) with one scaling and one Pade approximant, and
+    the g series applied to the coordinates of Y rather than formed as a
+    matrix.
     Every node must satisfy ||e^(ad X) e^(t ad Y) - I|| < 1; otherwise
     OutOfDomainError names the first failing node in ascending t.
     Non-finite entries raise DomainError.
@@ -119,7 +126,8 @@ def bch_integral(
     n = X.shape[0]
     if basis is None:  # the row-major elementary basis E_ij of gl(n)
         In = np.eye(n)
-        adX, adY = (np.kron(Z, In) - np.kron(In, Z.T) for Z in (X, Y))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+            adX, adY = (np.kron(Z, In) - np.kron(In, Z.T) for Z in (X, Y))
         y, elements = Y.ravel(), np.eye(n * n).reshape(-1, n, n)
     else:
         # one elimination gives ad X, ad Y (the coordinates of the brackets
@@ -143,16 +151,17 @@ def bch_integral(
     t[1::2], t[2::2] = a + h / 2, a + h
     w = np.full(t.size, 2.0)
     w[1::2], w[0], w[-1] = 4.0, 1.0, 1.0
-    tight = Tolerance(abs=1e-15, rel=0.0)
-    EadX = mat_exp(adX, tight)
+    if not (np.isfinite(adX).all() and np.isfinite(adY).all()):
+        raise DomainError("ad X or ad Y overflows")
+    EadX = mat_exp(adX)
     I = np.eye(len(y))
     if not frobenius_norm(EadX - I) < 1.0:  # the node t = 0 needs no e^(t ad Y)
         raise _outside(0.0)
-    # a node's e^(t ad Y) can overflow only when ||ad Y|| > 700; its B is
+    # a node's e^(t ad Y) can overflow only when ||ad Y||_1 > 700; its B is
     # then inf or nan, and its distance fails the test below
     with np.errstate(over="ignore", invalid="ignore"):
         S = t[:, None, None] * adY  # the largest node norm is the last one's
-        B = I - EadX @ _exp_scaled(S, frobenius_norm(S[-1]), tight)
+        B = I - EadX @ _exp_scaled(S, float(np.abs(adY).sum(axis=0).max()))
         dist = np.linalg.norm(B, axis=(1, 2))
     out = np.flatnonzero(~(dist < 1.0))
     if out.size:

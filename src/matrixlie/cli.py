@@ -13,33 +13,11 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import bch as bchmod
 from . import expmlog, groups, liealg, repsl2, repsl3, su2so3
-from .errors import (
-    ClosureError,
-    ConvergenceError,
-    DecompositionError,
-    DomainError,
-    InconsistentSamplesError,
-    LieError,
-    OutOfDomainError,
-    ShapeError,
-)
+from .errors import LieError
 from .matcore import Tolerance, matrix_from_json, matrix_to_json
 from .repcore import rep_from_json, rep_to_json, tensor_product
-
-_ERROR_KINDS = [
-    (OutOfDomainError, "out_of_domain"),
-    (InconsistentSamplesError, "inconsistent_samples"),
-    (DomainError, "domain"),
-    (ShapeError, "shape"),
-    (ConvergenceError, "convergence"),
-    (ClosureError, "closure"),
-    (DecompositionError, "decomposition"),
-    (LieError, "error"),
-]
 
 _BASES = {
     "su2": liealg.su2_basis,
@@ -167,16 +145,7 @@ def _run(args) -> int:
     elif cmd == "structconst":
         basis = _BASES[args.basis]()
         c = liealg.structure_constants(basis)
-        d = len(basis)
-        _emit(
-            {
-                "labels": list(basis.labels),
-                "c": [
-                    [[str(c[i, j, k]) for k in range(d)] for j in range(d)]
-                    for i in range(d)
-                ],
-            }
-        )
+        _emit({"labels": list(basis.labels), "c": [[list(map(str, r)) for r in p] for p in c]})
     elif cmd == "bch":
         X = _load_json(args.x)
         Y = _load_json(args.y)
@@ -185,9 +154,7 @@ def _run(args) -> int:
         elif args.form == "series":
             _emit_matrix(bchmod.bch_series(X, Y, args.order))
         else:
-            _emit_matrix(
-                bchmod.bch_integral(X, Y, args.quad_points, args.terms)
-            )
+            _emit_matrix(bchmod.bch_integral(X, Y, args.quad_points, args.terms))
     elif cmd == "su2so3":
         M = _load_json(args.matrix)
         if args.direction == "fwd":
@@ -196,12 +163,8 @@ def _run(args) -> int:
             U, Um = su2so3.so3_lift(M, tol)
             _emit({"lift": matrix_to_json(U), "negative": matrix_to_json(Um)})
     elif cmd == "rep" and args.which == "sl2":
-        rep = (
-            repsl2.sl2_irrep(args.m)
-            if args.model == "abstract"
-            else repsl2.sl2_poly_irrep(args.m)
-        )
-        _emit(rep_to_json(rep))
+        build = repsl2.sl2_irrep if args.model == "abstract" else repsl2.sl2_poly_irrep
+        _emit(rep_to_json(build(args.m)))
     elif cmd == "rep" and args.which == "sl3":
         rep, mult = repsl3.sl3_highest_weight_irrep(args.m1, args.m2)
         if args.weights_csv:
@@ -229,11 +192,8 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except LieError as e:
-        for cls, kind in _ERROR_KINDS:
-            if isinstance(e, cls):
-                print(json.dumps({"error": kind, "detail": str(e)}))
-                return 1
-        raise AssertionError("unreachable")
+        print(json.dumps({"error": e.kind, "detail": str(e)}))
+        return 1
     except (ValueError, KeyError, json.JSONDecodeError, OSError) as e:
         print(json.dumps({"error": "value", "detail": str(e)}))
         return 1

@@ -11,13 +11,14 @@ always tested against that identity within a tolerance.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ShapeError
-from .matcore import _EPS, DEFAULT_TOL, Tolerance, frobenius_norm
+from .matcore import _EPS, DEFAULT_TOL, Tolerance, _relative_det, frobenius_norm
 
 __all__ = [
     "GroupId",
@@ -278,9 +279,11 @@ def euclidean_embed(R: np.ndarray, x) -> np.ndarray:
 def polar_decompose_sl(A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """A = R H with R orthogonal, H symmetric positive-definite (A real, invertible).
 
-    The orthogonal factor is found by the Newton iteration
-    R <- (R + R^-T)/2, stopped once a step's norm is below
-    max(tol.abs, machine epsilon * ||R||), then H = R^T A.
+    A is singular when |det A| <= tol.abs (||A||_F / sqrt n)^n, which
+    scaling A does not change.  R comes from the Newton iteration
+    R <- (g R + R^-T / g)/2 with g = sqrt(||R^-1||_F / ||R||_F) (Higham
+    1986) until a step is below 0.01 and g = 1 after, stopped once a step
+    is below max(tol.abs, machine epsilon * ||R||_F); then H = R^T A.
     """
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
@@ -290,15 +293,17 @@ def polar_decompose_sl(A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     if np.any(np.abs(A.imag) > tol.abs):
         raise DomainError("matrix must be real")
     A = A.real
-    if abs(np.linalg.det(A)) <= tol.abs:
+    if _relative_det(A) <= tol.abs:
         raise DomainError("matrix is singular")
-    R = A.copy()
+    R, step = A, np.inf
     for _ in range(100):
-        R_next = (R + np.linalg.inv(R).T) / 2
-        if frobenius_norm(R_next - R) < max(tol.abs, _EPS * frobenius_norm(R_next)):
-            R = R_next
-            break
+        Ri = np.linalg.inv(R)
+        g = math.sqrt(frobenius_norm(Ri) / frobenius_norm(R)) if step >= 0.01 else 1.0
+        R_next = (g * R + Ri.T / g) / 2
+        step = frobenius_norm(R_next - R)
         R = R_next
+        if step < max(tol.abs, _EPS * frobenius_norm(R)):
+            break
     else:
         raise ConvergenceError("polar Newton iteration did not converge in 100 steps")
     H = R.T @ A

@@ -20,11 +20,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ClosureError, DomainError, ShapeError
-from . import expmlog  # the module, not mat_exp: expmlog imports bracket from here
+from .expmlog import mat_exp
 from .groups import LieId, _parse, _project, _satisfies, is_member, parse_group
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
+    _one_carrier,
+    _relative_det,
     is_rational,
     rational_solve,
     rmat,
@@ -70,9 +72,11 @@ def in_algebra(X: np.ndarray, a, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def bracket(X, Y):
-    """The commutator [X, Y] = XY - YX (exact for rational inputs)."""
+    """The commutator [X, Y] = XY - YX: exact when both inputs are rational,
+    floating when either is floating."""
     if X.shape != Y.shape or X.shape[0] != X.shape[1]:
         raise ShapeError(f"bracket needs equal square shapes, got {X.shape}, {Y.shape}")
+    X, Y = _one_carrier(X, Y)
     return X @ Y - Y @ X
 
 
@@ -207,7 +211,7 @@ def Ad_apply(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     if A.shape != X.shape or A.shape[0] != A.shape[1]:
         raise ShapeError(f"Ad needs equal square shapes, got {A.shape}, {X.shape}")
-    if abs(np.linalg.det(A)) < 1e-13:
+    if _relative_det(A) < 1e-13:  # scale-invariant: cI passes for every c != 0
         raise DomainError("Ad requires an invertible matrix")
     return A @ X @ np.linalg.inv(A)
 
@@ -260,8 +264,7 @@ def algebra_membership_via_exp(
     d = g.matrix_dim
     if X.shape != (d, d):
         raise ShapeError(f"need a {d}x{d} matrix, got {X.shape}")
-    tight = Tolerance(abs=1e-15, rel=0.0)
-    return all(is_member(expmlog.mat_exp(t * X, tight), g, tol) for t in samples)
+    return all(is_member(mat_exp(t * X), g, tol) for t in samples)
 
 
 def random_algebra_element(a, rng, scale: float = 0.5) -> np.ndarray:

@@ -145,6 +145,22 @@ def to_complex(M: np.ndarray) -> np.ndarray:
     return np.array([[complex(x) for x in row] for row in M], dtype=complex)
 
 
+def _one_carrier(X, Y):
+    """X and Y on one carrier: both exact if both are rational, else both
+    complex floating (a Fraction times a float is no exact entry)."""
+    if is_rational(X) == is_rational(Y):
+        return X, Y
+    return tuple(to_complex(M) if is_rational(M) else M for M in (X, Y))
+
+
+def _relative_det(A: np.ndarray) -> float:
+    """|det A| / (||A||_F / sqrt(n))^n, which does not change when A is
+    scaled: 1 for a multiple of a unitary matrix, at most 1 by Hadamard's
+    inequality, and 0 for A = 0."""
+    norm = frobenius_norm(A)
+    return float(abs(np.linalg.det(A * (math.sqrt(A.shape[0]) / norm)))) if norm else 0.0
+
+
 def _sparse_rows(M: np.ndarray) -> list[dict]:
     """The nonzero entries of a matrix, one {column: entry} per row: Fraction
     entries for a rational matrix, complex ones for any other."""

@@ -328,3 +328,12 @@ def test_integral_non_finite_is_a_domain_error(bad, basis):
     for X, Y in ((B, H), (H, B)):
         with pytest.raises(DomainError, match="finite"):
             bch_integral(X, Y, 4, basis=basis)
+
+
+@pytest.mark.filterwarnings("error")
+def test_integral_overflowing_ad_is_a_domain_error():
+    # finite entries whose ad Z = Z (x) I - I (x) Z^T overflows to inf
+    huge, small = np.diag([1e308, -1e308]), np.diag([0.1, -0.1])
+    for X, Y in ((huge, small), (small, huge)):
+        with pytest.raises(DomainError, match="overflows"):
+            bch_integral(X, Y, 4)

@@ -253,3 +253,58 @@ def test_zero_absolute_tolerance_polar():
     U, P = sla.polar(A)
     for key, want in (("R", U), ("H", P)):
         assert np.abs(np.array(got[key]["re"]).reshape(2, 2) - want).max() <= 1e-14
+
+
+RATIONAL_H = json.dumps({"rows": 2, "cols": 2, "num": [1, 0, 0, -1], "den": [1, 1, 1, 1]})
+FLOAT_E = json.dumps({"rows": 2, "cols": 2, "re": [0, 0.5, 0, 0]})
+RATIONAL_E12 = json.dumps({"rows": 3, "cols": 3, "num": [0, 1, 0, 0, 0, 0, 0, 0, 0],
+                           "den": [1] * 9})
+FLOAT_E23 = json.dumps({"rows": 3, "cols": 3, "re": [0, 0, 0, 0, 0, 0.5, 0, 0, 0]})
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["bracket", RATIONAL_H, FLOAT_E], [[0, 1], [0, 0]]),
+        (["bracket", FLOAT_E, RATIONAL_H], [[0, -1], [0, 0]]),
+        (["bch", "--form", "series", RATIONAL_H, FLOAT_E], [[1, 7 / 6], [0, -1]]),
+        (["bch", "--form", "heis", RATIONAL_E12, FLOAT_E23],
+         [[0, 1, 0.25], [0, 0, 0.5], [0, 0, 0]]),
+    ],
+    ids=["bracket", "bracket_swapped", "bch_series", "bch_heis"],
+)
+def test_rational_with_floating_input_gives_floating_output(argv, want):
+    # if either input is floating, so is the result (as for ad_matrix)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    got = json.loads(out.getvalue())
+    want = np.array(want, dtype=float)
+    assert "num" not in got and (got["rows"], got["cols"]) == want.shape
+    assert np.abs(np.array(got["re"]).reshape(want.shape) - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol-abs", "0"]], ids=["default_tol", "zero_tol"])
+def test_polar_of_a_badly_conditioned_matrix(tol):
+    # cond A = 1e85: unscaled Newton needed more than its 100 steps
+    sla = pytest.importorskip("scipy.linalg")
+    A = np.array([[0.0, 1.0], [1.08e-85, 0.0]])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*tol, "polar", mat_json(A)]) == (0 if tol else 1)
+    got = json.loads(out.getvalue())
+    if not tol:  # |det A| / ||A||_F^2 = 1.08e-85 <= 1e-9: singular at the default
+        assert got["error"] == "domain"
+        return
+    U, P = sla.polar(A)
+    for key, want in (("R", U), ("H", P)):
+        assert np.abs(np.array(got[key]["re"]).reshape(2, 2) - want).max() <= 1e-15
+
+
+def test_polar_of_a_small_multiple_of_the_identity():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["polar", mat_json(1e-4 * np.eye(3))]) == 0
+    got = json.loads(out.getvalue())
+    assert np.array_equal(np.array(got["R"]["re"]), np.eye(3).ravel())
+    assert np.array_equal(np.array(got["H"]["re"]), 1e-4 * np.eye(3).ravel())

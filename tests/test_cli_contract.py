@@ -6,14 +6,21 @@ table is a value error; the representation commands (`rep sl2`, `rep sl3`,
 `cg`, `dim sl3`, `decompose sl2`) answer each malformed input with its
 typed error.  `exp`, `log` and `polar`, also under `--tol-abs 0`, fail with
 a shape error exactly when the input is not a nonempty square, and `bch
---form series` rejects an order outside 1..3 as a value error.
+--form series` rejects an order outside 1..3 as a value error.  `heislog`
+returns N - N^2/2 exactly for a rational unit upper triangular A = I + N and
+a typed error for anything else; `bracket` on rational, floating and mixed
+inputs is exact when both inputs are rational and floating otherwise; and
+`su2so3` maps members of SU(2) and SO(3) to a rotation and a lift in SU(2)
+and rejects a member moved by 1e-3 as a domain error.
 """
 
 import contextlib
 import io
 import json
 import re
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -313,3 +320,152 @@ def test_bch_closed_forms_contract(data, form, order):
         assert not bad_order and out["rows"] == out["cols"] == json.loads(x)["rows"]
     elif code == 1:
         assert out["error"] in (("value", "shape") if bad_order else ("shape", "domain"))
+
+
+# --- heislog, bracket and su2so3 -------------------------------------------------
+
+
+@st.composite
+def rationals(draw, n=None):
+    """The JSON of a rational matrix: n x n if n is given, else any small shape
+    (rows 0 is a shape error), and a zero denominator now and then."""
+    rows = n if n is not None else draw(st.integers(0, 4))
+    cols = rows if n is not None or draw(st.integers(0, 3)) else draw(st.integers(0, 4))
+    size = rows * cols
+    num = draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size))
+    den = draw(st.lists(st.integers(0 if n is None else 1, 4), min_size=size, max_size=size))
+    return {"rows": rows, "cols": cols, "num": num, "den": den}
+
+
+def decode(obj):
+    """A JSON matrix as a nested list of Fractions (rational) or complex numbers."""
+    rows, cols = obj["rows"], obj["cols"]
+    if "num" in obj:
+        flat = [Fraction(a, b) for a, b in zip(obj["num"], obj["den"])]
+    else:
+        flat = [complex(a, b) for a, b in zip(obj["re"], obj.get("im", [0.0] * len(obj["re"])))]
+    return [flat[i * cols : (i + 1) * cols] for i in range(rows)]
+
+
+def product(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+@st.composite
+def heis_inputs(draw):
+    """A 3x3 rational unit upper triangular matrix, maybe with one entry on or
+    below the diagonal changed; or any rational or floating matrix."""
+    case = draw(st.sampled_from(["heis", "broken", "rational", "floating"]))
+    if case == "rational":
+        return case, draw(rationals())
+    if case == "floating":
+        return case, json.loads(draw(matrices()))
+    obj = draw(rationals(3))
+    for i in range(3):
+        for j in range(i + 1):
+            obj["num"][3 * i + j], obj["den"][3 * i + j] = int(i == j), 1
+    if case == "broken":
+        k = draw(st.sampled_from([0, 3, 4, 6, 7, 8]))
+        obj["num"][k] += draw(st.sampled_from([-1, 1, 2]))
+    return case, obj
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=heis_inputs())
+def test_heislog_contract(case):
+    kind, obj = case
+    code, out = contract(["heislog", json.dumps(obj)])
+    if kind == "heis":  # log A = N - N^2/2, exactly
+        assert code == 0
+        A, L = decode(obj), decode(out)
+        assert [L[0][1], L[1][2]] == [A[0][1], A[1][2]]
+        assert L[0][2] == A[0][2] - A[0][1] * A[1][2] / 2
+        assert [L[i][j] for i in range(3) for j in range(i + 1)] == [0] * 6
+    else:
+        assert code == 1 and out["error"] in ("domain", "shape")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bracket_contract(data):
+    n = data.draw(st.integers(1, 3))
+    same = data.draw(st.booleans())  # two n x n inputs, or two of any shape
+    xs = []
+    for _ in range(2):
+        if data.draw(st.booleans()):
+            xs.append(data.draw(rationals(n) if same else rationals()))
+        else:
+            xs.append(json.loads(data.draw(small_squares(n) if same else matrices())))
+    code, out = contract(["bracket", *map(json.dumps, xs)])
+    if code == 1:
+        assert out["error"] in ("shape", "domain")
+        assert not same
+        return
+    assert code == 0
+    X, Y = map(decode, xs)
+    want = [[a - b for a, b in zip(r, s)] for r, s in zip(product(X, Y), product(Y, X))]
+    got = decode(out)
+    if all("num" in x for x in xs):  # exact in, exact out
+        assert "num" in out and got == want
+    else:  # a floating input makes the result floating
+        assert "num" not in out
+        m = max(abs(x) for M in (X, Y) for row in M for x in row)
+        err = np.abs(np.array(got, complex) - np.array(want, complex)).max()
+        assert err <= 1e-15 * (1 + 2 * len(X) * m * m)  # rounding in 2n products
+
+
+def _su2(q):
+    w, x, y, z = q
+    return [[complex(w, z), complex(-y, x)], [complex(y, x), complex(w, -z)]]
+
+
+def _so3(q):
+    w, x, y, z = q
+    return [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ]
+
+
+@st.composite
+def su2so3_inputs(draw):
+    """(direction, matrix JSON, kind): a member of SU(2) (fwd) or SO(3)
+    (lift) from a unit quaternion, that member with one entry moved by 1e-3
+    ("off"), or any floating matrix ("any")."""
+    direction = draw(st.sampled_from(["fwd", "lift"]))
+    kind = draw(st.sampled_from(["member", "off", "any"]))
+    if kind == "any":
+        return direction, draw(matrices()), kind
+    q = np.array(draw(st.lists(st.floats(-1, 1), min_size=4, max_size=4)))
+    q = q / np.linalg.norm(q) if np.linalg.norm(q) > 0.1 else np.array([1.0, 0.0, 0.0, 0.0])
+    M = np.array(_su2(q) if direction == "fwd" else _so3(q), dtype=complex)
+    if kind == "off":
+        M[draw(st.integers(0, M.shape[0] - 1)), draw(st.integers(0, M.shape[1] - 1))] += 1e-3
+    obj = {"rows": M.shape[0], "cols": M.shape[1], "re": M.real.ravel().tolist()}
+    if M.imag.any():
+        obj["im"] = M.imag.ravel().tolist()
+    return direction, json.dumps(obj), kind
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=su2so3_inputs())
+def test_su2so3_contract(case):
+    direction, matrix, kind = case
+    code, out = contract(["su2so3", direction, matrix])
+    if kind == "off":
+        assert code == 1 and out["error"] == "domain"
+    if code == 1:
+        assert kind != "member" and out["error"] in ("domain", "shape")
+        return
+    assert code == 0
+    if direction == "fwd":  # a rotation: R^T R = I, det R = 1, real
+        R = np.array(decode(out), complex)
+        assert R.shape == (3, 3) and not R.imag.any()
+        assert np.abs(R.T @ R - np.eye(3)).max() <= 1e-12
+        assert abs(np.linalg.det(R) - 1) <= 1e-12
+    else:  # U in SU(2) with Re trace U >= 0, and the other preimage -U
+        U, Um = (np.array(decode(out[k]), complex) for k in ("lift", "negative"))
+        assert np.array_equal(Um, -U) and np.trace(U).real >= 0
+        assert np.abs(U.conj().T @ U - np.eye(2)).max() <= 1e-12
+        assert abs(np.linalg.det(U) - 1) <= 1e-12

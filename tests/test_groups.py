@@ -361,3 +361,17 @@ def test_random_algebra_element_rejects_unknown_family():
         random_algebra_element(LieId("xx", 2), rng)
     with pytest.raises(ValueError):
         random_algebra_element("xx(2)", rng)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_polar_singularity_test_is_scale_invariant(scale):
+    R, H = polar_decompose_sl(scale * np.diag([2.0, 1.0, 0.5]))
+    assert np.abs(R - np.eye(3)).max() <= 1e-15
+    assert np.abs(H - scale * np.diag([2.0, 1.0, 0.5])).max() <= 1e-15 * scale
+    with pytest.raises(DomainError):
+        polar_decompose_sl(scale * np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_polar_of_the_identity_in_high_dimension():
+    R, H = polar_decompose_sl(np.eye(20))
+    assert np.array_equal(R, np.eye(20)) and np.array_equal(H, np.eye(20))

@@ -261,3 +261,25 @@ def test_sl2_basis_is_the_complex_view_of_the_rational_triple():
 def test_basis_label_count_is_a_shape_error():
     with pytest.raises(ShapeError):
         Basis("sl(2,C)", ("H", "X"), sl3_basis().elements[:3])
+
+
+@pytest.mark.parametrize("c", [1e-5, 1e5, -3.0])
+def test_Ad_of_a_scalar_matrix_is_the_identity(c):
+    X = np.arange(9.0).reshape(3, 3) + 1j
+    assert np.abs(Ad_apply(c * np.eye(3), X) - X).max() <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+def test_Ad_rejects_a_singular_matrix_at_every_scale(scale):
+    from matrixlie.errors import DomainError
+
+    A = scale * np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+    with pytest.raises(DomainError):
+        Ad_apply(A, np.eye(3))
+
+
+def test_Ad_accepts_the_identity_in_high_dimension():
+    # |det I| / ||I||_F^n = n^(-n/2) is 7e-23 at n = 30: the test normalizes by
+    # (||A||_F / sqrt n)^n, which is 1 for every multiple of a unitary matrix
+    X = np.arange(900.0).reshape(30, 30)
+    assert np.array_equal(Ad_apply(np.eye(30), X), X)
