@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ClosureError, DomainError, OutOfDomainError, ShapeError
+from .errors import ClosureError, DomainError, OutOfDomainError
 from .expmlog import _exp_scaled, mat_exp
-from .liealg import Basis, _coords, bracket
-from .matcore import _one_carrier, frobenius_norm, is_rational, reye, to_complex
+from .liealg import Basis, _coords, _floating, bracket
+from .matcore import _check_square, _gate, _one_carrier, frobenius_norm, is_rational, reye
 
 __all__ = ["bch_heisenberg", "bch_series", "g_operator", "bch_integral"]
 
@@ -45,8 +45,7 @@ def bch_series(X, Y, order: int = 3):
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2, or 3")
-    if X.shape != Y.shape or X.shape[0] != X.shape[1]:
-        raise ShapeError(f"need equal square shapes, got {X.shape}, {Y.shape}")
+    _check_square(X, Y)
     X, Y = _one_carrier(X, Y)
     Z = X + Y
     if order >= 2:
@@ -73,9 +72,8 @@ def g_operator(M: np.ndarray, terms: int = 30) -> np.ndarray:
     Requires ||M - I|| < 1, unless M - I is nilpotent (then the series
     terminates exactly).
     """
+    _check_square(M)
     n = M.shape[0]
-    if M.shape[1] != n:
-        raise ShapeError("g_operator needs a square matrix")
     I = reye(n) if is_rational(M) else np.eye(n, dtype=complex)
     B = I - M  # g(M) = 1 - sum_{m>=1} B^m / (m(m+1))
     Bn = np.linalg.matrix_power(B, n)
@@ -117,12 +115,7 @@ def bch_integral(
         raise DomainError(f"quad_points must be at least 1, got {quad_points}")
     if terms < 1:
         raise DomainError(f"terms must be at least 1, got {terms}")
-    X = to_complex(X) if is_rational(X) else np.asarray(X, dtype=complex)
-    Y = to_complex(Y) if is_rational(Y) else np.asarray(Y, dtype=complex)
-    if X.shape != Y.shape or X.shape[0] != X.shape[1]:
-        raise ShapeError(f"need equal square shapes, got {X.shape}, {Y.shape}")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise DomainError("X and Y must have finite entries")
+    X, Y = _gate(X, Y)
     n = X.shape[0]
     if basis is None:  # the row-major elementary basis E_ij of gl(n)
         In = np.eye(n)
@@ -139,8 +132,7 @@ def bch_integral(
             if _coords(brackets, basis.elements) is None:
                 raise ClosureError("bracket leaves the span of the basis")
             raise DomainError("Y does not lie in the span of the basis")
-        re, im = coords
-        C = re.astype(complex) + 1j * im.astype(complex)
+        C = _floating(*coords)
         adX, adY, y = C[:, :d], C[:, d : 2 * d], C[:, 2 * d]
         elements = np.asarray(basis.elements, dtype=complex)
     # composite Simpson: quad_points panels of width h, each sampled at its

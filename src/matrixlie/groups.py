@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ShapeError
-from .matcore import _EPS, DEFAULT_TOL, Tolerance, _relative_det, frobenius_norm
+from .matcore import _EPS, DEFAULT_TOL, Tolerance, _gate, _relative_det, frobenius_norm
 
 __all__ = [
     "GroupId",
@@ -205,21 +205,21 @@ def _close(A, B, tol):
 
 
 def _satisfies(M: np.ndarray, lid: LieId, tol: Tolerance, group: bool) -> bool:
-    """Test the defining identity of lid on the complex matrix M, within tol:
-    the group's if group is true, else its Lie algebra's."""
+    """Test the defining identity of lid on the matrix M, within tol: the
+    group's if group is true, else its Lie algebra's.  M must be finite,
+    since inf passes |A - B| <= tol.abs + tol.rel |B|."""
     spec = _spec(lid.family)
     d = lid.matrix_dim
+    [M] = _gate(M)
     if M.shape != (d, d):
         raise ShapeError(f"{lid.family} with n={lid.n} needs a {d}x{d} matrix, got {M.shape}")
-    if not np.isfinite(M).all():  # inf passes |A - B| <= tol.abs + tol.rel |B|
-        raise DomainError("matrix entries must be finite")
     if _real(lid) and not (np.abs(M.imag) <= tol.abs).all():
         return False
     unit = np.eye(d) if group else np.zeros((d, d))
     if lid.family.lower() == "heis":
         return all(abs(M[i, j] - unit[i, j]) <= tol.abs for i in range(d) for j in range(i + 1))
     if group and spec.det:
-        det = complex(np.linalg.det(M))
+        det = np.linalg.det(M)  # numpy's abs of a nan det is nan; Python's can raise
         if spec.det == "1" and not abs(det - 1) <= tol.abs + tol.rel:
             return False
         if spec.det == "nonzero" and not abs(det) > tol.abs:
@@ -247,7 +247,7 @@ def is_member(A: np.ndarray, g, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Test the defining algebraic condition of group g on A, within tol."""
     if isinstance(g, str):
         g = parse_group(g)
-    return _satisfies(np.asarray(A, dtype=complex), g, tol, group=True)
+    return _satisfies(A, g, tol, group=True)
 
 
 def su2_matrix(alpha: complex, beta: complex) -> np.ndarray:
@@ -285,11 +285,7 @@ def polar_decompose_sl(A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     1986) until a step is below 0.01 and g = 1 after, stopped once a step
     is below max(tol.abs, machine epsilon * ||R||_F); then H = R^T A.
     """
-    A = np.asarray(A, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
-        raise ShapeError("polar decomposition needs a nonempty square matrix")
-    if not np.all(np.isfinite(A)):
-        raise DomainError("matrix entries must be finite")
+    [A] = _gate(A)
     if np.any(np.abs(A.imag) > tol.abs):
         raise DomainError("matrix must be real")
     A = A.real

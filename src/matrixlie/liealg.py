@@ -25,6 +25,8 @@ from .groups import LieId, _parse, _project, _satisfies, is_member, parse_group
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
+    _check_square,
+    _gate,
     _one_carrier,
     _relative_det,
     is_rational,
@@ -67,17 +69,21 @@ def in_algebra(X: np.ndarray, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Test the defining linear condition of algebra a on X, within tol."""
     if isinstance(a, str):
         a = parse_algebra(a)
-    X = to_complex(X) if is_rational(X) else np.asarray(X, dtype=complex)
     return _satisfies(X, a, tol, group=False)
 
 
 def bracket(X, Y):
     """The commutator [X, Y] = XY - YX: exact when both inputs are rational,
-    floating when either is floating."""
-    if X.shape != Y.shape or X.shape[0] != X.shape[1]:
-        raise ShapeError(f"bracket needs equal square shapes, got {X.shape}, {Y.shape}")
+    floating when either is floating, and then DomainError if not finite."""
+    _check_square(X, Y)
     X, Y = _one_carrier(X, Y)
-    return X @ Y - Y @ X
+    if is_rational(X):
+        return X @ Y - Y @ X
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = X @ Y - Y @ X
+    if not np.isfinite(C).all():
+        raise DomainError("the bracket [X, Y] is not finite")
+    return C
 
 
 @dataclass(frozen=True)
@@ -202,15 +208,18 @@ def ad_matrix(X, basis: Basis):
     re, im = coords
     if is_rational(X) and not im.any():
         return re
-    return re.astype(complex) + 1j * im.astype(complex)
+    return _floating(re, im)
+
+
+def _floating(re, im) -> np.ndarray:
+    """The complex coordinates re + i im of _coords; DomainError if one has
+    no finite float value."""
+    return to_complex(re) + 1j * to_complex(im)
 
 
 def Ad_apply(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Ad A (X) = A X A^-1."""
-    A = np.asarray(A, dtype=complex)
-    X = np.asarray(X, dtype=complex)
-    if A.shape != X.shape or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"Ad needs equal square shapes, got {A.shape}, {X.shape}")
+    A, X = _gate(A, X)
     if _relative_det(A) < 1e-13:  # scale-invariant: cI passes for every c != 0
         raise DomainError("Ad requires an invertible matrix")
     return A @ X @ np.linalg.inv(A)
@@ -242,9 +251,7 @@ def structure_constants(basis: Basis) -> np.ndarray:
 
 def u_decompose(X: np.ndarray):
     """Split X = X1 + i X2 with X1, X2 both skew-adjoint (in u(n))."""
-    X = np.asarray(X, dtype=complex)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ShapeError("u_decompose needs a square matrix")
+    [X] = _gate(X)
     X1 = (X - X.conj().T) / 2
     X2 = (X + X.conj().T) / 2j
     return X1, X2

@@ -78,8 +78,6 @@ def frobenius_norm(M: np.ndarray) -> float:
     norm-based convergence precondition stated for the operator norm
     remains sufficient when checked with this norm.
     """
-    if is_rational(M):
-        M = to_complex(M)
     M = np.asarray(M, dtype=complex)
     s = np.vdot(M, M).real  # vdot does not warn when the sum overflows
     if not s < np.inf:  # overflow (inf or nan), or a non-finite entry
@@ -141,8 +139,32 @@ def is_rational(M) -> bool:
 
 
 def to_complex(M: np.ndarray) -> np.ndarray:
-    """Rational matrix -> complex floating matrix."""
-    return np.array([[complex(x) for x in row] for row in M], dtype=complex)
+    """A rational (or floating) matrix as a complex floating one; an exact
+    entry beyond the float range raises DomainError."""
+    try:
+        return np.asarray(M, dtype=complex)
+    except OverflowError:
+        raise DomainError("an exact entry has no finite float value") from None
+
+
+def _check_square(*Ms):
+    """Raise ShapeError unless the arrays, of any dtype, are nonempty,
+    square and of one shape."""
+    shape = Ms[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0] or len({M.shape for M in Ms}) > 1:
+        shapes = ", ".join(str(M.shape) for M in Ms)
+        raise ShapeError(f"need nonempty square matrices of one shape, got {shapes}")
+
+
+def _gate(*Ms) -> tuple:
+    """The matrices of a floating-only entry point as complex arrays,
+    rational ones included: ShapeError unless they are nonempty, square and
+    of one shape, DomainError for a non-finite entry."""
+    Ms = tuple(map(to_complex, Ms))
+    _check_square(*Ms)
+    if not all(np.isfinite(M).all() for M in Ms):
+        raise DomainError("matrix entries must be finite")
+    return Ms
 
 
 def _one_carrier(X, Y):
@@ -193,31 +215,34 @@ def _axpy(y: dict, a, x: dict):
             y.pop(k, None)  # a floating product can underflow to 0
 
 
-def _rref_rows(rows: list[dict], cols: int):
+def _rref_rows(rows: list[dict]):
     """Gauss-Jordan elimination on sparse rows, which it consumes.
 
-    Returns (reduced nonzero rows, pivots).  The pivot row for a column is
-    the sparsest remaining row with an entry there, to limit fill-in; the
-    reduced form does not depend on that choice.
+    Returns (reduced nonzero rows, pivots), the rows in ascending pivot
+    order.  A forward pass takes the rows sparsest first and reduces each by
+    the pivot rows found so far, in ascending column order; a row that is
+    still nonzero becomes the pivot row of its leading column.  One back
+    substitution from the last pivot then clears the other pivot columns.
+    The reduced form is unique, so the row order does not change it.
     """
-    todo = [row for row in rows if row]
-    done, pivots = [], []
-    for c in range(cols):
-        if not todo:
-            break
-        cands = [k for k, row in enumerate(todo) if c in row]
-        if not cands:
-            continue
-        p = todo.pop(min(cands, key=lambda k: len(todo[k])))
-        inv = 1 / p[c]
-        p = {j: x * inv for j, x in p.items()}
-        for row in todo + done:
-            a = row.get(c)
-            if a:
-                _axpy(row, -a, p)
-        done.append(p)
-        pivots.append(c)
-    return done, pivots
+    piv = {}  # leading column -> its row, scaled so that the leading entry is 1
+    for row in sorted(rows, key=len):
+        while row:
+            c = min(row)
+            p = piv.get(c)
+            if p is None:
+                a = row[c]
+                piv[c] = {j: x / a for j, x in row.items()}
+                break
+            _axpy(row, -row[c], p)
+            row.pop(c, None)  # a floating leading entry need not cancel exactly
+    pivots = sorted(piv)
+    for c in reversed(pivots):
+        row = piv[c]
+        for j in [j for j in row if j != c and j in piv]:
+            _axpy(row, -row[j], piv[j])
+            row.pop(j, None)
+    return [piv[c] for c in pivots], pivots
 
 
 def rational_rref(M: np.ndarray):
@@ -226,14 +251,13 @@ def rational_rref(M: np.ndarray):
     Returns (R, pivots) where pivots[i] is the column of the leading 1 in
     row i of R.
     """
-    rows, pivots = _rref_rows(_sparse_rows(M), M.shape[1])
+    rows, pivots = _rref_rows(_sparse_rows(M))
     return _dense(rows, M.shape), pivots
 
 
 def rational_rank(M: np.ndarray) -> int:
     """Exact rank of a rational matrix."""
-    _, pivots = rational_rref(M)
-    return len(pivots)
+    return len(_rref_rows(_sparse_rows(M))[1])
 
 
 def rational_nullspace(M: np.ndarray) -> list[np.ndarray]:
@@ -251,7 +275,7 @@ def _nullspace_rows(rows: list[dict], cols: int) -> list[dict]:
     (which it consumes).  The vector of free column f is 1 at f, -R_i[f] at
     the pivot column of each reduced row R_i, and 0 at the other free
     columns; the vectors come in the order of their free columns."""
-    reduced, pivots = _rref_rows(rows, cols)
+    reduced, pivots = _rref_rows(rows)
     kernel = {f: {f: Fraction(1)} for f in sorted(set(range(cols)) - set(pivots))}
     for p, row in zip(pivots, reduced):
         for f, x in row.items():

@@ -123,7 +123,7 @@ def sl2_decompose(rep: Representation) -> list:
         shifted = [dict(row) for row in K]
         for a, row in enumerate(shifted):
             _axpy(row, Fraction(-lam), {a: 1})
-        count = r - len(_rref_rows(shifted, r)[1])
+        count = r - len(_rref_rows(shifted)[1])
         found.extend([lam] * count)
         covered += count * (lam + 1)
     if covered != d:

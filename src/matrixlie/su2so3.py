@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .groups import is_member, parse_group
-from .matcore import DEFAULT_TOL, Tolerance, frobenius_norm
+from .matcore import DEFAULT_TOL, Tolerance, frobenius_norm, to_complex
 
 __all__ = ["A1", "A2", "A3", "adjoint_to_so3", "so3_lift"]
 
@@ -28,7 +28,7 @@ def adjoint_to_so3(U: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     A homomorphism onto SO(3) with kernel {I, -I}.
     """
-    U = np.asarray(U, dtype=complex)
+    U = to_complex(U)
     if not is_member(U, parse_group("SU(2)"), tol):
         raise DomainError("matrix is not in SU(2)")
     Ustar = U.conj().T
@@ -53,7 +53,7 @@ def so3_lift(R: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     pi.  The first preimage has trace(U) real and >= 0; at trace zero the
     sign is fixed by the first nonzero quaternion component.
     """
-    R = np.asarray(R, dtype=complex)
+    R = to_complex(R)
     if not is_member(R, parse_group("SO(3)"), tol):
         raise DomainError("matrix is not in SO(3)")
     R = R.real

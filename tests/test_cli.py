@@ -308,3 +308,36 @@ def test_polar_of_a_small_multiple_of_the_identity():
     got = json.loads(out.getvalue())
     assert np.array_equal(np.array(got["R"]["re"]), np.eye(3).ravel())
     assert np.array_equal(np.array(got["H"]["re"]), 1e-4 * np.eye(3).ravel())
+
+
+@pytest.mark.parametrize(
+    "warnings,argv",
+    [
+        ("error", ["ad", "--basis", "sl2", '{"rows":2,"cols":2,"re":[0,1e308,1e308,0]}']),
+        ("error", ["ad", "--basis", "su2", '{"rows":2,"cols":2,"re":[0,1.7e308,-1.7e308,0]}']),
+        # X + Y overflows in the library (with a numpy warning); the output
+        # refuses the inf
+        ("default", ["bch", "--form", "series", '{"rows":1,"cols":1,"re":[1e308]}',
+                     '{"rows":1,"cols":1,"re":[1e308]}']),
+    ],
+)
+def test_overflow_is_a_domain_error(warnings, argv):
+    # exit 1 with a domain error and strict JSON on stdout; under -W error
+    # numpy warns of nothing on the way
+    r = subprocess.run([sys.executable, "-W", warnings, "-m", "matrixlie.cli", *argv],
+                       capture_output=True, text=True)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["error"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["exp"], ["log"], ["polar"], ["member", "SU(2)"], ["algebra", "su(2)"], ["su2so3", "fwd"],
+     ["su2so3", "lift"], ["ad", "--basis", "sl2"]],
+)
+def test_exact_entry_beyond_the_float_range_is_a_domain_error(argv):
+    huge = json.dumps({"rows": 2, "cols": 2, "num": [10**400, 0, 0, 1], "den": [1] * 4})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, huge])
+    assert code == 1 and json.loads(out.getvalue())["error"] == "domain"

@@ -355,3 +355,17 @@ def test_exp_of_a_stack_against_mpmath():
     E = _exp_scaled(S, float(np.abs(S).sum(axis=-2).max()))
     assert np.array_equal(E[0], np.eye(4))
     assert max(_rel_err(E[k], _mp_expm(S[k])) for k in range(1, t.size)) <= 1e-14
+
+
+@pytest.mark.parametrize("norm", [5.0, 9.0])
+def test_directional_derivative_matches_expm_frechet(norm):
+    # the upper-right block of e^[[X, Y], [0, X]] (Van Loan 1978); a
+    # truncated ad-series loses accuracy as ||X|| grows
+    sla = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((3, 3))
+    X *= norm / np.linalg.norm(X)
+    Y = rng.standard_normal((3, 3))
+    want = sla.expm_frechet(X, Y, compute_expm=False)
+    err = np.linalg.norm(exp_directional_derivative(X, Y) - want) / np.linalg.norm(want)
+    assert err <= 1e-14

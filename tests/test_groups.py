@@ -375,3 +375,11 @@ def test_polar_singularity_test_is_scale_invariant(scale):
 def test_polar_of_the_identity_in_high_dimension():
     R, H = polar_decompose_sl(np.eye(20))
     assert np.array_equal(R, np.eye(20)) and np.array_equal(H, np.eye(20))
+
+
+@pytest.mark.parametrize("name", ["GL(2,C)", "SL(2,C)"])
+def test_membership_with_a_nan_determinant(name):
+    # LAPACK's LU gives det = nan + nan j for this finite, singular matrix;
+    # Python's abs of that complex can raise OverflowError, numpy's does not
+    A = np.array([[0, 0], [1e-308, -1]], dtype=complex)
+    assert not is_member(A, name)

@@ -14,6 +14,7 @@ from matrixlie.matcore import (
     matrix_to_json,
     rational_nullspace,
     rational_rank,
+    rational_rref,
     rational_solve,
     reye,
     rmat,
@@ -264,3 +265,131 @@ def test_json_rational_error_precedence(obj, error):
 
 def test_json_rational_with_no_columns():
     assert matrix_from_json({"rows": 2, "cols": 0, "num": [], "den": []}).shape == (2, 0)
+
+
+def _random_rational(rng, rows, cols, density):
+    M = rzeros(rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                M[i, j] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5)))
+    return M
+
+
+def _arrow(n):
+    """A dense first row and column over the diagonal: eliminating the first
+    row first fills every other row."""
+    M = reye(n) * 2
+    M[0, :] = [Fraction(k + 1, 3) for k in range(n)]
+    M[:, 0] = [Fraction(1, k + 2) for k in range(n)]
+    return M
+
+
+def _rref_cases():
+    rng = np.random.default_rng(5)
+    cases = [_random_rational(rng, r, c, 0.15) for r, c in ((12, 15), (20, 20), (25, 10))]
+    cases += [_random_rational(rng, r, c, 1.0) for r, c in ((6, 9), (8, 8), (9, 5))]
+    low = _random_rational(rng, 10, 3, 1.0)  # rank at most 3 in 10 x 10
+    cases.append(np.dot(low, _random_rational(rng, 3, 10, 1.0)))
+    return cases + [_arrow(12), rzeros(3, 4)]
+
+
+@pytest.mark.parametrize("M", _rref_cases())
+def test_rref_matches_sympy(M):
+    sympy = pytest.importorskip("sympy")
+    want, pivots = sympy.Matrix(M.tolist()).rref()
+    R, got_pivots = rational_rref(M)
+    assert got_pivots == list(pivots)
+    assert R.tolist() == [[Fraction(int(x.p), int(x.q)) for x in row] for row in want.tolist()]
+    assert rational_rank(M) == len(pivots)
+
+
+# --- the input gate of the floating entry points ------------------------------
+
+
+def _gated():
+    """(name, call, arity) of every floating-only entry point."""
+    from matrixlie.bch import bch_integral
+    from matrixlie.expmlog import (
+        exp_directional_derivative,
+        in_exp_image_sl2r,
+        lie_product_step,
+        mat_exp,
+        mat_log,
+    )
+    from matrixlie.groups import is_member, polar_decompose_sl
+    from matrixlie.liealg import Ad_apply, in_algebra, u_decompose
+
+    return [
+        ("mat_exp", mat_exp, 1),
+        ("mat_log", mat_log, 1),
+        ("exp_directional_derivative", exp_directional_derivative, 2),
+        ("lie_product_step", lambda X, Y: lie_product_step(X, Y, 2), 2),
+        ("in_exp_image_sl2r", in_exp_image_sl2r, 1),
+        ("Ad_apply", Ad_apply, 2),
+        ("u_decompose", u_decompose, 1),
+        ("bch_integral", lambda X, Y: bch_integral(X, Y, 4), 2),
+        ("polar_decompose_sl", polar_decompose_sl, 1),
+        ("is_member", lambda A: is_member(A, "GL(2,C)"), 1),
+        ("in_algebra", lambda X: in_algebra(X, "gl(2,C)"), 1),
+    ]
+
+
+GATED = _gated()
+GOOD = np.array([[1.0, 0.1], [0.2, 1.0]])
+
+
+@pytest.mark.parametrize("name,call,arity", GATED, ids=[g[0] for g in GATED])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_gate_rejects_non_finite_entries(name, call, arity, bad):
+    for k in range(arity):
+        args = [GOOD.astype(complex) for _ in range(arity)]
+        args[k][0, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            call(*args)
+
+
+@pytest.mark.parametrize("name,call,arity", GATED, ids=[g[0] for g in GATED])
+def test_gate_rejects_bad_shapes(name, call, arity):
+    shapes = [[np.zeros((2, 3))], [np.zeros((0, 0))], [np.zeros(2)]]
+    if arity == 2:
+        shapes = [[M, GOOD] for [M] in shapes] + [[GOOD, M] for [M] in shapes]
+        shapes.append([GOOD, np.eye(3)])
+    for args in shapes:
+        with pytest.raises(ShapeError):
+            call(*args)
+
+
+def test_gate_converts_rational_input():
+    from matrixlie.groups import polar_decompose_sl
+
+    R, H = polar_decompose_sl(rmat([[2, 0], [0, Fraction(1, 2)]]))
+    assert np.allclose(R, np.eye(2)) and np.allclose(H, np.diag([2, 0.5]))
+    # an exact entry beyond the float range has no finite float value
+    with pytest.raises(DomainError, match="finite"):
+        polar_decompose_sl(rmat([[10**400, 0], [0, 1]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_bracket_of_a_non_finite_floating_matrix_is_a_domain_error():
+    from matrixlie.liealg import bracket
+
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            bracket(np.array([[0, bad], [0, 0]]), np.eye(2))
+    with pytest.raises(DomainError, match="finite"):  # finite inputs, overflowing products
+        bracket(np.array([[0, 1e308], [0, 0]]), np.diag([1e10, -1e10]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_coordinates_are_a_domain_error():
+    from matrixlie.bch import bch_integral
+    from matrixlie.liealg import ad_matrix, sl2_basis, su2_basis
+
+    E12, H = np.array([[0, 1.0], [0, 0]]), np.diag([1.0, -1.0])
+    with pytest.raises(DomainError):  # [X, H] overflows
+        bch_integral(1e308 * E12, 0.1 * H, 4, basis=sl2_basis())
+    # finite brackets whose su(2) coordinates are beyond the float range
+    X = 1.7e308 * np.array([[0, 1.0], [-1.0, 0]])
+    with pytest.raises(DomainError, match="finite"):
+        ad_matrix(X, su2_basis())
