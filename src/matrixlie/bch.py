@@ -14,7 +14,9 @@ import numpy as np
 from .errors import ClosureError, DomainError, OutOfDomainError
 from .expmlog import _exp_scaled, mat_exp
 from .liealg import Basis, _coords, _floating, bracket
-from .matcore import _check_square, _gate, _one_carrier, frobenius_norm, is_rational, reye
+from .matcore import _entry, frobenius_norm, is_rational, reye
+
+_commutator = bracket.__wrapped__  # for matrices that an entry point has gated
 
 __all__ = ["bch_heisenberg", "bch_series", "g_operator", "bch_integral"]
 
@@ -25,19 +27,20 @@ def _is_zero(M, tol_abs=1e-12) -> bool:
     return frobenius_norm(M) <= tol_abs
 
 
+@_entry(2, exact=True)
 def bch_heisenberg(X, Y):
     """Z with e^X e^Y = e^Z when X, Y commute with their commutator.
 
     Z = X + Y + [X,Y]/2; exact for rational inputs, floating if either
     input is floating.
     """
-    X, Y = _one_carrier(X, Y)
-    C = bracket(X, Y)
-    if not (_is_zero(bracket(X, C)) and _is_zero(bracket(Y, C))):
+    C = _commutator(X, Y)
+    if not (_is_zero(_commutator(X, C)) and _is_zero(_commutator(Y, C))):
         raise DomainError("inputs must commute with their commutator")
     return X + Y + C / 2
 
 
+@_entry(2, exact=True)
 def bch_series(X, Y, order: int = 3):
     """Partial BCH sum: X+Y, then +[X,Y]/2, then +/-[.,[X,Y]]/12 terms.
 
@@ -45,14 +48,12 @@ def bch_series(X, Y, order: int = 3):
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2, or 3")
-    _check_square(X, Y)
-    X, Y = _one_carrier(X, Y)
     Z = X + Y
     if order >= 2:
-        C = bracket(X, Y)
+        C = _commutator(X, Y)
         Z = Z + C / 2
     if order >= 3:
-        Z = Z + bracket(X, C) / 12 - bracket(Y, C) / 12
+        Z = Z + _commutator(X, C) / 12 - _commutator(Y, C) / 12
     return Z
 
 
@@ -66,13 +67,13 @@ def _g_series(B, V, terms: int):
     return G
 
 
+@_entry(1, exact=True)
 def g_operator(M: np.ndarray, terms: int = 30) -> np.ndarray:
     """g(M) for g(z) = 1 + sum_{n>=1} (-1)^(n+1) / (n(n+1)) (z-1)^n.
 
     Requires ||M - I|| < 1, unless M - I is nilpotent (then the series
     terminates exactly).
     """
-    _check_square(M)
     n = M.shape[0]
     I = reye(n) if is_rational(M) else np.eye(n, dtype=complex)
     B = I - M  # g(M) = 1 - sum_{m>=1} B^m / (m(m+1))
@@ -88,6 +89,7 @@ def _outside(t: float) -> OutOfDomainError:
     return OutOfDomainError(f"||e^(adX) e^(t adY) - I|| >= 1 at quadrature node t = {t}")
 
 
+@_entry(2)
 def bch_integral(
     X,
     Y,
@@ -109,18 +111,15 @@ def bch_integral(
     matrix.
     Every node must satisfy ||e^(ad X) e^(t ad Y) - I|| < 1; otherwise
     OutOfDomainError names the first failing node in ascending t.
-    Non-finite entries raise DomainError.
     """
     if quad_points < 1:
         raise DomainError(f"quad_points must be at least 1, got {quad_points}")
     if terms < 1:
         raise DomainError(f"terms must be at least 1, got {terms}")
-    X, Y = _gate(X, Y)
     n = X.shape[0]
     if basis is None:  # the row-major elementary basis E_ij of gl(n)
         In = np.eye(n)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
-            adX, adY = (np.kron(Z, In) - np.kron(In, Z.T) for Z in (X, Y))
+        adX, adY = (np.kron(Z, In) - np.kron(In, Z.T) for Z in (X, Y))  # checked below
         y, elements = Y.ravel(), np.eye(n * n).reshape(-1, n, n)
     else:
         # one elimination gives ad X, ad Y (the coordinates of the brackets
@@ -143,7 +142,8 @@ def bch_integral(
     t[1::2], t[2::2] = a + h / 2, a + h
     w = np.full(t.size, 2.0)
     w[1::2], w[0], w[-1] = 4.0, 1.0, 1.0
-    if not (np.isfinite(adX).all() and np.isfinite(adY).all()):
+    normY = float(np.abs(adY).sum(axis=0).max())  # the largest node norm is the last one's
+    if not (np.isfinite(adX).all() and normY < np.inf):  # mat_exp checks the norm of ad X
         raise DomainError("ad X or ad Y overflows")
     EadX = mat_exp(adX)
     I = np.eye(len(y))
@@ -151,10 +151,8 @@ def bch_integral(
         raise _outside(0.0)
     # a node's e^(t ad Y) can overflow only when ||ad Y||_1 > 700; its B is
     # then inf or nan, and its distance fails the test below
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = t[:, None, None] * adY  # the largest node norm is the last one's
-        B = I - EadX @ _exp_scaled(S, float(np.abs(adY).sum(axis=0).max()))
-        dist = np.linalg.norm(B, axis=(1, 2))
+    B = I - EadX @ _exp_scaled(t[:, None, None] * adY, normY)
+    dist = np.linalg.norm(B, axis=(1, 2))
     out = np.flatnonzero(~(dist < 1.0))
     if out.size:
         raise _outside(float(t[out[0]]))

@@ -28,7 +28,7 @@ from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     _check_square,
-    _gate,
+    _entry,
     approx_eq,
     frobenius_norm,
     is_rational,
@@ -119,6 +119,7 @@ def mat_exp_nilpotent(X: np.ndarray) -> np.ndarray:
     return E
 
 
+@_entry(1)
 def mat_log(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """log A via the series sum (-1)^(m+1) (A-I)^m / m.
 
@@ -126,7 +127,6 @@ def mat_log(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     yields real output.  The series stops once a term's norm is below
     max(tol.abs, machine epsilon).
     """
-    [A] = _gate(A)
     n = A.shape[0]
     real_input = not A.imag.any()
     B = A - np.eye(n)
@@ -163,23 +163,23 @@ def heisenberg_log(A: np.ndarray) -> np.ndarray:
     return N - rdot(N, N) / Fraction(2)
 
 
+@_entry(2)
 def exp_directional_derivative(X, Y, terms: int = 20) -> np.ndarray:
     """d/dt e^(X+tY) at t=0: the upper-right block of e^[[X, Y], [0, X]]
     (Van Loan 1978), accurate to machine precision.  `terms` is kept for
     a uniform signature and must be at least 1, but changes nothing.
     """
-    X, Y = _gate(X, Y)
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
     n = X.shape[0]
     return mat_exp(np.block([[X, Y], [np.zeros_like(X), X]]))[:n, n:]
 
 
+@_entry(2)
 def lie_product_step(X, Y, m: int) -> np.ndarray:
     """(e^(X/m) e^(Y/m))^m — one step of the Lie product formula, for an int m >= 1."""
     if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
-    X, Y = _gate(X, Y)
     F = mat_exp(X / m) @ mat_exp(Y / m)
     return np.linalg.matrix_power(F, m)
 
@@ -218,12 +218,12 @@ def one_param_generator(samples, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return X
 
 
+@_entry(1)
 def in_exp_image_sl2r(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether a real A in SL(2,R) is e^X for some real traceless X.
 
     True iff trace A > -2 (strictly, with tol.abs margin) or A = -I.
     """
-    [A] = _gate(A)
     if A.shape != (2, 2):
         raise ShapeError(f"expected a 2x2 matrix, got {A.shape}")
     if np.any(np.abs(A.imag) > tol.abs):

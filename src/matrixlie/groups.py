@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ShapeError
-from .matcore import _EPS, DEFAULT_TOL, Tolerance, _gate, _relative_det, frobenius_norm
+from .matcore import _EPS, DEFAULT_TOL, Tolerance, _entry, _relative_det, frobenius_norm
 
 __all__ = [
     "GroupId",
@@ -204,13 +204,13 @@ def _close(A, B, tol):
     return bool((np.abs(A - B) <= tol.abs + tol.rel * np.abs(B)).all())
 
 
+@_entry(1)
 def _satisfies(M: np.ndarray, lid: LieId, tol: Tolerance, group: bool) -> bool:
     """Test the defining identity of lid on the matrix M, within tol: the
-    group's if group is true, else its Lie algebra's.  M must be finite,
-    since inf passes |A - B| <= tol.abs + tol.rel |B|."""
+    group's if group is true, else its Lie algebra's.  The entry gate keeps
+    M finite, since inf passes |A - B| <= tol.abs + tol.rel |B|."""
     spec = _spec(lid.family)
     d = lid.matrix_dim
-    [M] = _gate(M)
     if M.shape != (d, d):
         raise ShapeError(f"{lid.family} with n={lid.n} needs a {d}x{d} matrix, got {M.shape}")
     if _real(lid) and not (np.abs(M.imag) <= tol.abs).all():
@@ -276,16 +276,17 @@ def euclidean_embed(R: np.ndarray, x) -> np.ndarray:
     return E
 
 
+@_entry(1)
 def polar_decompose_sl(A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """A = R H with R orthogonal, H symmetric positive-definite (A real, invertible).
 
     A is singular when |det A| <= tol.abs (||A||_F / sqrt n)^n, which
     scaling A does not change.  R comes from the Newton iteration
     R <- (g R + R^-T / g)/2 with g = sqrt(||R^-1||_F / ||R||_F) (Higham
-    1986) until a step is below 0.01 and g = 1 after, stopped once a step
-    is below max(tol.abs, machine epsilon * ||R||_F); then H = R^T A.
+    1986; sqrt(||R^-1||_F) / sqrt(||R||_F) if the quotient under- or
+    overflows) until a step is below 0.01 and g = 1 after, stopped once a
+    step is below max(tol.abs, machine epsilon * ||R||_F); then H = R^T A.
     """
-    [A] = _gate(A)
     if np.any(np.abs(A.imag) > tol.abs):
         raise DomainError("matrix must be real")
     A = A.real
@@ -295,6 +296,8 @@ def polar_decompose_sl(A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     for _ in range(100):
         Ri = np.linalg.inv(R)
         g = math.sqrt(frobenius_norm(Ri) / frobenius_norm(R)) if step >= 0.01 else 1.0
+        if not 0 < g < math.inf:  # the quotient left the float range: take the roots first
+            g = math.sqrt(frobenius_norm(Ri)) / math.sqrt(frobenius_norm(R))
         R_next = (g * R + Ri.T / g) / 2
         step = frobenius_norm(R_next - R)
         R = R_next

@@ -25,9 +25,7 @@ from .groups import LieId, _parse, _project, _satisfies, is_member, parse_group
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
-    _check_square,
-    _gate,
-    _one_carrier,
+    _entry,
     _relative_det,
     is_rational,
     rational_solve,
@@ -72,18 +70,11 @@ def in_algebra(X: np.ndarray, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return _satisfies(X, a, tol, group=False)
 
 
+@_entry(2, exact=True)
 def bracket(X, Y):
     """The commutator [X, Y] = XY - YX: exact when both inputs are rational,
-    floating when either is floating, and then DomainError if not finite."""
-    _check_square(X, Y)
-    X, Y = _one_carrier(X, Y)
-    if is_rational(X):
-        return X @ Y - Y @ X
-    with np.errstate(over="ignore", invalid="ignore"):
-        C = X @ Y - Y @ X
-    if not np.isfinite(C).all():
-        raise DomainError("the bracket [X, Y] is not finite")
-    return C
+    floating when either is floating."""
+    return X @ Y - Y @ X
 
 
 @dataclass(frozen=True)
@@ -137,15 +128,8 @@ def sl2_basis() -> Basis:
 
 def gl_basis(n: int) -> Basis:
     """The n^2 elementary matrices E_ij, row-major order."""
-    labels = []
-    elems = []
-    for i in range(n):
-        for j in range(n):
-            M = np.zeros((n, n), dtype=complex)
-            M[i, j] = 1
-            labels.append(f"E{i + 1}{j + 1}")
-            elems.append(M)
-    return Basis(f"gl({n},C)", tuple(labels), tuple(elems))
+    labels = tuple(f"E{i + 1}{j + 1}" for i in range(n) for j in range(n))
+    return Basis(f"gl({n},C)", labels, tuple(np.eye(n * n, dtype=complex).reshape(-1, n, n)))
 
 
 def heis_basis() -> Basis:
@@ -200,13 +184,12 @@ def ad_matrix(X, basis: Basis):
     Column j holds the exact coordinates of [X, basis_j]; a bracket
     outside the span raises ClosureError.
     """
-    if is_rational(X) and not all(is_rational(b) for b in basis.elements):
-        X = to_complex(X)  # brackets with a floating basis are floating
-    coords = _coords([bracket(X, b) for b in basis.elements], basis.elements)
+    brackets = [bracket(X, b) for b in basis.elements]  # exact if X and b are
+    coords = _coords(brackets, basis.elements)
     if coords is None:
         raise ClosureError("bracket leaves the span of the basis")
     re, im = coords
-    if is_rational(X) and not im.any():
+    if all(map(is_rational, brackets)) and not im.any():
         return re
     return _floating(re, im)
 
@@ -217,9 +200,9 @@ def _floating(re, im) -> np.ndarray:
     return to_complex(re) + 1j * to_complex(im)
 
 
+@_entry(2)
 def Ad_apply(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Ad A (X) = A X A^-1."""
-    A, X = _gate(A, X)
     if _relative_det(A) < 1e-13:  # scale-invariant: cI passes for every c != 0
         raise DomainError("Ad requires an invertible matrix")
     return A @ X @ np.linalg.inv(A)
@@ -249,9 +232,9 @@ def structure_constants(basis: Basis) -> np.ndarray:
     return c
 
 
+@_entry(1)
 def u_decompose(X: np.ndarray):
     """Split X = X1 + i X2 with X1, X2 both skew-adjoint (in u(n))."""
-    [X] = _gate(X)
     X1 = (X - X.conj().T) / 2
     X2 = (X + X.conj().T) / 2j
     return X1, X2
@@ -267,10 +250,7 @@ def algebra_membership_via_exp(
     """
     if isinstance(g, str):
         g = parse_group(g)
-    X = np.asarray(X, dtype=complex)
-    d = g.matrix_dim
-    if X.shape != (d, d):
-        raise ShapeError(f"need a {d}x{d} matrix, got {X.shape}")
+    X = np.asarray(X, dtype=complex)  # mat_exp and is_member check its shape
     return all(is_member(mat_exp(t * X), g, tol) for t in samples)
 
 

@@ -13,6 +13,7 @@ and the JSON interchange format used by the CLI and test fixtures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +60,7 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 # iterations stop below max(tol.abs, _EPS) (scaled as needed): tol.abs may be 0
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the least normal float
 
 
 def cmat(rows) -> np.ndarray:
@@ -80,11 +82,13 @@ def frobenius_norm(M: np.ndarray) -> float:
     """
     M = np.asarray(M, dtype=complex)
     s = np.vdot(M, M).real  # vdot does not warn when the sum overflows
-    if not s < np.inf:  # overflow (inf or nan), or a non-finite entry
-        with np.errstate(over="ignore"):
-            m = np.abs(M).max()  # rescale by the largest modulus
-            return float(m * np.sqrt(np.vdot(M / m, M / m).real)) if m < np.inf else float(m)
-    return math.sqrt(s)
+    if _TINY <= s < np.inf or not M.any():
+        return math.sqrt(s)
+    # under- or overflow, or a non-finite entry: rescale by the largest modulus (Anderson
+    # 2017), in reals as a complex M / m forms 1/m; a Python float product overflows silently
+    a = np.abs(M)
+    m = float(a.max())
+    return m * math.sqrt(np.vdot(a / m, a / m)) if 0 < m < math.inf else m
 
 
 def approx_eq(A, B, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -156,31 +160,46 @@ def _check_square(*Ms):
         raise ShapeError(f"need nonempty square matrices of one shape, got {shapes}")
 
 
-def _gate(*Ms) -> tuple:
-    """The matrices of a floating-only entry point as complex arrays,
-    rational ones included: ShapeError unless they are nonempty, square and
-    of one shape, DomainError for a non-finite entry."""
-    Ms = tuple(map(to_complex, Ms))
-    _check_square(*Ms)
-    if not all(np.isfinite(M).all() for M in Ms):
-        raise DomainError("matrix entries must be finite")
-    return Ms
+def _entry(nmats: int, exact: bool = False):
+    """Decorator of a floating entry point whose first nmats arguments are
+    matrices: ShapeError unless nonempty, square and of one shape, and
+    DomainError for a non-finite entry.  They reach the function as complex
+    arrays; with exact=True they stay exact if all are rational, and else
+    only a rational one becomes complex.  The function runs with numpy's
+    overflow, invalid and divide warnings silenced; a floating array in its
+    result, alone or in a tuple, that is not finite raises DomainError."""
 
+    def decorate(f):
+        quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")(f)
 
-def _one_carrier(X, Y):
-    """X and Y on one carrier: both exact if both are rational, else both
-    complex floating (a Fraction times a float is no exact entry)."""
-    if is_rational(X) == is_rational(Y):
-        return X, Y
-    return tuple(to_complex(M) if is_rational(M) else M for M in (X, Y))
+        @functools.wraps(f)
+        def entry(*args, **kwargs):
+            Ms = args[:nmats]
+            keep = exact and all(map(is_rational, Ms))  # exact input stays exact
+            if not keep:
+                Ms = tuple(to_complex(M) if not exact or is_rational(M) else M for M in Ms)
+            _check_square(*Ms)
+            if not keep and not all(np.isfinite(M).all() for M in Ms):
+                raise DomainError("matrix entries must be finite")
+            out = quiet(*Ms, *args[nmats:], **kwargs)
+            for R in out if type(out) is tuple else (out,):
+                if type(R) is np.ndarray and R.dtype.kind in "fc" and not np.isfinite(R).all():
+                    raise DomainError("the result has a non-finite entry")
+            return out
+
+        return entry
+
+    return decorate
 
 
 def _relative_det(A: np.ndarray) -> float:
     """|det A| / (||A||_F / sqrt(n))^n, which does not change when A is
     scaled: 1 for a multiple of a unitary matrix, at most 1 by Hadamard's
-    inequality, and 0 for A = 0."""
-    norm = frobenius_norm(A)
-    return float(abs(np.linalg.det(A * (math.sqrt(A.shape[0]) / norm)))) if norm else 0.0
+    inequality, and 0 for A = 0; in logarithms, as 1 / ||A||_F can overflow."""
+    norm, n = frobenius_norm(A), A.shape[0]
+    if not norm:
+        return 0.0
+    return math.exp(np.linalg.slogdet(A)[1] - n * (math.log(norm) - math.log(n) / 2))
 
 
 def _sparse_rows(M: np.ndarray) -> list[dict]:

@@ -1,0 +1,218 @@
+"""The floating layer's contract, at library level: every floating entry
+point returns a finite result or raises a typed LieError, and never lets a
+numpy warning escape, whatever the scale of its finite input.
+
+Every test turns warnings into errors, so a warning fails it.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from matrixlie.bch import bch_heisenberg, bch_integral, bch_series, g_operator  # noqa: E402
+from matrixlie.errors import DomainError, LieError  # noqa: E402
+from matrixlie.expmlog import (  # noqa: E402
+    OneParamSample,
+    exp_directional_derivative,
+    in_exp_image_sl2r,
+    lie_product_step,
+    mat_exp,
+    mat_log,
+    one_param_generator,
+)
+from matrixlie.groups import is_member, o11_component, polar_decompose_sl  # noqa: E402
+from matrixlie.liealg import (  # noqa: E402
+    Ad_apply,
+    ad_matrix,
+    algebra_membership_via_exp,
+    bracket,
+    gl_basis,
+    in_algebra,
+    sl2_basis,
+    so3_basis,
+    u_decompose,
+)
+from matrixlie.matcore import frobenius_norm, rmat  # noqa: E402
+from matrixlie.su2so3 import adjoint_to_so3, so3_lift  # noqa: E402
+
+I2 = np.eye(2)
+
+
+# --- inputs whose result overflowed, or leaked a warning, without a typed error
+
+
+@pytest.mark.filterwarnings("error")
+def test_bch_series_of_an_overflowing_sum():
+    with pytest.raises(DomainError, match="finite"):
+        bch_series(1e308 * I2, 1e308 * I2, 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_bch_integral_of_an_overflowing_sum():
+    # ad X = ad Y = 0 on gl(1): every node is in the domain, and X + integral overflows
+    with pytest.raises(DomainError, match="finite"):
+        bch_integral(np.array([[1e308]]), np.array([[1e308]]), 4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_lie_product_step_of_an_overflowing_product():
+    with pytest.raises(DomainError, match="finite"):
+        lie_product_step(400 * I2, 400 * I2, 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_Ad_apply_of_an_overflowing_product():
+    with pytest.raises(DomainError, match="finite"):
+        Ad_apply(1e200 * I2, 1e200 * I2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_u_decompose_of_an_overflowing_sum():
+    with pytest.raises(DomainError, match="finite"):
+        u_decompose(np.array([[1e308, -1e308], [1e308, 0]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_g_operator_of_a_nan_entry():
+    with pytest.raises(DomainError, match="finite"):
+        g_operator(np.array([[np.nan]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_membership_of_a_matrix_whose_products_overflow():
+    # A^T g A and det A overflow: A is no member, and no warning escapes
+    assert not is_member(1e200 * I2, "SL(2,R)")
+    with pytest.raises(DomainError, match="not in O"):
+        o11_component(1e200 * I2)
+
+
+# --- scale: subnormal sums of squares and the polar Newton scale
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e-300, 1e-160])
+def test_frobenius_norm_of_a_tiny_matrix(s):
+    assert frobenius_norm(s * I2) == pytest.approx(np.sqrt(2) * s, rel=1e-15, abs=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_frobenius_norm_of_zero():
+    assert frobenius_norm(np.zeros((2, 2))) == 0.0
+    assert frobenius_norm(np.zeros((0, 0))) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e-300, 1e-150, 1e150, 1e300])
+def test_polar_decomposition_at_extreme_scales(s):
+    A = s * np.array([[2.0, 1.0], [0.0, 1.0]])
+    R, H = polar_decompose_sl(A)
+    assert np.abs(R.T @ R - I2).max() <= 1e-15
+    assert np.abs(R @ H - A).max() <= 1e-15 * np.abs(A).max()
+
+
+# --- the wrapper itself
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_entry_points_keep_the_carrier():
+    X, Y = rmat([[0, 1], [0, 0]]), rmat([[0, 0], [1, 0]])
+    assert bracket(X, Y).dtype == object and bch_series(X, Y).dtype == object
+    assert bracket(np.diag([1.0, -1.0]), X.T).dtype == complex  # mixed: floating
+    assert bracket(np.diag([1.0, -1.0]), np.eye(2)).dtype == np.float64
+
+
+@pytest.mark.filterwarnings("error")
+def test_wrapped_entry_points_keep_their_module_and_name():
+    # bench/tracer.py finds each function by its defining module and name
+    for f in (bracket, bch_series, g_operator, bch_integral, mat_log, Ad_apply):
+        assert f.__module__.startswith("matrixlie.") and f.__wrapped__.__name__ == f.__name__
+
+
+# --- every public floating function, with entries near the float range and
+# in the subnormal range
+
+
+HUGE = st.one_of(st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 3e300]),
+                 st.floats(1e300, 1.7e308), st.floats(-1.7e308, -1e300))
+TINY = st.one_of(st.sampled_from([1e-300, -1e-300, 1e-308, -1e-308, 5e-324]),
+                 st.floats(1e-308, 1e-300), st.floats(-1e-300, -1e-308))
+ENTRY = st.one_of(st.floats(-2, 2, allow_nan=False), HUGE, TINY)
+
+# groups, with their algebras, of each matrix size n = 1, 2, 3
+NAMES = {1: [("GL(1)", "gl(1)"), ("U(1)", "u(1)")],
+         2: [("SL(2,R)", "sl(2,R)"), ("SU(2)", "su(2)"), ("O(1,1)", "so(1,1)"),
+             ("Sp(1,R)", "sp(1,R)"), ("E(1)", "e(1)")],
+         3: [("SO(3)", "so(3)"), ("Heis", "heis"), ("SO(2,1)", "so(2,1)"), ("E(2)", "e(2)"),
+             ("GL(3,C)", "gl(3,C)")]}
+BASES = {1: lambda: gl_basis(1), 2: sl2_basis, 3: so3_basis}
+
+
+@st.composite
+def square(draw, n):
+    re = np.array(draw(st.lists(ENTRY, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        return re.astype(complex)
+    im = np.array(draw(st.lists(ENTRY, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return re + 1j * im
+
+
+def _samples(A, B):
+    return one_param_generator([OneParamSample(0.0, np.eye(len(A))), OneParamSample(1.0, A),
+                                OneParamSample(2.0, B)])
+
+
+# name -> (matrix count, call); a call takes the matrices, then a (group,
+# algebra) name pair of their size
+CALLS = {
+    "mat_exp": (1, lambda A, g: mat_exp(A)),
+    "mat_log": (1, lambda A, g: mat_log(A)),
+    "exp_directional_derivative": (2, lambda X, Y, g: exp_directional_derivative(X, Y)),
+    "lie_product_step": (2, lambda X, Y, g: lie_product_step(X, Y, 3)),
+    "one_param_generator": (2, lambda A, B, g: _samples(A, B)),
+    "in_exp_image_sl2r": (1, lambda A, g: in_exp_image_sl2r(A)),
+    "is_member": (1, lambda A, g: is_member(A, g[0])),
+    "in_algebra": (1, lambda X, g: in_algebra(X, g[1])),
+    "polar_decompose_sl": (1, lambda A, g: polar_decompose_sl(A)),
+    "o11_component": (1, lambda A, g: o11_component(A)),
+    "algebra_membership_via_exp": (1, lambda X, g: algebra_membership_via_exp(X, g[0])),
+    "bracket": (2, lambda X, Y, g: bracket(X, Y)),
+    "ad_matrix": (1, lambda X, g: ad_matrix(X, BASES[len(X)]())),
+    "Ad_apply": (2, lambda A, X, g: Ad_apply(A, X)),
+    "u_decompose": (1, lambda X, g: u_decompose(X)),
+    "bch_heisenberg": (2, lambda X, Y, g: bch_heisenberg(X, Y)),
+    "bch_series": (2, lambda X, Y, g: bch_series(X, Y, 3)),
+    "g_operator": (1, lambda M, g: g_operator(M)),
+    "bch_integral": (2, lambda X, Y, g: bch_integral(X, Y, 4)),
+    "adjoint_to_so3": (1, lambda U, g: adjoint_to_so3(U)),
+    "so3_lift": (1, lambda R, g: so3_lift(R)),
+}
+
+
+def _finite(out) -> bool:
+    if isinstance(out, tuple):
+        return all(map(_finite, out))
+    if isinstance(out, np.ndarray):
+        return out.dtype == object or bool(np.isfinite(out).all())
+    return bool(np.isfinite(out))
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_finite_result_or_typed_error(name, data):
+    count, call = CALLS[name]
+    n = data.draw(st.integers(1, 3))
+    Ms = [data.draw(square(n)) for _ in range(count)]
+    names = data.draw(st.sampled_from(NAMES[n]))
+    with warnings.catch_warnings():  # here, not as a mark: hypothesis's own report warns
+        warnings.simplefilter("error")
+        try:
+            out = call(*Ms, names)
+        except LieError:
+            return
+    assert _finite(out)
