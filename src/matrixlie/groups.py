@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, ShapeError
-from .matcore import _EPS, DEFAULT_TOL, Tolerance, _entry, _relative_det, frobenius_norm
+from .matcore import _EPS, DEFAULT_TOL, Tolerance, _entry, _relative_det, frobenius_norm, to_complex
 
 __all__ = [
     "GroupId",
@@ -252,11 +252,10 @@ def is_member(A: np.ndarray, g, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def su2_matrix(alpha: complex, beta: complex) -> np.ndarray:
     """[[a, -conj b],[b, conj a]] for |a|^2 + |b|^2 = 1 — the general SU(2) element."""
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) > 1e-12:
+    v = to_complex([alpha, beta])
+    if not abs(np.vdot(v, v).real - 1) <= 1e-12:  # also for a nan, an inf or an overflow
         raise DomainError("|alpha|^2 + |beta|^2 must equal 1")
-    return np.array(
-        [[alpha, -np.conj(beta)], [beta, np.conj(alpha)]], dtype=complex
-    )
+    return np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]], dtype=complex)
 
 
 def euclidean_embed(R: np.ndarray, x) -> np.ndarray:

@@ -25,10 +25,13 @@ from .groups import LieId, _parse, _project, _satisfies, is_member, parse_group
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
+    _check_square,
+    _commutator,
     _entry,
     _relative_det,
+    _rref_rows,
+    _sparse_rows,
     is_rational,
-    rational_solve,
     rmat,
     rzeros,
     to_complex,
@@ -143,39 +146,38 @@ def heis_basis() -> Basis:
     return Basis("heis", ("X", "Y", "Z"), (X, Y, Z))
 
 
-def _exact_parts(M) -> list:
-    """Real then imaginary parts of M, row-major, as exact rationals.
-
-    Entries are Fractions or floating numbers (an object array may hold
-    either); floating entries are dyadic rationals, so Fraction is exact.
-    """
-    flat = np.asarray(M).ravel().tolist()
-    if all(isinstance(x, Fraction) for x in flat):
-        return flat + [Fraction(0)] * len(flat)
-    return [Fraction(x.real) for x in flat] + [Fraction(x.imag) for x in flat]
-
-
 def _coords(targets, elements):
     """Exact coordinates of every target in span(elements), or None.
 
-    Returns (re, im): object arrays of Fractions, column t holding the real
-    and imaginary parts of the coefficients of targets[t].  Complex
-    coefficients come from the doubled real system with unknowns
-    (Re c_j, Im c_j), whose column for i c_j is (-Im B_j, Re B_j); it is
-    built and eliminated once, with one right-hand side per target.  None
-    means some target lies outside the span.
+    Targets and elements are dense matrices or sparse rows; floating entries
+    are dyadic rationals, so Fraction reads them exactly.  Returns (re, im):
+    object arrays of Fractions, column t holding the real and imaginary
+    parts of the coefficients of targets[t].  They solve the doubled real
+    system in the unknowns (Re c_j, Im c_j), whose column for i c_j is
+    (-Im B_j, Re B_j), built as sparse rows from the nonzero parts only with
+    one right-hand side per target; one _rref_rows solves it, free unknowns
+    at 0.  None means some target lies outside the span.
     """
     d = len(elements)
-    if not targets:  # a basis of at most one element has no bracket pairs
-        return rzeros(d, 0), rzeros(d, 0)
-    half = elements[0].size
-    parts = [_exact_parts(B) for B in elements]
-    cols = parts + [[-x for x in p[half:]] + p[:half] for p in parts]
-    A = np.array(cols, dtype=object).T
-    x = rational_solve(A, np.array([_exact_parts(T) for T in targets], dtype=object).T)
-    if x is None:
+    eqs = {}  # (i, j, 0 for the real part or 1 for the imaginary) -> {column: Fraction}
+    for c, M in enumerate([*elements, *targets]):  # the column of target t is 2d + t
+        for i, row in enumerate(M if type(M) is list else _sparse_rows(M)):
+            for j, x in row.items():
+                for k, v in ((0, x.real), (1, x.imag)):
+                    if v:
+                        v = v if type(v) is Fraction else Fraction(v)
+                        eqs.setdefault((i, j, k), {})[c if c < d else c + d] = v
+                        if c < d:  # the column of i c_j
+                            eqs.setdefault((i, j, 1 - k), {})[c + d] = -v if k else v
+    reduced, pivots = _rref_rows(list(eqs.values()))
+    if pivots and pivots[-1] >= 2 * d:
         return None
-    return x[:d], x[d:]
+    coef = rzeros(2 * d, len(targets))
+    for p, row in zip(pivots, reduced):
+        for c, v in row.items():
+            if c >= 2 * d:
+                coef[p, c - 2 * d] = v
+    return coef[:d], coef[d:]
 
 
 def ad_matrix(X, basis: Basis):
@@ -220,7 +222,10 @@ def structure_constants(basis: Basis) -> np.ndarray:
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     c = np.empty((d, d, d), dtype=object)
     c[:] = Fraction(0)
-    coords = _coords([bracket(els[i], els[j]) for i, j in pairs], els)
+    if exact := pairs and all(map(is_rational, els)):  # bracket as sparse rows
+        _check_square(*els)
+        els = [_sparse_rows(B) for B in els]
+    coords = _coords([(_commutator if exact else bracket)(els[i], els[j]) for i, j in pairs], els)
     if coords is None:
         raise ClosureError("bracket leaves the span of the basis")
     re, im = coords

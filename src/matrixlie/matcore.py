@@ -6,8 +6,8 @@ ones are ``numpy`` arrays of ``complex128``, exact rational ones are
 in lowest terms).  Exact elimination and representation generators use
 sparse rows instead, one dict {column: entry} of nonzero entries per
 row, Fraction or complex: ``_sparse_rows`` and ``_dense`` convert between
-the forms, ``_rref_rows`` eliminates on rows and ``_rows_to_json`` writes
-them.  Also here: norm/comparison primitives, exact rank/nullspace/solve,
+the forms, ``_commutator`` brackets rows, ``_rref_rows`` eliminates on rows,
+and ``_json_matrix`` reads and ``_rows_to_json`` writes them.  Also here: norm/comparison primitives, exact rank/nullspace/solve,
 and the JSON interchange format used by the CLI and test fixtures.
 """
 
@@ -160,12 +160,17 @@ def _check_square(*Ms):
         raise ShapeError(f"need nonempty square matrices of one shape, got {shapes}")
 
 
+def _finite(M: np.ndarray) -> bool:
+    """Whether every entry is finite; a finite sum of squares proves it in one call."""
+    return bool(np.vdot(M, M).real < np.inf) or bool(np.isfinite(M).all())
+
+
 def _entry(nmats: int, exact: bool = False):
     """Decorator of a floating entry point whose first nmats arguments are
     matrices: ShapeError unless nonempty, square and of one shape, and
     DomainError for a non-finite entry.  They reach the function as complex
-    arrays; with exact=True they stay exact if all are rational, and else
-    only a rational one becomes complex.  The function runs with numpy's
+    arrays; with exact=True they stay exact if all are rational, and else a
+    rational one or a list becomes complex.  The function runs with numpy's
     overflow, invalid and divide warnings silenced; a floating array in its
     result, alone or in a tuple, that is not finite raises DomainError."""
 
@@ -177,13 +182,14 @@ def _entry(nmats: int, exact: bool = False):
             Ms = args[:nmats]
             keep = exact and all(map(is_rational, Ms))  # exact input stays exact
             if not keep:
-                Ms = tuple(to_complex(M) if not exact or is_rational(M) else M for M in Ms)
+                Ms = tuple(M if exact and type(M) is np.ndarray and M.dtype != object
+                           else to_complex(M) for M in Ms)
             _check_square(*Ms)
-            if not keep and not all(np.isfinite(M).all() for M in Ms):
+            if not keep and not all(map(_finite, Ms)):
                 raise DomainError("matrix entries must be finite")
             out = quiet(*Ms, *args[nmats:], **kwargs)
             for R in out if type(out) is tuple else (out,):
-                if type(R) is np.ndarray and R.dtype.kind in "fc" and not np.isfinite(R).all():
+                if type(R) is np.ndarray and R.dtype.kind in "fc" and not _finite(R):
                     raise DomainError("the result has a non-finite entry")
             return out
 
@@ -232,6 +238,16 @@ def _axpy(y: dict, a, x: dict):
             y[k] = s
         else:
             y.pop(k, None)  # a floating product can underflow to 0
+
+
+def _commutator(A: list[dict], B: list[dict], s=1) -> list[dict]:
+    """Sparse rows of s (AB - BA)."""
+    out = [{} for _ in A]
+    for P, Q, t in ((A, B, s), (B, A, -s)):
+        for i, row in enumerate(P):
+            for k, a in row.items():
+                _axpy(out[i], t * a, Q[k])
+    return out
 
 
 def _rref_rows(rows: list[dict]):
@@ -373,7 +389,10 @@ def _json_entries(obj: dict, key: str, kinds: tuple, n: int) -> list:
     return xs
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
+def _json_matrix(obj: dict) -> tuple:
+    """The checked JSON matrix obj and its column count: an exact one as
+    sparse rows, read straight from num/den with no Fraction for a zero, a
+    floating one as a dense complex array."""
     if not isinstance(obj, dict):
         raise DomainError(f"a matrix is a JSON object, got {type(obj).__name__}")
     rows, cols = obj["rows"], obj["cols"]
@@ -387,10 +406,17 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             raise DomainError("a denominator is 0")
         if rows < 1:
             raise ShapeError("a rational matrix needs at least one row")
-        zero = Fraction(0)  # one shared zero: most entries of a generator are 0
-        flat = [Fraction(a, b) if a else zero for a, b in zip(num, den)]
-        return np.array(flat, dtype=object).reshape(rows, cols)
+        out = [{} for _ in range(rows)]
+        for k, a in enumerate(num):
+            if a:
+                out[k // cols][k % cols] = Fraction(a, den[k])
+        return out, cols
     re = _json_entries(obj, "re", (int, float), n)
     im = _json_entries(obj, "im", (int, float), n) if "im" in obj else [0.0] * n
     flat = [a + 1j * b for a, b in zip(re, im)]
-    return cmat([flat[i * cols : (i + 1) * cols] for i in range(rows)])
+    return cmat([flat[i * cols : (i + 1) * cols] for i in range(rows)]), cols
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    M, cols = _json_matrix(obj)
+    return _dense(M, (len(M), cols)) if type(M) is list else M

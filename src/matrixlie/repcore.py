@@ -24,12 +24,13 @@ from .errors import DomainError, ShapeError
 from .liealg import Basis, structure_constants
 from .matcore import (
     _axpy,
+    _commutator,
     _dense,
+    _json_matrix,
     _rows_to_json,
     _sparse_rows,
     frobenius_norm,
     is_rational,
-    matrix_from_json,
 )
 
 __all__ = [
@@ -43,6 +44,17 @@ __all__ = [
 ]
 
 
+def _check_shapes(labels, shapes):
+    """ShapeError unless there is one nonempty square generator per label, all of one size."""
+    if not shapes:
+        raise ShapeError("a representation needs at least one generator")
+    if len(labels) != len(shapes):
+        raise ShapeError("label count does not match generator count")
+    n = max(shapes[0], default=0)
+    if not n or any(s != (n, n) for s in shapes):
+        raise ShapeError("generators must be nonempty square matrices of one size")
+
+
 class Representation:
     """Generators as sparse rows (``rows``, one list of row dicts per label),
     exact or floating (``exact``), with optional weights (basis index ->
@@ -51,15 +63,7 @@ class Representation:
     def __init__(self, algebra: str, labels, generators, weights: dict | None = None):
         """Take generators as object (exact) or complex (floating) arrays."""
         gens = tuple(np.asarray(g) for g in generators)
-        if not gens:
-            raise ShapeError("a representation needs at least one generator")
-        if len(labels) != len(gens):
-            raise ShapeError("label count does not match generator count")
-        shape = gens[0].shape
-        if len(shape) != 2 or shape[0] != shape[1] or not shape[0] or any(
-            g.shape != shape for g in gens
-        ):
-            raise ShapeError("generators must be nonempty square matrices of one size")
+        _check_shapes(labels, [g.shape for g in gens])
         exact = all(is_rational(g) for g in gens)
         self._take(algebra, labels, [_sparse_rows(g) for g in gens], weights, exact)
 
@@ -89,16 +93,6 @@ class Representation:
 
     def generator(self, label: str):
         return _dense(self.rows_of(label), (self.dim, self.dim), self.exact)
-
-
-def _commutator(A, B, s=1):
-    """Sparse rows of s (AB - BA)."""
-    out = [{} for _ in A]
-    for P, Q, t in ((A, B, s), (B, A, -s)):
-        for i, row in enumerate(P):
-            for k, a in row.items():
-                _axpy(out[i], t * a, Q[k])
-    return out
 
 
 def verify_relations(rep: Representation, basis: Basis, tol_abs: float = 1e-10) -> bool:
@@ -230,4 +224,8 @@ def rep_from_json(obj: dict) -> Representation:
         if not isinstance(weights, dict):
             raise DomainError('"weights" must be an object of basis index -> weight')
         weights = {int(i): tuple(w) if isinstance(w, list) else w for i, w in weights.items()}
-    return Representation(obj["algebra"], labels, [matrix_from_json(g) for g in gens], weights)
+    mats = [_json_matrix(g) for g in gens]  # exact: sparse rows; floating: dense
+    _check_shapes(labels, [(len(M), cols) for M, cols in mats])
+    exact = all(type(M) is list for M, _ in mats)
+    rows = [M if type(M) is list else _sparse_rows(M) for M, _ in mats]
+    return Representation.from_rows(obj["algebra"], labels, rows, weights, exact)

@@ -100,34 +100,33 @@ def sl2_decompose(rep: Representation) -> list:
     pi(H) maps ker pi(X) into itself.  Eliminating the rows of pi(X) gives
     a kernel basis vector v_f per free column f, 1 at f and 0 at the other
     free columns, so the matrix of pi(H) on ker pi(X) is read off as
-    K = (pi(H) v_f)[free].  The count is then r - rank(K - lambda), for
-    each candidate integer lambda from a Gershgorin bound downward.
+    K = (pi(H) v_f)[free], r x r.  The count is then r - rank(K - lambda),
+    for each integer lambda downward, until the counts, geometric
+    multiplicities of K, reach r.  The eigenvalues of K are the highest
+    weights, integers >= 0, so the scan starts at the lesser of tr K and the
+    Gershgorin bound of K.
     """
     if not rep.exact:
         raise DomainError("the generators must be rational matrices")
     if not verify_relations(rep, sl2_basis_rational()):
         raise DomainError("generators do not satisfy the sl(2) relations")
     H, d = rep.rows_of("H"), rep.dim
-    bound = max(int(math.ceil(sum(abs(x) for x in row.values()))) for row in H)
     kernel = _nullspace_rows([dict(row) for row in rep.rows_of("X")], d)
     free = [max(v) for v in kernel]  # the other entries of v_f sit left of f
     r = len(free)
-
-    def entry(g, v):  # (pi(H) v)[g]
-        return sum(h * v.get(i, 0) for i, h in H[g].items())
-
-    K = [{b: x for b, v in enumerate(kernel) if (x := entry(g, v))} for g in free]
-    found = []
-    covered = 0
+    K = [{b: x for b, v in enumerate(kernel)  # (pi(H) v_f)[g]
+          if (x := sum(h * v.get(i, 0) for i, h in H[g].items()))} for g in free]
+    bound = min(max((math.ceil(sum(map(abs, row.values()))) for row in K), default=0),
+                int(sum(row.get(a, 0) for a, row in enumerate(K))))
+    found = []  # in descending order
     for lam in range(bound, -1, -1):
+        if len(found) == r:
+            break
         shifted = [dict(row) for row in K]
         for a, row in enumerate(shifted):
             _axpy(row, Fraction(-lam), {a: 1})
-        count = r - len(_rref_rows(shifted)[1])
-        found.extend([lam] * count)
-        covered += count * (lam + 1)
+        found += [lam] * (r - len(_rref_rows(shifted)[1]))
+    covered = sum(found) + len(found)
     if covered != d:
-        raise DecompositionError(
-            f"summand dimensions total {covered}, expected {d}"
-        )
-    return sorted(found, reverse=True)
+        raise DecompositionError(f"summand dimensions total {covered}, expected {d}")
+    return found

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import LieError
 from .liealg import Basis
-from .matcore import rmat
-from .repcore import Representation, _commutator, dual
+from .matcore import _commutator, rmat
+from .repcore import Representation, dual
 
 __all__ = [
     "sl3_basis",

@@ -25,7 +25,7 @@ from matrixlie.expmlog import (  # noqa: E402
     mat_log,
     one_param_generator,
 )
-from matrixlie.groups import is_member, o11_component, polar_decompose_sl  # noqa: E402
+from matrixlie.groups import is_member, o11_component, polar_decompose_sl, su2_matrix  # noqa: E402
 from matrixlie.liealg import (  # noqa: E402
     Ad_apply,
     ad_matrix,
@@ -124,6 +124,38 @@ def test_exact_entry_points_keep_the_carrier():
     assert bracket(X, Y).dtype == object and bch_series(X, Y).dtype == object
     assert bracket(np.diag([1.0, -1.0]), X.T).dtype == complex  # mixed: floating
     assert bracket(np.diag([1.0, -1.0]), np.eye(2)).dtype == np.float64
+
+
+E12, E21 = [[0, 1], [0, 0]], [[0, 0], [1, 0]]
+HEIS_X, HEIS_Y = [[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [0, 0, 0]]
+NESTED = {
+    "bracket": (bracket, (E12, E21)),
+    "bch_series": (bch_series, (E12, [[0, 0], [0.5, 0]])),
+    "bch_heisenberg": (bch_heisenberg, (HEIS_X, HEIS_Y)),
+    "g_operator": (g_operator, ([[1, 0.5], [0, 1]],)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(NESTED))
+def test_exact_entry_points_take_nested_lists(name):
+    f, args = NESTED[name]
+    want = f(*(np.array(a, dtype=complex) for a in args))
+    got = f(*args)
+    assert got.dtype == complex and np.array_equal(got, want)
+    if len(args) == 2:  # a list beside an exact matrix: floating, like a float array
+        assert np.array_equal(f(rmat(args[0]), args[1]), want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(1e200, 0), (0, -1e200), (np.nan, 0), (0, complex(0, np.nan)), (np.inf, 0),
+     (complex(1e308, 1e308), 0), (10**400, 0)],
+)
+def test_su2_matrix_of_a_non_finite_or_overflowing_entry(alpha, beta):
+    with pytest.raises(DomainError):
+        su2_matrix(alpha, beta)
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from matrixlie.errors import ClosureError, ShapeError
+from matrixlie.errors import ClosureError, DomainError, ShapeError
 from matrixlie.expmlog import mat_exp
 from matrixlie.cli import _BASES
 from matrixlie.liealg import (
@@ -29,7 +31,15 @@ from matrixlie.liealg import (
     su2_basis,
     u_decompose,
 )
-from matrixlie.matcore import Tolerance, frobenius_norm, is_rational, to_complex
+from matrixlie.matcore import (
+    Tolerance,
+    frobenius_norm,
+    is_rational,
+    rational_inverse,
+    reye,
+    rmat,
+    to_complex,
+)
 from matrixlie.repsl3 import sl3_basis
 
 TIGHT = Tolerance(abs=1e-15, rel=0.0)
@@ -246,6 +256,58 @@ def test_structure_constants_closure_error():
     partial = Basis("partial", ("E1", "E2"), (E1, E2))
     with pytest.raises(ClosureError):
         structure_constants(partial)
+
+
+# the nonzero c[i][j][k], i < j, of every CLI basis, as "p/q" strings
+PINNED = json.loads((Path(__file__).parent / "golden" / "structure_constants.json").read_text())
+
+
+def _pinned(name, d):
+    c = np.full((d, d, d), Fraction(0), dtype=object)
+    for i, j, k, x in PINNED[name]:
+        c[i, j, k], c[j, i, k] = Fraction(x), -Fraction(x)
+    return c
+
+
+def _assert_fraction_equal(c, want):
+    assert c.shape == want.shape and all(type(x) is Fraction for x in c.flat)
+    assert (c == want).all()
+
+
+@pytest.mark.parametrize("name", sorted(_BASES))
+def test_structure_constants_are_pinned(name):
+    basis = _BASES[name]()
+    _assert_fraction_equal(structure_constants(basis), _pinned(name, len(basis)))
+
+
+@pytest.mark.parametrize("name", sorted(_BASES))
+def test_structure_constants_do_not_change_under_conjugation(name):
+    basis = _BASES[name]()
+    n, want = basis.elements[0].shape[0], _pinned(name, len(basis))
+    # floating: a dense integer T of determinant 1, so that T^-1 B T is exact in floats
+    T = np.array([[min(i, j) + 1 for j in range(n)] for i in range(n)], dtype=float)
+    Ti = np.linalg.inv(T).round()
+    assert np.array_equal(Ti @ T, np.eye(n))
+    conj = tuple(Ti @ to_complex(B) @ T for B in basis.elements)
+    _assert_fraction_equal(structure_constants(Basis(name, basis.labels, conj)), want)
+    # exact: a dense rational T, for every basis with real entries
+    if all(not to_complex(B).imag.any() for B in basis.elements):
+        T = rmat([[Fraction(1, i + j + 1) + (i == j) for j in range(n)] for i in range(n)])
+        Ti = rational_inverse(T)
+        conj = tuple(Ti @ rmat(to_complex(B).real.tolist()) @ T for B in basis.elements)
+        assert all(map(is_rational, conj)) and all(x != 0 for x in T.flat)
+        _assert_fraction_equal(structure_constants(Basis(name, basis.labels, conj)), want)
+
+
+def test_exact_structure_constants_keep_their_errors():
+    H, X, Y = sl2_basis_rational().elements
+    with pytest.raises(ClosureError):  # [X, Y] = H
+        structure_constants(Basis("partial", ("X", "Y"), (X, Y)))
+    with pytest.raises(ShapeError):
+        structure_constants(Basis("mixed", ("H", "I"), (H, reye(3))))
+    # one floating element: [iX, Y] = iH has the coefficient i on H
+    with pytest.raises(DomainError, match="not real"):
+        structure_constants(Basis("complex", ("H", "iX", "Y"), (H, 1j * to_complex(X), Y)))
 
 
 def test_sl2_basis_is_the_complex_view_of_the_rational_triple():

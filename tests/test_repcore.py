@@ -199,3 +199,60 @@ def test_floating_constructions_match_exact_ones():
         assert not float_.exact and float_.weights == exact.weights
         for g, h in zip(float_.generators, exact.generators):
             assert g.dtype == complex and np.array_equal(g, to_complex(h))
+
+
+# --- reading rep JSON straight into rows --------------------------------------
+
+
+def test_rep_json_reads_back_the_same_rows():
+    for rep in library_reps():
+        for r in (rep, floating(rep)):
+            back = rep_from_json(json.loads(json.dumps(rep_to_json(r))))
+            assert (back.exact, back.rows, back.weights) == (r.exact, r.rows, r.weights)
+            kind = Fraction if r.exact else complex
+            assert all(type(x) is kind and x != 0 for g in back.rows for row in g
+                       for x in row.values())
+
+
+def test_rep_json_with_one_floating_generator_is_floating():
+    obj = rep_to_json(sl2_irrep(2))
+    X = obj["generators"][1]
+    obj["generators"][1] = {"rows": 3, "cols": 3, "re": [n / d for n, d in zip(X["num"], X["den"])]}
+    rep = rep_from_json(obj)
+    assert not rep.exact and rep.rows == floating(sl2_irrep(2)).rows
+
+
+def _gen(g, **edit):
+    return {**g, **edit}
+
+
+SL2_2 = rep_to_json(sl2_irrep(2))
+H2, X2, Y2 = SL2_2["generators"]
+
+# edits of the JSON of sl2_irrep(2) and the error each must raise
+MALFORMED_JSON = {
+    "den_0": ({"generators": [H2, _gen(X2, den=[1, 0] + [1] * 7), Y2]}, DomainError),
+    "bool_num": ({"generators": [H2, _gen(X2, num=[True] + X2["num"][1:]), Y2]}, DomainError),
+    "bool_den": ({"generators": [_gen(H2, den=[True] * 9), X2, Y2]}, DomainError),
+    "bool_rows": ({"generators": [_gen(H2, rows=True), X2, Y2]}, DomainError),
+    "float_num": ({"generators": [_gen(H2, num=[1.0] + H2["num"][1:]), X2, Y2]}, DomainError),
+    "not_an_object": ({"generators": [H2, [0] * 9, Y2]}, DomainError),
+    "short_num": ({"generators": [_gen(H2, num=H2["num"][:-1]), X2, Y2]}, ShapeError),
+    "long_den": ({"generators": [H2, X2, _gen(Y2, den=Y2["den"] + [1])]}, ShapeError),
+    "zero_rows": ({"generators": [_gen(H2, rows=0, num=[], den=[]), X2, Y2]}, ShapeError),
+    "zero_cols": ({"generators": [_gen(g, cols=0, num=[], den=[]) for g in (H2, X2, Y2)]},
+                  ShapeError),
+    "non_square": ({"generators": [_gen(g, cols=2, num=g["num"][:6], den=g["den"][:6])
+                                   for g in (H2, X2, Y2)]}, ShapeError),
+    "mixed_sizes": ({"generators": [H2, _gen(X2, rows=2, cols=2, num=[0] * 4, den=[1] * 4),
+                                    Y2]}, ShapeError),
+    "label_mismatch": ({"labels": ["H", "X"]}, ShapeError),
+    "no_generators": ({"labels": [], "generators": []}, ShapeError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_rep_json_raises_its_typed_error(case):
+    edit, error = MALFORMED_JSON[case]
+    with pytest.raises(error):
+        rep_from_json({**SL2_2, **edit})

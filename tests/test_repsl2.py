@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from matrixlie.errors import DomainError
-from matrixlie.matcore import rational_inverse, rational_rank, rzeros, to_complex
+from matrixlie.matcore import (
+    rational_inverse,
+    rational_nullspace,
+    rational_rank,
+    reye,
+    rzeros,
+    to_complex,
+)
 from matrixlie.repcore import Representation, direct_sum, dual, tensor_product, verify_relations
 from matrixlie.repsl2 import (
     sl2_basis_rational,
@@ -199,6 +206,52 @@ def test_clebsch_gordan_up_to_8():
         for n in range(m + 1):
             t = tensor_product(sl2_irrep(m), sl2_irrep(n))
             assert sl2_decompose(t) == list(range(m + n, m - n - 1, -2))
+
+
+def _dense_conjugate(rep):
+    """T^-1 pi T for T = L D U: L unit lower and U unit upper triangular with
+    entries in {-1, 0, 1}, D diagonal with rational entries, so T is neither
+    lower nor upper triangular."""
+    d = rep.dim
+    L, D, U = reye(d), rzeros(d, d), reye(d)
+    diag = [Fraction(2), Fraction(1, 3), Fraction(-5, 2), Fraction(3, 7), Fraction(-1, 4)]
+    for i in range(d):
+        D[i, i] = diag[i % len(diag)]
+        for j in range(i):
+            L[i, j] = Fraction((i + 2 * j) % 3 - 1)
+            U[j, i] = Fraction((2 * i + j) % 3 - 1)
+    T = L @ D @ U
+    Ti = rational_inverse(T)
+    return Representation(rep.algebra, rep.labels, tuple(Ti @ g @ T for g in rep.generators))
+
+
+def _kernel_matrix(rep):
+    """K, the matrix of pi(H) on ker pi(X) in the kernel basis v_f that
+    sl2_decompose uses: v_f is 1 at its free column f and 0 at the others."""
+    H = rep.generator("H")
+    kernel = rational_nullspace(rep.generator("X"))
+    free = [max(i for i in range(rep.dim) if v[i, 0]) for v in kernel]
+    return [[(H @ v)[g, 0] for v in kernel] for g in free]
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (3, 3), (4, 2)])
+def test_clebsch_gordan_of_a_dense_conjugate(m, n):
+    rep = _dense_conjugate(tensor_product(sl2_irrep(m), sl2_irrep(n)))
+    K = _kernel_matrix(rep)
+    r = len(K)
+    assert any(K[a][b] for a in range(r) for b in range(a)), "K is upper triangular"
+    assert any(K[a][b] for a in range(r) for b in range(a + 1, r)), "K is lower triangular"
+    with pytest.raises(DomainError):  # pi(H) is not triangular either
+        sl2_weights(rep)
+    assert sl2_decompose(rep) == list(range(m + n, m - n - 1, -2))
+
+
+@pytest.mark.parametrize("ms", [[4, 2, 2, 0], [1, 1, 1], [6, 0, 0]])
+def test_dense_conjugate_of_a_direct_sum(ms):
+    rep = sl2_irrep(ms[0])
+    for m in ms[1:]:
+        rep = direct_sum(rep, sl2_irrep(m))
+    assert sl2_decompose(_dense_conjugate(rep)) == ms
 
 
 def test_floating_rep_is_outside_the_domain():
