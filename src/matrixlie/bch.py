@@ -105,10 +105,11 @@ def bch_integral(
     from one exact elimination (`_coords`), together with the coordinates
     of Y, which must lie exactly in its span (DomainError otherwise).
 
-    All 2 quad_points + 1 nodes are evaluated as one stack: the node
-    exponentials e^(t ad Y) with one scaling and one Pade approximant, and
-    the g series applied to the coordinates of Y rather than formed as a
-    matrix.
+    All 2 quad_points + 1 nodes t_k = k h/2 are evaluated as one stack: node
+    k is node k - 2^j times e^(2^j (h/2) ad Y), 2^j the top bit of k, so one
+    stacked exponential of bit_length(2 quad_points) factors and 2 quad_points
+    products build them all from e^(ad X).  The g series is applied to the
+    coordinates of Y rather than formed as a matrix.
     Every node must satisfy ||e^(ad X) e^(t ad Y) - I|| < 1; otherwise
     OutOfDomainError names the first failing node in ascending t.
     """
@@ -118,8 +119,9 @@ def bch_integral(
         raise DomainError(f"terms must be at least 1, got {terms}")
     n = X.shape[0]
     if basis is None:  # the row-major elementary basis E_ij of gl(n)
-        In = np.eye(n)
-        adX, adY = (np.kron(Z, In) - np.kron(In, Z.T) for Z in (X, Y))  # checked below
+        S, In = np.stack((X, Y)), np.eye(n)  # ad Z[(i,j),(k,l)] = Z[i,k] I[j,l] - I[i,k] Z[l,j]
+        adS = np.einsum("zik,jl->zijkl", S, In) - np.einsum("ik,zlj->zijkl", In, S)
+        adX, adY = adS.reshape(2, n * n, n * n)  # checked below
         y, elements = Y.ravel(), np.eye(n * n).reshape(-1, n, n)
     else:
         # one elimination gives ad X, ad Y (the coordinates of the brackets
@@ -135,23 +137,28 @@ def bch_integral(
         adX, adY, y = C[:, :d], C[:, d : 2 * d], C[:, 2 * d]
         elements = np.asarray(basis.elements, dtype=complex)
     # composite Simpson: quad_points panels of width h, each sampled at its
-    # endpoints and midpoint; the nodes are built as a + h/2 and a + h
+    # endpoints and midpoint; t, the nodes as reported, is a + h/2 and a + h
     h = 1.0 / quad_points
     a = np.arange(quad_points) * h
     t = np.zeros(2 * quad_points + 1)
     t[1::2], t[2::2] = a + h / 2, a + h
     w = np.full(t.size, 2.0)
     w[1::2], w[0], w[-1] = 4.0, 1.0, 1.0
-    normY = float(np.abs(adY).sum(axis=0).max())  # the largest node norm is the last one's
+    normY = float(np.abs(adY).sum(axis=0).max())
     if not (np.isfinite(adX).all() and normY < np.inf):  # mat_exp checks the norm of ad X
         raise DomainError("ad X or ad Y overflows")
     EadX = mat_exp(adX)
     I = np.eye(len(y))
     if not frobenius_norm(EadX - I) < 1.0:  # the node t = 0 needs no e^(t ad Y)
         raise _outside(0.0)
-    # a node's e^(t ad Y) can overflow only when ||ad Y||_1 > 700; its B is
-    # then inf or nan, and its distance fails the test below
-    B = I - EadX @ _exp_scaled(t[:, None, None] * adY, normY)
+    # the factors' largest norm is at most ||ad Y||_1.  One can overflow only
+    # when ||ad Y||_1 > 700; node 2^j, at or before every node that uses it,
+    # is then inf or nan, and its distance fails the test below
+    steps = 2.0 ** np.arange((2 * quad_points).bit_length()) * (h / 2)
+    Q = EadX  # the rows of the nodes built so far, node after node
+    for F in _exp_scaled(steps[:, None, None] * adY, steps[-1] * normY):
+        Q = np.concatenate((Q, Q[: t.size * len(y) - len(Q)] @ F))
+    B = I - Q.reshape(t.size, *I.shape)
     dist = np.linalg.norm(B, axis=(1, 2))
     out = np.flatnonzero(~(dist < 1.0))
     if out.size:

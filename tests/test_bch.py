@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from matrixlie.bch import bch_heisenberg, bch_integral, bch_series, g_operator
 from matrixlie.errors import ClosureError, DomainError, OutOfDomainError
 from matrixlie.expmlog import mat_exp, mat_exp_nilpotent, mat_log
-from matrixlie.liealg import ad_matrix, gl_basis, random_algebra_element, sl2_basis, su2_basis
+from matrixlie.liealg import (
+    ad_matrix,
+    gl_basis,
+    heis_basis,
+    random_algebra_element,
+    sl2_basis,
+    su2_basis,
+)
 from matrixlie.matcore import Tolerance, frobenius_norm, reye, rmat, rzeros
 
 TIGHT = Tolerance(abs=1e-15, rel=0.0)
@@ -245,6 +253,43 @@ def test_integral_matches_the_per_node_loop(q):
         assert frobenius_norm(got - want) <= 1e-14 * frobenius_norm(want)
 
 
+def loop_cases(rng, sizes=(2, 3, 4)):
+    """(X, Y, basis) on gl(n) with the default basis, and on su(2) and heis
+    drawn as coordinates, so that Y lies exactly in the span."""
+    cases = [(*gl_pair(rng, n, 0.3 / n**0.5), None) for n in sizes]
+    for basis in (su2_basis(), heis_basis()):
+        c = rng.standard_normal((2, 3))
+        c *= 0.3 / np.linalg.norm(c, axis=1, keepdims=True)
+        cases.append((*np.tensordot(c, basis.elements, axes=1), basis))
+    return cases
+
+
+def check_against_the_loop(cases, q):
+    # the bound of test_integral_matches_the_per_node_loop
+    for X, Y, basis in cases:
+        want = simpson_loop(X, Y, q, basis=basis)
+        got = bch_integral(X, Y, quad_points=q, basis=basis)
+        assert frobenius_norm(got - want) <= 1e-14 * frobenius_norm(want)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 48, 100])
+def test_integral_matches_the_per_node_loop_between_powers_of_two(q):
+    # 2q is not a power of two, so the last doubling step appends fewer
+    # nodes than the stack already holds
+    check_against_the_loop(loop_cases(np.random.default_rng(30 + q)), q)
+
+
+def test_integral_matches_the_per_node_loop_for_any_q():
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.settings(max_examples=20, deadline=None)
+    @hyp.given(q=hyp.strategies.integers(1, 40), seed=hyp.strategies.integers(0, 2**32 - 1))
+    def check(q, seed):
+        check_against_the_loop(loop_cases(np.random.default_rng(seed), sizes=(2, 3)), q)
+
+    check()
+
+
 def test_integral_one_panel():
     # three nodes, t = 0, 1/2, 1: still a fair quadrature on small inputs
     rng = np.random.default_rng(21)
@@ -316,6 +361,17 @@ def test_integral_overflowing_nodes_are_outside():
     Y = np.diag([400.0, -400.0])
     with pytest.raises(OutOfDomainError, match=r"t = 0\.0078125$"):
         bch_integral(np.zeros((2, 2)), Y, 64)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", [48, 68, 100])
+def test_integral_overflowing_doubling_names_the_first_node(q):
+    # ||ad Y||_1 = 800: at q = 68 the top factor e^(128/136 ad Y) overflows
+    # itself; at q = 48 and 100 the factors are finite and the products of
+    # the last nodes overflow.  Either way node 1 is the first outside.
+    Y = np.diag([400.0, -400.0])
+    with pytest.raises(OutOfDomainError, match=f"t = {re.escape(str(1 / (2 * q)))}$"):
+        bch_integral(np.zeros((2, 2)), Y, q)
 
 
 @pytest.mark.filterwarnings("error")

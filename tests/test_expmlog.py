@@ -343,8 +343,9 @@ def test_exp_against_mpmath(norm):
 
 
 def test_exp_of_a_stack_against_mpmath():
-    # the stacked form that bch_integral uses: one scaling, from the
-    # largest 1-norm, for every member (measured max error 7.5e-15)
+    # the stacked form that bch_integral uses for its factors
+    # e^(2^j (h/2) ad Y): one scaling, from the largest 1-norm, for every
+    # member (measured max error 7.5e-15)
     from matrixlie.expmlog import _exp_scaled
 
     rng = np.random.default_rng(7)
