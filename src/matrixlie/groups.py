@@ -268,6 +268,8 @@ def euclidean_embed(R: np.ndarray, x) -> np.ndarray:
     n = R.shape[0]
     if R.shape != (n, n) or x.shape != (n,):
         raise ShapeError(f"need n x n rotation and length-n vector, got {R.shape}, {x.shape}")
+    if any(M.dtype != object and not np.isfinite(M).all() for M in (R, x)):
+        raise DomainError("R and x must have finite entries")
     E = np.zeros((n + 1, n + 1), dtype=R.dtype if R.dtype == object else complex)
     E[:n, :n] = R
     E[:n, n] = x

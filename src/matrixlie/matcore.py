@@ -80,7 +80,7 @@ def frobenius_norm(M: np.ndarray) -> float:
     norm-based convergence precondition stated for the operator norm
     remains sufficient when checked with this norm.
     """
-    M = np.asarray(M, dtype=complex)
+    M = to_complex(M)
     s = np.vdot(M, M).real  # vdot does not warn when the sum overflows
     if _TINY <= s < np.inf or not M.any():
         return math.sqrt(s)
@@ -93,8 +93,8 @@ def frobenius_norm(M: np.ndarray) -> float:
 
 def approx_eq(A, B, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Entrywise |A_ij - B_ij| <= tol.abs + tol.rel * |B_ij|."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
+    A = to_complex(A)
+    B = to_complex(B)
     if A.shape != B.shape:
         raise ShapeError(f"shape mismatch: {A.shape} vs {B.shape}")
     return bool(np.all(np.abs(A - B) <= tol.abs + tol.rel * np.abs(B)))

@@ -220,12 +220,14 @@ def rep_from_json(obj: dict) -> Representation:
     labels, gens, weights = obj["labels"], obj["generators"], obj.get("weights")
     if not isinstance(labels, list) or not isinstance(gens, list):
         raise DomainError('"labels" and "generators" must be lists')
+    mats = [_json_matrix(g) for g in gens]  # exact: sparse rows; floating: dense
+    _check_shapes(labels, [(len(M), cols) for M, cols in mats])
     if weights is not None:
         if not isinstance(weights, dict):
             raise DomainError('"weights" must be an object of basis index -> weight')
+        if set(weights) != {str(i) for i in range(mats[0][1])}:
+            raise ShapeError('the "weights" keys must be the basis indices 0..dim-1')
         weights = {int(i): tuple(w) if isinstance(w, list) else w for i, w in weights.items()}
-    mats = [_json_matrix(g) for g in gens]  # exact: sparse rows; floating: dense
-    _check_shapes(labels, [(len(M), cols) for M, cols in mats])
     exact = all(type(M) is list for M, _ in mats)
     rows = [M if type(M) is list else _sparse_rows(M) for M, _ in mats]
     return Representation.from_rows(obj["algebra"], labels, rows, weights, exact)

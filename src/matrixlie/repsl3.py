@@ -175,15 +175,7 @@ _WEYL_MATRICES = [
     rmat([[0, 0, -1], [0, -1, 0], [-1, 0, 0]]),
     rmat([[-1, 0, 0], [0, 0, -1], [0, -1, 0]]),
 ]
-
-_WEYL_ACTIONS = [
-    lambda m1, m2: (m1, m2),
-    lambda m1, m2: (-m1 - m2, m1),
-    lambda m1, m2: (m2, -m1 - m2),
-    lambda m1, m2: (-m1, m1 + m2),
-    lambda m1, m2: (-m2, -m1),
-    lambda m1, m2: (m1 + m2, -m2),
-]
+_CARTAN = tuple(H.astype(int) for H in _basis_matrices()[:2])  # H1, H2
 
 
 @dataclass(frozen=True)
@@ -198,8 +190,11 @@ def weyl_elements() -> list:
 
 
 def weyl_act(w: WeylElement, mu) -> tuple:
-    """Action on weights: w0 identity, w1 (m1,m2) -> (-m1-m2, m1), etc."""
-    return _WEYL_ACTIONS[w.index](mu[0], mu[1])
+    """Action on weights, mu -> mu o Ad(w^-1): coordinate i is mu(P^T H_i P)
+    for the matrix P of w, and mu(diag(a, b, c)) = m1 a - m2 c."""
+    P = w.matrix.astype(int)
+    diags = (np.diagonal(P.T @ H @ P).tolist() for H in _CARTAN)
+    return tuple(mu[0] * d[0] - mu[1] * d[2] for d in diags)
 
 
 def weyl_invariance_check(mult: dict) -> bool:

@@ -62,6 +62,13 @@ def test_member_and_algebra():
     assert json.loads(r.stdout) == {"member": True}
 
 
+def test_log_near_the_edge_of_its_domain():
+    # ||A - I|| = 0.9375, near the edge of the log's domain
+    r = run_cli("log", mat_json([[0.0625]]))
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["re"] == [pytest.approx(np.log(0.0625), rel=1e-15)]
+
+
 def test_weights_csv_golden(tmp_path):
     out = tmp_path / "w.csv"
     r = run_cli("rep", "sl3", "1", "1", "--weights-csv", str(out))

@@ -326,7 +326,7 @@ def test_exp_log_polar_contract(cmd, zero_tol, matrix):
             assert square and m["rows"] == m["cols"] == obj["rows"]
     elif code == 1 and not square:
         assert out["error"] == "shape"
-    elif code == 1:  # log's series and polar's Newton iteration have step limits
+    elif code == 1:  # log's square root and polar's Newton iteration have step limits
         assert out["error"] in ("domain", "out_of_domain", *(["convergence"] * (cmd != "exp")))
 
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +206,29 @@ def test_one_param_generator_inconsistent():
         one_param_generator(samples)
 
 
+def _sample(t, A=np.eye(2)):
+    return OneParamSample(t, A)
+
+
+# calls that reach each error path, with the error and a part of its message
+ERROR_PATHS = {
+    "one_sample": (lambda: one_param_generator([_sample(0.0)]), "at least 2"),
+    "repeated_t": (lambda: one_param_generator([_sample(0.0), _sample(1.0), _sample(1.0)]),
+                   "distinct"),
+    "no_t_zero": (lambda: one_param_generator([_sample(0.5), _sample(1.0)]), "t = 0"),
+    "t_zero_not_identity": (lambda: one_param_generator([_sample(0.0, 2 * np.eye(2)),
+                                                         _sample(1.0)]), "t = 0"),
+    "nilpotent_of_a_floating_matrix": (lambda: mat_exp_nilpotent(np.zeros((2, 2))), "rational"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+def test_error_paths(case):
+    call, message = ERROR_PATHS[case]
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_exp_image_sl2r():
     assert in_exp_image_sl2r(np.eye(2))
     assert in_exp_image_sl2r(-np.eye(2))
@@ -370,3 +394,61 @@ def test_directional_derivative_matches_expm_frechet(norm):
     want = sla.expm_frechet(X, Y, compute_expm=False)
     err = np.linalg.norm(exp_directional_derivative(X, Y) - want) / np.linalg.norm(want)
     assert err <= 1e-14
+
+
+def test_log_does_not_depend_on_the_tolerance():
+    rng = np.random.default_rng(37)
+    for n, rho in ((1, 0.3), (2, 1e-3), (3, 0.5), (4, 0.95), (5, 1 - 1e-9)):
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A = np.eye(n) + B * (rho / frobenius_norm(B))
+        assert np.array_equal(mat_log(A, Tolerance(1e-3, 1e-3)), mat_log(A, Tolerance(0, 0)))
+
+
+def _mp_logm(A):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    return np.array(mp.logm(mp.matrix(A.tolist())).tolist(), dtype=complex)
+
+
+def _log_inputs(rho):
+    """I + B with ||B||_F = rho: a random real and a random complex B for
+    each n, and the near-singular diagonal I - rho e_1 e_1^T."""
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 4, 6):
+        for B in (rng.standard_normal((n, n)),
+                  rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
+            yield np.eye(n) + B * (rho / frobenius_norm(B))
+        yield np.diag([1 - rho] + [1.0] * (n - 1))
+
+
+# Relative Frobenius error bounds against mpmath at 40 digits.  Measured
+# maxima over the 12 inputs of each rho: 1.5e-16, 1.6e-16, 1.4e-15, 1.6e-15,
+# 2.0e-15, 1.4e-15 and 1.8e-15 (the series gave up to 9.9e-10 at 0.9 and
+# raised ConvergenceError from [[0.07]] on).
+LOG_BOUNDS = {0.1: 2e-16, 0.5: 2.5e-16, 0.9: 2e-15, 0.99: 2.5e-15,
+              1 - 1e-4: 3e-15, 1 - 1e-8: 2e-15, 1 - 1e-15: 2.5e-15}
+
+
+@pytest.mark.parametrize("rho", sorted(LOG_BOUNDS))
+def test_log_against_mpmath(rho):
+    worst = max(_rel_err(mat_log(A), _mp_logm(A)) for A in _log_inputs(rho))
+    assert worst <= LOG_BOUNDS[rho]
+
+
+def test_log_at_the_edge_of_the_domain(monkeypatch):
+    # near ||A - I|| = 1, square roots bring rho to at most 0.9 before the
+    # quadrature, so the node count and the time stay small
+    assert mat_log(np.array([[0.0625]]))[0, 0] == pytest.approx(np.log(0.0625), rel=1e-15)
+    import matrixlie.expmlog as expmlog
+
+    nodes = []
+    rule = expmlog._gauss_legendre
+    monkeypatch.setattr(expmlog, "_gauss_legendre", lambda m: nodes.append(m) or rule(m))
+    rng = np.random.default_rng(47)
+    B = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    for A in (np.eye(6) + B * ((1 - 1e-15) / frobenius_norm(B)), np.diag([1e-15, 1, 1, 1])):
+        start = time.perf_counter()
+        L = mat_log(A)
+        assert time.perf_counter() - start < 0.5
+        assert np.all(np.isfinite(L))
+    assert max(nodes) <= 28

@@ -37,7 +37,7 @@ from matrixlie.liealg import (  # noqa: E402
     so3_basis,
     u_decompose,
 )
-from matrixlie.matcore import frobenius_norm, rmat  # noqa: E402
+from matrixlie.matcore import approx_eq, frobenius_norm, rmat  # noqa: E402
 from matrixlie.su2so3 import adjoint_to_so3, so3_lift  # noqa: E402
 
 I2 = np.eye(2)
@@ -89,6 +89,20 @@ def test_membership_of_a_matrix_whose_products_overflow():
     assert not is_member(1e200 * I2, "SL(2,R)")
     with pytest.raises(DomainError, match="not in O"):
         o11_component(1e200 * I2)
+
+
+BEYOND = rmat([[10**400, 0], [0, 1]])  # an exact entry with no finite float value
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "call",
+    [lambda: frobenius_norm(BEYOND), lambda: approx_eq(BEYOND, I2), lambda: g_operator(BEYOND)],
+    ids=["frobenius_norm", "approx_eq", "g_operator"],
+)
+def test_exact_entry_beyond_the_float_range(call):
+    with pytest.raises(DomainError, match="no finite float value"):
+        call()
 
 
 # --- scale: subnormal sums of squares and the polar Newton scale

@@ -114,6 +114,22 @@ def test_euclidean_embed_identity_and_inverse():
     assert np.allclose(np.linalg.inv(A), B)
 
 
+@pytest.mark.parametrize(
+    "R,x,error",
+    [
+        (np.eye(2), [1.0, 2.0, 3.0], ShapeError),
+        (np.ones((2, 3)), [1.0, 2.0], ShapeError),
+        (np.eye(2), [np.inf, 0.0], DomainError),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), [0.0, 0.0], DomainError),
+        (rmat([[1, 0], [0, 1]]), np.array([np.nan, 0.0]), DomainError),
+    ],
+    ids=["long_x", "non_square_R", "inf_x", "nan_R", "nan_x_rational_R"],
+)
+def test_euclidean_embed_rejects(R, x, error):
+    with pytest.raises(error):
+        euclidean_embed(R, x)
+
+
 def test_euclidean_members():
     E = euclidean_embed(rotation(0.4), [1.0, 2.0])
     assert is_member(np.asarray(E, dtype=complex), "E(2)")

@@ -12,10 +12,12 @@ from matrixlie.matcore import (
     frobenius_norm,
     matrix_from_json,
     matrix_to_json,
+    rational_inverse,
     rational_nullspace,
     rational_rank,
     rational_rref,
     rational_solve,
+    rdot,
     reye,
     rmat,
     rzeros,
@@ -98,6 +100,22 @@ def test_rational_solve():
     assert all(p == q for p, q in zip((A @ x).flat, b.flat))
     # inconsistent system
     assert rational_solve(rmat([[1, 1], [1, 1]]), rmat([[1], [2]])) is None
+
+
+# calls that reach each error path, with the error it raises
+ERROR_PATHS = {
+    "rmat_ragged_rows": (lambda: rmat([[1, 2], [3]]), ShapeError),
+    "rdot_shape_mismatch": (lambda: rdot(reye(2), reye(3)), ShapeError),
+    "inverse_of_a_non_square": (lambda: rational_inverse(rzeros(2, 3)), ShapeError),
+    "inverse_of_a_singular": (lambda: rational_inverse(rmat([[1, 2], [2, 4]])), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+def test_error_paths(case):
+    call, error = ERROR_PATHS[case]
+    with pytest.raises(error):
+        call()
 
 
 def test_json_round_trip_complex():

@@ -248,6 +248,11 @@ MALFORMED_JSON = {
                                     Y2]}, ShapeError),
     "label_mismatch": ({"labels": ["H", "X"]}, ShapeError),
     "no_generators": ({"labels": [], "generators": []}, ShapeError),
+    "labels_not_a_list": ({"labels": "HXY"}, DomainError),
+    "generators_not_a_list": ({"generators": {"H": H2, "X": X2, "Y": Y2}}, DomainError),
+    "weights_missing_an_index": ({"weights": {"0": 2, "2": -2}}, ShapeError),
+    "weights_beyond_the_basis": ({"weights": {"0": 2, "1": 0, "2": -2, "7": 5}}, ShapeError),
+    "weights_not_an_index": ({"weights": {"0": 2, "01": 0, "2": -2}}, ShapeError),
 }
 
 
@@ -256,3 +261,17 @@ def test_malformed_rep_json_raises_its_typed_error(case):
     edit, error = MALFORMED_JSON[case]
     with pytest.raises(error):
         rep_from_json({**SL2_2, **edit})
+
+
+# calls that reach each remaining error path, with the error it raises
+ERROR_PATHS = {
+    "relations_basis_size": (lambda: verify_relations(sl2_irrep(1), sl3_basis()), ShapeError),
+    "rep_json_not_an_object": (lambda: rep_from_json([SL2_2]), DomainError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+def test_error_paths(case):
+    call, error = ERROR_PATHS[case]
+    with pytest.raises(error):
+        call()
