@@ -23,8 +23,8 @@ from .errors import (
     DomainError,
     InconsistentSamplesError,
     OutOfDomainError,
-    ShapeError,
 )
+from .groups import is_member
 from .matcore import (
     _EPS,
     DEFAULT_TOL,
@@ -107,10 +107,7 @@ def mat_exp_nilpotent(X: np.ndarray) -> np.ndarray:
     if not is_rational(X):
         raise DomainError("mat_exp_nilpotent requires an exact rational matrix")
     n = X.shape[0]
-    P = X.copy()
-    for _ in range(n - 1):
-        P = rdot(P, X)
-    if any(P[i, j] != 0 for i in range(n) for j in range(n)):
+    if np.linalg.matrix_power(X, n).any():
         raise DomainError(f"matrix is not nilpotent at dimension {n}")
     E = reye(n)
     term = reye(n)
@@ -176,11 +173,9 @@ def heisenberg_log(A: np.ndarray) -> np.ndarray:
     """
     if not is_rational(A) or A.shape != (3, 3):
         raise DomainError("expected a 3x3 exact rational matrix")
-    if any(A[i, i] != 1 for i in range(3)) or any(
-        A[i, j] != 0 for i in range(3) for j in range(i)
-    ):
-        raise DomainError("matrix is not unit upper triangular")
     N = A - reye(3)
+    if np.tril(N).any():
+        raise DomainError("matrix is not unit upper triangular")
     return N - rdot(N, N) / Fraction(2)
 
 
@@ -243,16 +238,9 @@ def one_param_generator(samples, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def in_exp_image_sl2r(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether a real A in SL(2,R) is e^X for some real traceless X.
 
-    True iff trace A > -2 (strictly, with tol.abs margin) or A = -I.
+    True iff trace A > -2 (strictly, with tol.abs margin) or A = -I.  A
+    outside SL(2,R), as is_member judges it within tol, raises DomainError.
     """
-    if A.shape != (2, 2):
-        raise ShapeError(f"expected a 2x2 matrix, got {A.shape}")
-    if np.any(np.abs(A.imag) > tol.abs):
-        raise DomainError("matrix must be real")
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if abs(det - 1) > tol.abs + tol.rel:
-        raise DomainError("matrix must have determinant 1")
-    tr = (A[0, 0] + A[1, 1]).real
-    if tr > -2 + tol.abs:
-        return True
-    return approx_eq(A, -np.eye(2), tol)
+    if not is_member(A, "SL(2,R)", tol):
+        raise DomainError("matrix is not in SL(2,R)")
+    return bool(np.trace(A).real > -2 + tol.abs) or approx_eq(A, -np.eye(2), tol)

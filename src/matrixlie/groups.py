@@ -11,14 +11,14 @@ always tested against that identity within a tolerance.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ShapeError
-from .matcore import _EPS, DEFAULT_TOL, Tolerance, _entry, _relative_det, frobenius_norm, to_complex
+from .errors import DomainError, ShapeError
+from .matcore import (DEFAULT_TOL, Tolerance, _check_square, _entry, _finite, _relative_det,
+                      is_rational, rmat, to_complex)
 
 __all__ = [
     "GroupId",
@@ -262,19 +262,23 @@ def euclidean_embed(R: np.ndarray, x) -> np.ndarray:
     """Embed a rigid motion {x, R} as the (n+1)x(n+1) block matrix [[R, x],[0, 1]].
 
     This is a homomorphism: embed(R1,x1) @ embed(R2,x2) = embed(R1 R2, x1 + R1 x2).
+    The result is exact when R and x are both rational, and complex otherwise.
     """
     R = np.asarray(R)
     x = np.asarray(x).reshape(-1)
-    n = R.shape[0]
-    if R.shape != (n, n) or x.shape != (n,):
+    _check_square(R)
+    n = len(R)
+    if x.shape != (n,):
         raise ShapeError(f"need n x n rotation and length-n vector, got {R.shape}, {x.shape}")
-    if any(M.dtype != object and not np.isfinite(M).all() for M in (R, x)):
-        raise DomainError("R and x must have finite entries")
-    E = np.zeros((n + 1, n + 1), dtype=R.dtype if R.dtype == object else complex)
+    exact = is_rational(R) and is_rational(x)
+    if not exact:
+        R, x = to_complex(R), to_complex(x)
+        if not (_finite(R) and _finite(x)):
+            raise DomainError("R and x must have finite entries")
+    E = np.eye(n + 1, dtype=object if exact else complex)
     E[:n, :n] = R
     E[:n, n] = x
-    E[n, n] = 1
-    return E
+    return rmat(E) if exact else E
 
 
 @_entry(1)
@@ -282,32 +286,17 @@ def polar_decompose_sl(A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """A = R H with R orthogonal, H symmetric positive-definite (A real, invertible).
 
     A is singular when |det A| <= tol.abs (||A||_F / sqrt n)^n, which
-    scaling A does not change.  R comes from the Newton iteration
-    R <- (g R + R^-T / g)/2 with g = sqrt(||R^-1||_F / ||R||_F) (Higham
-    1986; sqrt(||R^-1||_F) / sqrt(||R||_F) if the quotient under- or
-    overflows) until a step is below 0.01 and g = 1 after, stopped once a
-    step is below max(tol.abs, machine epsilon * ||R||_F); then H = R^T A.
+    scaling A does not change.  From the SVD A = W diag(s) V^T, R = W V^T
+    and H = V diag(s) V^T (Higham 2008, Thm 8.1).  The tolerance enters only
+    the realness and singularity tests, never the factors.
     """
     if np.any(np.abs(A.imag) > tol.abs):
         raise DomainError("matrix must be real")
     A = A.real
     if _relative_det(A) <= tol.abs:
         raise DomainError("matrix is singular")
-    R, step = A, np.inf
-    for _ in range(100):
-        Ri = np.linalg.inv(R)
-        g = math.sqrt(frobenius_norm(Ri) / frobenius_norm(R)) if step >= 0.01 else 1.0
-        if not 0 < g < math.inf:  # the quotient left the float range: take the roots first
-            g = math.sqrt(frobenius_norm(Ri)) / math.sqrt(frobenius_norm(R))
-        R_next = (g * R + Ri.T / g) / 2
-        step = frobenius_norm(R_next - R)
-        R = R_next
-        if step < max(tol.abs, _EPS * frobenius_norm(R)):
-            break
-    else:
-        raise ConvergenceError("polar Newton iteration did not converge in 100 steps")
-    H = R.T @ A
-    return R.astype(complex), H.astype(complex)
+    W, s, Vt = np.linalg.svd(A)
+    return (W @ Vt).astype(complex), (Vt.T * s @ Vt).astype(complex)
 
 
 def o11_component(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:

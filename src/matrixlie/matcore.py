@@ -58,7 +58,7 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-# iterations stop below max(tol.abs, _EPS) (scaled as needed): tol.abs may be 0
+# machine epsilon, the accuracy the floating kernels aim at whatever the tolerance
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)  # the least normal float
 
@@ -414,7 +414,10 @@ def _json_matrix(obj: dict) -> tuple:
     re = _json_entries(obj, "re", (int, float), n)
     im = _json_entries(obj, "im", (int, float), n) if "im" in obj else [0.0] * n
     flat = [a + 1j * b for a, b in zip(re, im)]
-    return cmat([flat[i * cols : (i + 1) * cols] for i in range(rows)]), cols
+    try:
+        return cmat([flat[i * cols : (i + 1) * cols] for i in range(rows)]), cols
+    except ValueError:  # JSON's NaN and Infinity tokens
+        raise DomainError("matrix entries must be finite") from None
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

@@ -227,7 +227,11 @@ def rep_from_json(obj: dict) -> Representation:
             raise DomainError('"weights" must be an object of basis index -> weight')
         if set(weights) != {str(i) for i in range(mats[0][1])}:
             raise ShapeError('the "weights" keys must be the basis indices 0..dim-1')
-        weights = {int(i): tuple(w) if isinstance(w, list) else w for i, w in weights.items()}
+        shapes = {len(w) if type(w) is list else None for w in weights.values()}
+        entries = (x for w in weights.values() for x in (w if type(w) is list else [w]))
+        if len(shapes) > 1 or not all(type(x) is int for x in entries):  # bool is not int
+            raise DomainError("every weight must be an integer, or a list of integers, of one shape")
+        weights = {int(i): tuple(w) if type(w) is list else w for i, w in weights.items()}
     exact = all(type(M) is list for M, _ in mats)
     rows = [M if type(M) is list else _sparse_rows(M) for M, _ in mats]
     return Representation.from_rows(obj["algebra"], labels, rows, weights, exact)

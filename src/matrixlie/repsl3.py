@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _LABELS = ("H1", "H2", "X1", "X2", "X3", "Y1", "Y2", "Y3")
+# the largest m1 + m2 that sl3_highest_weight_irrep builds
+MAX_WEIGHT_SUM = 6
 
 
 def _basis_matrices():
@@ -107,7 +109,7 @@ def sl3_dim_formula(m1: int, m2: int) -> int:
     return (m1 + 1) * (m2 + 1) * (m1 + m2 + 2) // 2
 
 
-def sl3_highest_weight_irrep(m1: int, m2: int, cap: int = 6):
+def sl3_highest_weight_irrep(m1: int, m2: int):
     """The irreducible with highest weight (m1, m2), plus its weight multiset.
 
     Built on the Gelfand-Tsetlin basis of the gl(3) irreducible with top
@@ -118,8 +120,8 @@ def sl3_highest_weight_irrep(m1: int, m2: int, cap: int = 6):
     """
     if m1 < 0 or m2 < 0:
         raise ValueError("m1, m2 must be nonnegative integers")
-    if m1 + m2 > cap:
-        raise LieError(f"m1 + m2 = {m1 + m2} exceeds the cap {cap}")
+    if m1 + m2 > MAX_WEIGHT_SUM:
+        raise LieError(f"m1 + m2 = {m1 + m2} exceeds the cap {MAX_WEIGHT_SUM}")
     l1, l2 = m1 + m2, m2
     # the patterns as (middle row, bottom entry) = (u1, u2, v), top one first
     patterns = [

@@ -20,22 +20,19 @@ __all__ = ["A1", "A2", "A3", "adjoint_to_so3", "so3_lift"]
 A1 = np.array([[0, 1], [1, 0]], dtype=complex)
 A2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 A3 = np.array([[1, 0], [0, -1]], dtype=complex)
-_BASIS = (A1, A2, A3)
+_BASIS = np.array([A1, A2, A3])
 
 
 def adjoint_to_so3(U: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """3x3 rotation R with R_ij = trace(A_i U A_j U*)/2.
+    """3x3 rotation R with R_ij = Re trace(A_i U A_j U*)/2, all nine traces
+    in one contraction over the stacked basis.
 
     A homomorphism onto SO(3) with kernel {I, -I}.
     """
     U = to_complex(U)
     if not is_member(U, parse_group("SU(2)"), tol):
         raise DomainError("matrix is not in SU(2)")
-    Ustar = U.conj().T
-    R = np.empty((3, 3), dtype=float)
-    for i in range(3):
-        for j in range(3):
-            R[i, j] = (np.trace(_BASIS[i] @ U @ _BASIS[j] @ Ustar) / 2).real
+    R = np.einsum("iab,bc,jcd,da->ij", _BASIS, U, _BASIS, U.conj().T).real / 2
     return R.astype(complex)
 
 

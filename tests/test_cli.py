@@ -177,6 +177,14 @@ def test_malformed_rational_json_is_a_domain_error():
         assert json.loads(r.stdout)["error"] == "domain"
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_json_nan_and_infinity_are_domain_errors(token):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["exp", '{"rows":1,"cols":1,"re":[%s]}' % token])
+    assert code == 1 and json.loads(out.getvalue())["error"] == "domain"
+
+
 def test_exp_overflow_is_a_domain_error():
     for x in (1e308, 800.0):
         r = run_cli("exp", mat_json([[x]]))

@@ -21,6 +21,7 @@ from matrixlie.expmlog import (
     mat_log,
     one_param_generator,
 )
+from matrixlie.groups import is_member
 from matrixlie.matcore import Tolerance, approx_eq, frobenius_norm, reye, rmat
 
 TIGHT = Tolerance(abs=1e-15, rel=0.0)
@@ -235,6 +236,22 @@ def test_exp_image_sl2r():
     assert not in_exp_image_sl2r(np.diag([-2.0, -0.5]))
     with pytest.raises(DomainError):
         in_exp_image_sl2r(np.diag([2.0, 2.0]))
+
+
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(1e-6, 1e-6), Tolerance(0, 0)],
+                         ids=["default", "loose", "zero"])
+def test_exp_image_sl2r_domain_is_sl2r_membership(tol):
+    edge = tol.abs + tol.rel
+    inputs = [np.diag([1 + s * f * edge, 1.0]) for s in (1, -1) for f in (0.5, 1, 2)]
+    inputs += [np.eye(2) + 1j * s * f * tol.abs * np.eye(2)[::-1] for s in (1, -1) for f in (1, 2)]
+    for A in inputs:
+        if is_member(A, "SL(2,R)", tol):
+            assert in_exp_image_sl2r(A, tol)
+        else:
+            with pytest.raises(DomainError):
+                in_exp_image_sl2r(A, tol)
+    with pytest.raises(ShapeError):
+        in_exp_image_sl2r(np.eye(3), tol)
 
 
 def test_det_trace_identity():

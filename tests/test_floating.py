@@ -105,7 +105,7 @@ def test_exact_entry_beyond_the_float_range(call):
         call()
 
 
-# --- scale: subnormal sums of squares and the polar Newton scale
+# --- scale: subnormal sums of squares and polar at extreme scales
 
 
 @pytest.mark.filterwarnings("error")

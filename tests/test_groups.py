@@ -122,12 +122,25 @@ def test_euclidean_embed_identity_and_inverse():
         (np.eye(2), [np.inf, 0.0], DomainError),
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), [0.0, 0.0], DomainError),
         (rmat([[1, 0], [0, 1]]), np.array([np.nan, 0.0]), DomainError),
+        (np.zeros((0, 0)), [], ShapeError),
     ],
-    ids=["long_x", "non_square_R", "inf_x", "nan_R", "nan_x_rational_R"],
+    ids=["long_x", "non_square_R", "inf_x", "nan_R", "nan_x_rational_R", "empty_R"],
 )
 def test_euclidean_embed_rejects(R, x, error):
     with pytest.raises(error):
         euclidean_embed(R, x)
+
+
+def test_euclidean_embed_of_a_rational_R_and_a_floating_x_is_complex():
+    E = euclidean_embed(rmat([[0, -1], [1, 0]]), [0.5, 2.0])
+    assert E.dtype == complex
+    assert np.array_equal(E, [[0, -1, 0.5], [1, 0, 2.0], [0, 0, 1]])
+
+
+def test_euclidean_embed_of_exact_input_holds_fractions_only():
+    E = euclidean_embed(rmat([[0, -1], [1, 0]]), np.array([Fraction(1, 2), 3], dtype=object))
+    assert all(type(x) is Fraction for x in E.flat)
+    assert E[2, 2] == 1 and E[0, 2] == Fraction(1, 2)
 
 
 def test_euclidean_members():
@@ -167,6 +180,13 @@ def test_polar_random_sl2():
             x = rng.standard_normal(2)
             x /= np.linalg.norm(x)
             assert (x @ H.real @ x) > 0
+
+
+def test_polar_does_not_depend_on_the_tolerance():
+    A = np.array([[2.0, 1.0, 0.0], [0.5, 3.0, -1.0], [0.0, 1.0, 1.5]])
+    R, H = polar_decompose_sl(A, Tolerance(1e-3, 1e-3))
+    R0, H0 = polar_decompose_sl(A, Tolerance(0, 0))
+    assert np.array_equal(R, R0) and np.array_equal(H, H0)
 
 
 def test_polar_singular_rejected():

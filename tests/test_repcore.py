@@ -253,6 +253,14 @@ MALFORMED_JSON = {
     "weights_missing_an_index": ({"weights": {"0": 2, "2": -2}}, ShapeError),
     "weights_beyond_the_basis": ({"weights": {"0": 2, "1": 0, "2": -2, "7": 5}}, ShapeError),
     "weights_not_an_index": ({"weights": {"0": 2, "01": 0, "2": -2}}, ShapeError),
+    "weights_strings": ({"weights": {"0": "a", "1": "b", "2": "c"}}, DomainError),
+    "weights_bool": ({"weights": {"0": True, "1": 0, "2": -2}}, DomainError),
+    "weights_float": ({"weights": {"0": 2.0, "1": 0, "2": -2}}, DomainError),
+    "weights_null": ({"weights": {"0": 2, "1": None, "2": -2}}, DomainError),
+    "weights_list_of_strings": ({"weights": {"0": ["a"], "1": ["b"], "2": ["c"]}}, DomainError),
+    "weights_nested_lists": ({"weights": {"0": [[2]], "1": [[0]], "2": [[-2]]}}, DomainError),
+    "weights_int_and_list": ({"weights": {"0": 2, "1": [0], "2": -2}}, DomainError),
+    "weights_of_two_lengths": ({"weights": {"0": [2, 0], "1": [0], "2": [-2, 0]}}, DomainError),
 }
 
 

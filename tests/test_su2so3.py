@@ -64,6 +64,15 @@ def test_inner_product_preserved():
             assert abs(lhs - rhs) <= 1e-12
 
 
+def test_adjoint_matches_the_nine_traces():
+    rng = np.random.default_rng(41)
+    basis = (A1, A2, A3)
+    for _ in range(20):
+        U = random_su2(rng)
+        want = [[(np.trace(B @ U @ C @ U.conj().T) / 2).real for C in basis] for B in basis]
+        assert np.abs(adjoint_to_so3(U) - np.array(want)).max() <= 1e-15
+
+
 def test_not_su2_rejected():
     with pytest.raises(DomainError):
         adjoint_to_so3(2 * np.eye(2))
