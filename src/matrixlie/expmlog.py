@@ -24,7 +24,7 @@ from .errors import (
     InconsistentSamplesError,
     OutOfDomainError,
 )
-from .groups import is_member
+from .groups import _holds, parse_group
 from .matcore import (
     _EPS,
     DEFAULT_TOL,
@@ -241,6 +241,6 @@ def in_exp_image_sl2r(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     True iff trace A > -2 (strictly, with tol.abs margin) or A = -I.  A
     outside SL(2,R), as is_member judges it within tol, raises DomainError.
     """
-    if not is_member(A, "SL(2,R)", tol):
+    if not _holds(A, parse_group("SL(2,R)"), tol, group=True):  # A is gated already
         raise DomainError("matrix is not in SL(2,R)")
     return bool(np.trace(A).real > -2 + tol.abs) or approx_eq(A, -np.eye(2), tol)

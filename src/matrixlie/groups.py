@@ -11,6 +11,7 @@ always tested against that identity within a tolerance.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -80,6 +81,9 @@ class LieId:
 GroupId = LieId
 
 
+# LieId is frozen, so callers may share one; a bad name raises on every call,
+# as errors are not cached; bounded, as the grammar admits any n
+@functools.lru_cache(maxsize=256)
 def _parse(s: str, group: bool) -> LieId:
     m = _NAME_RE.fullmatch(s)
     token = m and (m[1] if group else _ALGEBRA_TOKENS.get(m[1]))
@@ -204,11 +208,11 @@ def _close(A, B, tol):
     return bool((np.abs(A - B) <= tol.abs + tol.rel * np.abs(B)).all())
 
 
-@_entry(1)
-def _satisfies(M: np.ndarray, lid: LieId, tol: Tolerance, group: bool) -> bool:
-    """Test the defining identity of lid on the matrix M, within tol: the
-    group's if group is true, else its Lie algebra's.  The entry gate keeps
-    M finite, since inf passes |A - B| <= tol.abs + tol.rel |B|."""
+def _holds(M: np.ndarray, lid: LieId, tol: Tolerance, group: bool) -> bool:
+    """Test the defining identity of lid on M, within tol: the group's if
+    group is true, else its Lie algebra's.  M must have passed the entry
+    gate, which keeps it finite, since inf passes |A - B| <= tol.abs +
+    tol.rel |B|; _satisfies is the gated form."""
     spec = _spec(lid.family)
     d = lid.matrix_dim
     if M.shape != (d, d):
@@ -241,6 +245,9 @@ def _satisfies(M: np.ndarray, lid: LieId, tol: Tolerance, group: bool) -> bool:
         if not ok:
             return False
     return True
+
+
+_satisfies = _entry(1)(_holds)
 
 
 def is_member(A: np.ndarray, g, tol: Tolerance = DEFAULT_TOL) -> bool:

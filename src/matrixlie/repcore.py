@@ -10,6 +10,16 @@ with no dense d x d scan; dense arrays are accepted at construction and
 built on demand.  Direct sum, tensor product and dual
 preserve the homomorphism property; the tensor index convention is
 row-major, index = i1 * d2 + i2.
+
+``relations_hold`` records that the generators are known to satisfy the
+bracket relations of their algebra, so a consumer such as sl2_decompose
+may skip verify_relations.  Only the irreducible builders set it
+(sl2_irrep, sl2_poly_irrep, sl3_highest_weight_irrep), and direct_sum,
+tensor_product and dual keep it when all their inputs have it.
+Representation(...), from_rows by default and rep_from_json leave it
+unset, so a hand-built or JSON representation is always checked.  The
+flag is sound only because rows are never changed once held: do not
+mutate ``rows`` of a representation after construction.
 """
 
 from __future__ import annotations
@@ -58,27 +68,31 @@ def _check_shapes(labels, shapes):
 class Representation:
     """Generators as sparse rows (``rows``, one list of row dicts per label),
     exact or floating (``exact``), with optional weights (basis index ->
-    int or tuple)."""
+    int or tuple); ``relations_hold`` if the generators are known to satisfy
+    the relations (see the module docstring)."""
 
     def __init__(self, algebra: str, labels, generators, weights: dict | None = None):
         """Take generators as object (exact) or complex (floating) arrays."""
         gens = tuple(np.asarray(g) for g in generators)
         _check_shapes(labels, [g.shape for g in gens])
         exact = all(is_rational(g) for g in gens)
-        self._take(algebra, labels, [_sparse_rows(g) for g in gens], weights, exact)
+        self._take(algebra, labels, [_sparse_rows(g) for g in gens], weights, exact, False)
 
     @classmethod
-    def from_rows(cls, algebra: str, labels, rows, weights=None, exact=True):
-        """A representation on generators given as sparse rows."""
+    def from_rows(cls, algebra: str, labels, rows, weights=None, exact=True,
+                  relations_hold=False):
+        """A representation on generators given as sparse rows.  Pass
+        relations_hold=True only for generators that satisfy the relations
+        by construction."""
         rep = cls.__new__(cls)
-        rep._take(algebra, labels, rows, weights, exact)
+        rep._take(algebra, labels, rows, weights, exact, relations_hold)
         return rep
 
-    def _take(self, algebra, labels, rows, weights, exact):
+    def _take(self, algebra, labels, rows, weights, exact, relations_hold):
         if not exact:
             rows = [[{j: complex(x) for j, x in row.items()} for row in g] for g in rows]
         self.algebra, self.labels, self.rows = algebra, tuple(labels), tuple(rows)
-        self.weights, self.exact = weights, exact
+        self.weights, self.exact, self.relations_hold = weights, exact, relations_hold
 
     @property
     def dim(self) -> int:
@@ -152,7 +166,8 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
     if r1.weights is not None and r2.weights is not None:
         weights = dict(r1.weights)
         weights.update({d1 + i: w for i, w in r2.weights.items()})
-    return Representation.from_rows(r1.algebra, r1.labels, rows, weights, r1.exact and r2.exact)
+    return Representation.from_rows(r1.algebra, r1.labels, rows, weights, r1.exact and r2.exact,
+                                    r1.relations_hold and r2.relations_hold)
 
 
 def _kron_sum(A, B):
@@ -179,7 +194,8 @@ def tensor_product(r1: Representation, r2: Representation) -> Representation:
             for i1, w1 in r1.weights.items()
             for i2, w2 in r2.weights.items()
         }
-    return Representation.from_rows(r1.algebra, r1.labels, rows, weights, r1.exact and r2.exact)
+    return Representation.from_rows(r1.algebra, r1.labels, rows, weights, r1.exact and r2.exact,
+                                    r1.relations_hold and r2.relations_hold)
 
 
 def _negated_transpose(rows):
@@ -196,7 +212,8 @@ def dual(rep: Representation) -> Representation:
     weights = None
     if rep.weights is not None:
         weights = {i: _weight_map(operator.neg, w) for i, w in rep.weights.items()}
-    return Representation.from_rows(rep.algebra, rep.labels, rows, weights, rep.exact)
+    return Representation.from_rows(rep.algebra, rep.labels, rows, weights, rep.exact,
+                                    rep.relations_hold)
 
 
 def rep_to_json(rep: Representation) -> dict:

@@ -47,7 +47,8 @@ def _sl2_model(m: int, x, y) -> Representation:
     X = [{k: Fraction(x(k))} for k in range(1, m + 1)] + [{}]  # row k-1, column k
     Y = [{}] + [{k: Fraction(y(k))} for k in range(m)]  # row k+1, column k
     weights = {k: m - 2 * k for k in range(m + 1)}
-    return Representation.from_rows("sl(2,C)", ("H", "X", "Y"), (H, X, Y), weights)
+    return Representation.from_rows("sl(2,C)", ("H", "X", "Y"), (H, X, Y), weights,
+                                    relations_hold=True)
 
 
 def sl2_irrep(m: int) -> Representation:
@@ -105,10 +106,15 @@ def sl2_decompose(rep: Representation) -> list:
     multiplicities of K, reach r.  The eigenvalues of K are the highest
     weights, integers >= 0, so the scan starts at the lesser of tr K and the
     Gershgorin bound of K.
+
+    The sl(2) relations are checked first, unless rep.relations_hold says
+    that its generators satisfy them by construction; a hand-built or JSON
+    rep that fails them raises DomainError.
     """
     if not rep.exact:
         raise DomainError("the generators must be rational matrices")
-    if not verify_relations(rep, sl2_basis_rational()):
+    trusted = rep.relations_hold and rep.algebra == "sl(2,C)"
+    if not trusted and not verify_relations(rep, sl2_basis_rational()):
         raise DomainError("generators do not satisfy the sl(2) relations")
     H, d = rep.rows_of("H"), rep.dim
     kernel = _nullspace_rows([dict(row) for row in rep.rows_of("X")], d)

@@ -159,7 +159,7 @@ def sl3_highest_weight_irrep(m1: int, m2: int):
 
     X3, Y3 = _commutator(X1, X2), _commutator(Y2, Y1)
     rep = Representation.from_rows(
-        "sl(3,C)", _LABELS, (H1, H2, X1, X2, X3, Y1, Y2, Y3), weights
+        "sl(3,C)", _LABELS, (H1, H2, X1, X2, X3, Y1, Y2, Y3), weights, relations_hold=True
     )
     mult = {}
     for w in weights.values():

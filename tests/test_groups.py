@@ -228,6 +228,22 @@ def test_parse_group_grammar():
         parse_group("XO(3)")
 
 
+def test_parsed_names_are_shared_and_bad_names_raise_every_time():
+    from matrixlie.liealg import parse_algebra
+
+    assert parse_group("SL(2,R)") is parse_group("SL(2,R)")
+    assert parse_algebra("su(2)") is parse_algebra("su(2)")
+    for _ in range(3):  # an exception is not cached, so each call raises afresh
+        with pytest.raises(ValueError):
+            parse_group("XO(3)")
+        with pytest.raises(ValueError):
+            parse_algebra("SU(2)")
+        with pytest.raises(ValueError):
+            is_member(np.eye(2), "SL(2)x")
+        with pytest.raises(ValueError):
+            in_algebra(np.zeros((2, 2)), "xx(2)")
+
+
 # (name, is a group name, expected (family, n, k, field, matrix_dim))
 ACCEPTED = [
     ("GL(3)", True, ("GL", 3, 0, "R", 3)),

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from matrixlie.repcore import (
     tensor_product,
     verify_relations,
 )
-from matrixlie.repsl2 import sl2_basis_rational, sl2_irrep
+from matrixlie.repsl2 import sl2_basis_rational, sl2_irrep, sl2_poly_irrep
 from matrixlie.repsl3 import sl3_basis, sl3_highest_weight_irrep, sl3_standard_rep
 
 
@@ -283,3 +284,49 @@ def test_error_paths(case):
     call, error = ERROR_PATHS[case]
     with pytest.raises(error):
         call()
+
+
+# --- the relations_hold flag -----------------------------------------------
+
+
+def test_irreducible_builders_and_their_constructions_carry_the_flag():
+    a, b = sl2_irrep(3), sl2_poly_irrep(2)
+    assert a.relations_hold and b.relations_hold
+    assert sl3_highest_weight_irrep(1, 1)[0].relations_hold
+    for rep in (tensor_product(a, b), direct_sum(a, b), dual(a), dual(tensor_product(a, a))):
+        assert rep.relations_hold
+
+
+def test_a_hand_built_or_json_rep_is_unflagged():
+    rep = sl2_irrep(2)
+    assert not Representation(rep.algebra, rep.labels, rep.generators, rep.weights).relations_hold
+    assert not Representation.from_rows(rep.algebra, rep.labels, rep.rows, rep.weights).relations_hold
+    assert not rep_from_json(json.loads(json.dumps(rep_to_json(rep)))).relations_hold
+    assert not sl3_standard_rep().relations_hold
+
+
+def test_combining_with_an_unflagged_rep_drops_the_flag():
+    flagged = sl2_irrep(2)
+    plain = Representation.from_rows(flagged.algebra, flagged.labels, flagged.rows, flagged.weights)
+    for rep in (tensor_product(flagged, plain), tensor_product(plain, flagged),
+                direct_sum(flagged, plain), direct_sum(plain, flagged), dual(plain)):
+        assert not rep.relations_hold
+
+
+def _flagged_grid():
+    """The irreducibles sl2_irrep(m) and sl2_poly_irrep(m) for m <= 12 and
+    sl3_highest_weight_irrep(m1, m2) for m1 + m2 <= 4, each with its basis."""
+    sl2 = [build(m) for build in (sl2_irrep, sl2_poly_irrep) for m in range(13)]
+    sl3 = [sl3_highest_weight_irrep(m1, s - m1)[0] for s in range(5) for m1 in range(s + 1)]
+    return [(sl2, sl2_basis_rational()), (sl3, sl3_basis())]
+
+
+def test_every_flagged_rep_of_the_grid_satisfies_the_relations():
+    # what makes the flag sound: sl2_decompose trusts it instead of checking
+    for irreps, basis in _flagged_grid():
+        reps = list(irreps) + [dual(r) for r in irreps]
+        for r1, r2 in itertools.combinations_with_replacement(irreps, 2):
+            reps += [tensor_product(r1, r2), direct_sum(r1, dual(r2))]
+        for rep in reps:
+            assert rep.relations_hold
+            assert verify_relations(rep, basis), (rep.algebra, rep.dim)

@@ -1,9 +1,13 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from matrixlie.errors import DomainError
+from matrixlie import cli, repsl2
+from matrixlie.errors import DomainError, ShapeError
 from matrixlie.matcore import (
     rational_inverse,
     rational_nullspace,
@@ -12,7 +16,14 @@ from matrixlie.matcore import (
     rzeros,
     to_complex,
 )
-from matrixlie.repcore import Representation, direct_sum, dual, tensor_product, verify_relations
+from matrixlie.repcore import (
+    Representation,
+    direct_sum,
+    dual,
+    rep_to_json,
+    tensor_product,
+    verify_relations,
+)
 from matrixlie.repsl2 import (
     sl2_basis_rational,
     sl2_decompose,
@@ -21,6 +32,7 @@ from matrixlie.repsl2 import (
     sl2_poly_irrep,
     sl2_weights,
 )
+from matrixlie.repsl3 import sl3_highest_weight_irrep
 
 
 def weight_counting_oracle(weights):
@@ -289,3 +301,54 @@ def test_weights_read_off_a_triangular_h():
     half[0, 0], half[1, 1] = Fraction(1, 2), Fraction(-1, 2)
     with pytest.raises(DomainError):
         sl2_weights(Representation(rep.algebra, rep.labels, (half, rzeros(2, 2), rzeros(2, 2))))
+
+
+# --- the trust boundary: built reps skip the relation check, others do not
+
+
+def test_from_rows_with_a_perturbed_x_still_raises():
+    rep = tensor_product(sl2_irrep(2), sl2_irrep(1))
+    rows = [[dict(row) for row in g] for g in rep.rows]
+    rows[1][0][1] += Fraction(1, 1000)  # pi(X), row 0, column 1
+    bad = Representation.from_rows(rep.algebra, rep.labels, rows, rep.weights)
+    with pytest.raises(DomainError):
+        sl2_decompose(bad)
+
+
+def test_a_flagged_rep_of_another_algebra_is_still_refused():
+    with pytest.raises(ShapeError):  # verify_relations: 8 generators, 3 basis elements
+        sl2_decompose(sl3_highest_weight_irrep(1, 0)[0])
+
+
+class _CheckReached(Exception):
+    pass
+
+
+def _cli(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    return code, buf.getvalue()
+
+
+def test_cg_does_not_check_but_decompose_of_json_does(monkeypatch):
+    def reached(*args):
+        raise _CheckReached
+
+    monkeypatch.setattr(repsl2, "verify_relations", reached)
+    assert _cli("cg", "5", "5") == (0, '{"summands":[10,8,6,4,2,0]}\n')
+    text = json.dumps(rep_to_json(tensor_product(sl2_irrep(5), sl2_irrep(5))))
+    with pytest.raises(_CheckReached):
+        _cli("decompose", "sl2", text)
+
+
+def test_cg_and_decompose_of_the_same_product_agree():
+    # cg trusts its tensor product; the same product as JSON is unflagged
+    # and checked, and both print the Clebsch-Gordan rule
+    for m in range(13):
+        for n in range(m + 1):
+            want = json.dumps({"summands": list(range(m + n, m - n - 1, -2))},
+                              separators=(",", ":")) + "\n"
+            text = json.dumps(rep_to_json(tensor_product(sl2_irrep(m), sl2_irrep(n))))
+            assert _cli("cg", str(m), str(n)) == (0, want)
+            assert _cli("decompose", "sl2", text) == (0, want), (m, n)
