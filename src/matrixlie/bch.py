@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ClosureError, DomainError, OutOfDomainError
-from .expmlog import _exp_scaled, mat_exp
+from .expmlog import _exp, _exp_scaled
 from .liealg import Basis, _coords, _floating, bracket
 from .matcore import _entry, frobenius_norm, is_rational, reye
 
@@ -109,7 +109,10 @@ def bch_integral(
     k is node k - 2^j times e^(2^j (h/2) ad Y), 2^j the top bit of k, so one
     stacked exponential of bit_length(2 quad_points) factors and 2 quad_points
     products build them all from e^(ad X).  The g series is applied to the
-    coordinates of Y rather than formed as a matrix.
+    coordinates of Y rather than formed as a matrix.  When ad X, ad Y and
+    the coordinates of Y have no nonzero imaginary part, as on gl(n,R),
+    su(2) or so(3), all of this runs in real arithmetic; the result is
+    complex either way.
     Every node must satisfy ||e^(ad X) e^(t ad Y) - I|| < 1; otherwise
     OutOfDomainError names the first failing node in ascending t.
     """
@@ -136,6 +139,8 @@ def bch_integral(
         C = _floating(*coords)
         adX, adY, y = C[:, :d], C[:, d : 2 * d], C[:, 2 * d]
         elements = np.asarray(basis.elements, dtype=complex)
+    if not (adX.imag.any() or adY.imag.any() or y.imag.any()):  # a real algebra
+        adX, adY, y = adX.real, adY.real, y.real
     # composite Simpson: quad_points panels of width h, each sampled at its
     # endpoints and midpoint; t, the nodes as reported, is a + h/2 and a + h
     h = 1.0 / quad_points
@@ -145,9 +150,9 @@ def bch_integral(
     w = np.full(t.size, 2.0)
     w[1::2], w[0], w[-1] = 4.0, 1.0, 1.0
     normY = float(np.abs(adY).sum(axis=0).max())
-    if not (np.isfinite(adX).all() and normY < np.inf):  # mat_exp checks the norm of ad X
+    if not (np.isfinite(adX).all() and normY < np.inf):  # _exp checks the norm of ad X
         raise DomainError("ad X or ad Y overflows")
-    EadX = mat_exp(adX)
+    EadX = _exp(adX)
     I = np.eye(len(y))
     if not frobenius_norm(EadX - I) < 1.0:  # the node t = 0 needs no e^(t ad Y)
         raise _outside(0.0)

@@ -80,17 +80,8 @@ def _exp_scaled(X: np.ndarray, norm: float) -> np.ndarray:
     return E
 
 
-def mat_exp(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """e^X by Pade [7/7] scaling and squaring (Higham 2005), accurate to
-    machine precision.  `tol` is kept for a uniform signature but changes
-    nothing: the cost and the result are fixed.  e^0 = I exactly.
-
-    Raises DomainError for a non-finite 1-norm or an overflowing result;
-    since ||e^X||_1 <= e^||X||_1, an overflow is only possible, and only
-    checked, when ||X||_1 > 700.
-    """
-    X = to_complex(X)
-    _check_square(X)  # the 1-norm test below rejects a non-finite entry
+def _exp(X: np.ndarray) -> np.ndarray:
+    """mat_exp for a square floating X, in X's dtype: a real X gives a real e^X."""
     with np.errstate(over="ignore", invalid="ignore"):
         norm = float(np.abs(X).sum(axis=0).max())  # inf if a column sum overflows
         if not math.isfinite(norm):
@@ -99,6 +90,21 @@ def mat_exp(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if norm > 700.0 and not np.all(np.isfinite(E)):  # e^700 < 1.8e308
         raise DomainError(f"e^X overflows (||X||_1 = {norm:.6g})")
     return E
+
+
+def mat_exp(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """e^X by Pade [7/7] scaling and squaring (Higham 2005), accurate to
+    machine precision and always complex.  `tol` is kept for a uniform
+    signature but changes nothing: the cost and the result are fixed.
+    e^0 = I exactly.
+
+    Raises DomainError for a non-finite 1-norm or an overflowing result;
+    since ||e^X||_1 <= e^||X||_1, an overflow is only possible, and only
+    checked, when ||X||_1 > 700.
+    """
+    X = to_complex(X)
+    _check_square(X)  # _exp's 1-norm test rejects a non-finite entry
+    return _exp(X)
 
 
 def mat_exp_nilpotent(X: np.ndarray) -> np.ndarray:
