@@ -170,7 +170,8 @@ def _entry(nmats: int, exact: bool = False):
     matrices: ShapeError unless nonempty, square and of one shape, and
     DomainError for a non-finite entry.  They reach the function as complex
     arrays; with exact=True they stay exact if all are rational, and else a
-    rational one or a list becomes complex.  The function runs with numpy's
+    floating array keeps its dtype and any other (a rational, integer or bool
+    array, or a list) becomes complex.  The function runs with numpy's
     overflow, invalid and divide warnings silenced; a floating array in its
     result, alone or in a tuple, that is not finite raises DomainError."""
 
@@ -182,7 +183,7 @@ def _entry(nmats: int, exact: bool = False):
             Ms = args[:nmats]
             keep = exact and all(map(is_rational, Ms))  # exact input stays exact
             if not keep:
-                Ms = tuple(M if exact and type(M) is np.ndarray and M.dtype != object
+                Ms = tuple(M if exact and type(M) is np.ndarray and M.dtype.kind in "fc"
                            else to_complex(M) for M in Ms)
             _check_square(*Ms)
             if not keep and not all(map(_finite, Ms)):

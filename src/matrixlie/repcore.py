@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 
@@ -110,7 +111,8 @@ class Representation:
 
 
 def verify_relations(rep: Representation, basis: Basis, tol_abs: float = 1e-10) -> bool:
-    """Check pi([b_i, b_j]) = [pi(b_i), pi(b_j)] for all basis pairs.
+    """Check pi([b_i, b_j]) = [pi(b_i), pi(b_j)] for all basis pairs; the
+    generators must carry the basis labels in the basis order (DomainError).
 
     Uses the exact structure constants of the basis.  A rational
     representation is checked in integers: with D the lcm of the
@@ -121,6 +123,8 @@ def verify_relations(rep: Representation, basis: Basis, tol_abs: float = 1e-10) 
     """
     if len(rep.rows) != len(basis):
         raise ShapeError("generator count does not match basis size")
+    if rep.labels != tuple(basis.labels):
+        raise DomainError(f"generator labels {rep.labels} are not the basis labels {basis.labels}")
     c = structure_constants(basis)
     exact = rep.exact
     if exact:
@@ -142,6 +146,43 @@ def verify_relations(rep: Representation, basis: Basis, tol_abs: float = 1e-10) 
         elif not frobenius_norm(np.array([x for r in acc for x in r.values()], complex)) <= tol_abs:
             return False  # also when the residual overflows to inf or nan
     return True
+
+
+def _gelfand_tsetlin(top):
+    """The gl(n) irreducible with highest weight top (nonincreasing integers)
+    on its Gelfand-Tsetlin basis: sparse rows H, X, Y of E_kk - E_k+1,k+1,
+    E_k,k+1 and E_k+1,k for k = 1..n-1, and the H_k eigenvalues of each
+    basis vector.  Vector j is the j-th pattern, its rows n..1 read as one
+    tuple in descending order, so the top pattern comes first.  By Molev
+    (arXiv:math/0211289, Thm 2.3), with l_ki = lam_ki - i + 1, E_k,k+1 and
+    E_k+1,k take a pattern to sum_i c_i (pattern with lam_ki +- 1), a pattern
+    that breaks betweenness being 0, where c_i is -prod_j (l_ki - l_k+1,j)
+    or prod_j (l_ki - l_k-1,j), over prod_j!=i (l_ki - l_kj).
+    """
+    n = len(top)
+    start = [(n * (n + 1) - k * (k + 1)) // 2 for k in range(n + 1)]  # where row k begins
+    rows = [slice(start[k], start[k] + k) for k in range(n + 1)]
+    patterns = [tuple(x - i for i, x in enumerate(top))]  # held as the l_ki
+    for k in range(n - 1, 0, -1):
+        a = start[k + 1]  # l_k+1,i >= l_ki > l_k+1,i+1
+        patterns = [p + row for p in patterns for row in itertools.product(
+            *(range(p[a + i], p[a + i + 1], -1) for i in range(k)))]
+    index = {p: j for j, p in enumerate(patterns)}
+    H, X, Y = ([[{} for _ in patterns] for _ in range(n - 1)] for _ in range(3))
+    weights = []
+    for j, p in enumerate(patterns):
+        s = [sum(p[r]) for r in rows]  # E_kk has eigenvalue s[k] - s[k-1] + k - 1
+        weights.append(w := tuple([2 * s[k] - s[k - 1] - s[k + 1] - 1 for k in range(1, n)]))
+        for k in range(1, n):
+            if w[k - 1]:
+                H[k - 1][j][j] = Fraction(w[k - 1])
+            for c in range(start[k], start[k] + k):
+                l = p[c]
+                den = math.prod(l - t for t in p[rows[k]] if t != l)
+                for G, step, sign, other in ((X, 1, -1, rows[k + 1]), (Y, -1, 1, rows[k - 1])):
+                    if (i := index.get(p[:c] + (l + step,) + p[c + 1:])) is not None:
+                        G[k - 1][i][j] = Fraction(sign * math.prod(l - t for t in p[other]), den)
+    return H, X, Y, weights
 
 
 def _weight_map(f, *ws):

@@ -1,18 +1,17 @@
 """Irreducible representations of sl(2,C) and exact decomposition.
 
-The abstract model: on basis u_0..u_m,
+The abstract model, on u_0..u_m, is the n = 2 case of the Gelfand-Tsetlin
+builder in repcore (top row (m, 0), u_k the pattern with bottom entry m - k):
 
-    pi(H) u_k = (m - 2k) u_k
-    pi(Y) u_k = u_{k+1}
-    pi(X) u_k = [k m - k(k-1)] u_{k-1}
+    pi(H) u_k = (m - 2k) u_k,  pi(Y) u_k = u_{k+1},  pi(X) u_k = [k m - k(k-1)] u_{k-1}
 
 The polynomial model acts on homogeneous degree-m polynomials in z1, z2
 (monomial basis z1^k z2^(m-k), k = 0..m):
 
     pi(H) = -z1 d/dz1 + z2 d/dz2,  pi(X) = -z2 d/dz1,  pi(Y) = -z1 d/dz2
 
-and the diagonal intertwiner u_k = (-1)^k m!/(m-k)! z1^k z2^(m-k)
-carries one to the other.
+and is built from the abstract one through the diagonal intertwiner
+u_k = (-1)^k m!/(m-k)! z1^k z2^(m-k).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import DecompositionError, DomainError
 from .liealg import sl2_basis_rational
 from .matcore import _axpy, _nullspace_rows, _rref_rows, rzeros
-from .repcore import Representation, verify_relations
+from .repcore import Representation, _gelfand_tsetlin, verify_relations
 
 __all__ = [
     "sl2_basis_rational",
@@ -37,30 +36,26 @@ __all__ = [
 ]
 
 
-def _sl2_model(m: int, x, y) -> Representation:
-    """The rep on u_0..u_m with pi(H) u_k = (m - 2k) u_k,
-    pi(X) u_k = x(k) u_{k-1} and pi(Y) u_k = y(k) u_{k+1}, written as
-    sparse rows."""
-    if m < 0:
-        raise ValueError("m must be a nonnegative integer")
-    H = [{k: Fraction(m - 2 * k)} if m != 2 * k else {} for k in range(m + 1)]
-    X = [{k: Fraction(x(k))} for k in range(1, m + 1)] + [{}]  # row k-1, column k
-    Y = [{}] + [{k: Fraction(y(k))} for k in range(m)]  # row k+1, column k
-    weights = {k: m - 2 * k for k in range(m + 1)}
-    return Representation.from_rows("sl(2,C)", ("H", "X", "Y"), (H, X, Y), weights,
-                                    relations_hold=True)
-
-
 def sl2_irrep(m: int) -> Representation:
     """The (m+1)-dimensional irreducible representation, abstract basis."""
-    return _sl2_model(m, lambda k: k * m - k * (k - 1), lambda k: 1)
+    if m < 0:
+        raise ValueError("m must be a nonnegative integer")
+    (H,), (X,), (Y,), weights = _gelfand_tsetlin((m, 0))
+    return Representation.from_rows("sl(2,C)", ("H", "X", "Y"), (H, X, Y),
+                                    {k: w for k, (w,) in enumerate(weights)}, relations_hold=True)
 
 
 def sl2_poly_irrep(m: int) -> Representation:
     """The same irreducible on homogeneous polynomials, monomial basis:
     pi(X) z1^k z2^(m-k) = -k z1^(k-1) z2^(m-k+1) and
-    pi(Y) z1^k z2^(m-k) = -(m-k) z1^(k+1) z2^(m-k-1)."""
-    return _sl2_model(m, lambda k: -k, lambda k: -(m - k))
+    pi(Y) z1^k z2^(m-k) = -(m-k) z1^(k+1) z2^(m-k-1); that is, the abstract
+    generators conjugated by sl2_intertwiner(m)."""
+    rep = sl2_irrep(m)
+    t = sl2_intertwiner(m).diagonal()
+    rows = tuple([{j: t[i] * x / t[j] for j, x in row.items()} for i, row in enumerate(g)]
+                 for g in rep.rows)
+    return Representation.from_rows(rep.algebra, rep.labels, rows, rep.weights,
+                                    relations_hold=True)
 
 
 def sl2_intertwiner(m: int) -> np.ndarray:

@@ -1,16 +1,15 @@
 """sl(3,C): basis, roots, weights, highest-weight irreps, Weyl group.
 
-The irreducible with highest weight (m1, m2) is built directly on its
-Gelfand-Tsetlin basis, one vector per pattern, with the rational
-(non-unitary) formulas for the generators, written straight into sparse
-rows: every basis vector is a weight vector, every generator has O(d)
-nonzero entries, and all arithmetic is exact.  The source paper's
-construction, the cyclic span of the top vector inside
+The irreducible with highest weight (m1, m2) is the n = 3 case of the
+Gelfand-Tsetlin builder in repcore: one weight vector per pattern, O(d)
+nonzero entries per generator, exact rational (non-unitary) formulas.  The
+source paper's construction, the cyclic span of the top vector inside
 std^(x)m1 (x) dual^(x)m2, serves as the test oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import LieError
 from .liealg import Basis
 from .matcore import _commutator, rmat
-from .repcore import Representation, dual
+from .repcore import Representation, _gelfand_tsetlin, dual
 
 __all__ = [
     "sl3_basis",
@@ -112,59 +111,20 @@ def sl3_dim_formula(m1: int, m2: int) -> int:
 def sl3_highest_weight_irrep(m1: int, m2: int):
     """The irreducible with highest weight (m1, m2), plus its weight multiset.
 
-    Built on the Gelfand-Tsetlin basis of the gl(3) irreducible with top
-    row (l1, l2, 0) = (m1 + m2, m2, 0) by the rational formulas of Molev
-    (arXiv:math/0211289, Thm 2.3), in exact arithmetic; basis vector 0 is
-    the top pattern.  Returns (Representation with weight annotations,
-    weight multiset dict).
+    Built on the Gelfand-Tsetlin patterns under the gl(3) top row
+    (m1 + m2, m2, 0), so basis vector 0 is the top pattern, with
+    X3 = [X1, X2] and Y3 = [Y2, Y1].  Returns (Representation with weight
+    annotations, weight multiset dict).
     """
     if m1 < 0 or m2 < 0:
         raise ValueError("m1, m2 must be nonnegative integers")
     if m1 + m2 > MAX_WEIGHT_SUM:
         raise LieError(f"m1 + m2 = {m1 + m2} exceeds the cap {MAX_WEIGHT_SUM}")
-    l1, l2 = m1 + m2, m2
-    # the patterns as (middle row, bottom entry) = (u1, u2, v), top one first
-    patterns = [
-        (u1, u2, v)
-        for u1 in range(l1, l2 - 1, -1)
-        for u2 in range(l2, -1, -1)
-        for v in range(u1, u2 - 1, -1)
-    ]
-    index = {p: j for j, p in enumerate(patterns)}
-    d = len(patterns)
-    H1, H2, X1, X2, Y1, Y2 = ([{} for _ in range(d)] for _ in range(6))  # sparse rows
-
-    def put(rows, target, j, x):
-        i = index.get(target)  # a target that is not a pattern is 0
-        if i is not None:
-            rows[i][j] = Fraction(x)
-
-    weights = {}
-    for j, (u1, u2, v) in enumerate(patterns):
-        e = (v, u1 + u2 - v, l1 + l2 - u1 - u2)  # gl(3) weight
-        weights[j] = (e[0] - e[1], e[1] - e[2])
-        for H, w in zip((H1, H2), weights[j]):
-            if w:
-                H[j][j] = Fraction(w)
-        put(X1, (u1, u2, v + 1), j, (u1 - v) * (v - u2 + 1))
-        put(Y1, (u1, u2, v - 1), j, 1)
-        # E23 raises and E32 lowers one middle entry; li is the shifted
-        # entry that moves, lo the other one
-        for up, down, li, lo in (
-            ((u1 + 1, u2, v), (u1 - 1, u2, v), u1, u2 - 1),
-            ((u1, u2 + 1, v), (u1, u2 - 1, v), u2 - 1, u1),
-        ):
-            put(X2, up, j, Fraction(-(li - l1) * (li - l2 + 1) * (li + 2), li - lo))
-            put(Y2, down, j, Fraction(li - v, li - lo))
-
+    (H1, H2), (X1, X2), (Y1, Y2), weights = _gelfand_tsetlin((m1 + m2, m2, 0))
     X3, Y3 = _commutator(X1, X2), _commutator(Y2, Y1)
-    rep = Representation.from_rows(
-        "sl(3,C)", _LABELS, (H1, H2, X1, X2, X3, Y1, Y2, Y3), weights, relations_hold=True
-    )
-    mult = {}
-    for w in weights.values():
-        mult[w] = mult.get(w, 0) + 1
-    return rep, mult
+    rep = Representation.from_rows("sl(3,C)", _LABELS, (H1, H2, X1, X2, X3, Y1, Y2, Y3),
+                                   dict(enumerate(weights)), relations_hold=True)
+    return rep, dict(Counter(weights))
 
 
 # --- Weyl group ------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from matrixlie.cli import _build_parser, main
-from matrixlie.repcore import rep_to_json
+from matrixlie.repcore import direct_sum, rep_to_json
 from matrixlie.repsl2 import sl2_irrep
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -239,6 +239,26 @@ def test_malformed_rep_is_a_typed_error(case):
         code = main(["decompose", "sl2", json.dumps({**SL2_2, **edit})])
     assert code == 1
     assert json.loads(out.getvalue())["error"] == kind
+
+
+# V2 + V1 with labels that are not sl(2)'s (H, X, Y) in that order: the
+# generators relabeled, reordered to match their new labels, or foreign
+V2_V1 = rep_to_json(direct_sum(sl2_irrep(2), sl2_irrep(1)))
+RELABELED_REPS = {
+    "relabeled": {"labels": ["H", "Y", "X"]},
+    "reordered": {"labels": ["H", "Y", "X"],
+                  "generators": [V2_V1["generators"][i] for i in (0, 2, 1)]},
+    "foreign": {"labels": ["A", "B", "C"]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELABELED_REPS))
+def test_decompose_refuses_labels_other_than_the_basis_labels(case):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["decompose", "sl2", json.dumps({**V2_V1, **RELABELED_REPS[case]})])
+    assert code == 1
+    assert json.loads(out.getvalue())["error"] == "domain"
 
 
 @pytest.mark.parametrize(

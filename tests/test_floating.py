@@ -161,6 +161,30 @@ def test_exact_entry_points_take_nested_lists(name):
         assert np.array_equal(f(rmat(args[0]), args[1]), want)
 
 
+# integer inputs whose brackets leave int64 (2^62 * 4 = 2^64), which the gate
+# must carry in complex rather than in wrapping integer arithmetic
+BIG_X, BIG_Y = [[0, 2**62], [0, 0]], [[0, 0], [4, 0]]
+INTEGER = {
+    "bracket": (bracket, (BIG_X, BIG_Y)),
+    "bch_series": (bch_series, (BIG_X, BIG_Y)),
+    "bch_heisenberg": (bch_heisenberg, ([[0, 2**62, 0], [0, 0, 0], [0, 0, 0]], HEIS_Y)),
+    "g_operator": (g_operator, ([[1, 1], [0, 1]],)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [np.int64, bool])
+@pytest.mark.parametrize("name", sorted(INTEGER))
+def test_exact_entry_points_take_integer_arrays_as_complex(name, dtype):
+    f, args = INTEGER[name]
+    arrays = [np.array(a, dtype=dtype) for a in args]
+    want = f(*(A.astype(complex) for A in arrays))
+    got = f(*arrays)
+    assert got.dtype == complex and np.array_equal(got, want)
+    if dtype is np.int64:  # the same entries as nested lists
+        assert np.array_equal(got, f(*args))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "alpha, beta",

@@ -1,14 +1,19 @@
+import hashlib
 import itertools
 import json
+import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from matrixlie.errors import DomainError, ShapeError
-from matrixlie.matcore import matrix_to_json, to_complex
+from matrixlie.matcore import _commutator, matrix_to_json, to_complex
 from matrixlie.repcore import (
     Representation,
+    _gelfand_tsetlin,
     direct_sum,
     dual,
     rep_from_json,
@@ -42,6 +47,20 @@ def test_verify_relations_detects_perturbation():
     gens[1] = bad
     broken = Representation(rep.algebra, rep.labels, tuple(gens), rep.weights)
     assert not verify_relations(broken, sl2_basis_rational())
+
+
+def test_verify_relations_matches_generators_by_label():
+    rep = sl2_irrep(2)
+    basis = sl2_basis_rational()
+    for labels in (("H", "Y", "X"), ("A", "B", "C")):
+        relabeled = Representation.from_rows(rep.algebra, labels, rep.rows, rep.weights)
+        with pytest.raises(DomainError):
+            verify_relations(relabeled, basis)
+    reordered = Representation.from_rows(rep.algebra, ("H", "Y", "X"),
+                                         [rep.rows[i] for i in (0, 2, 1)], rep.weights)
+    with pytest.raises(DomainError):
+        verify_relations(reordered, basis)
+    assert verify_relations(rep, basis)
 
 
 def test_direct_sum_trivial():
@@ -330,3 +349,79 @@ def test_every_flagged_rep_of_the_grid_satisfies_the_relations():
         for rep in reps:
             assert rep.relations_hold
             assert verify_relations(rep, basis), (rep.algebra, rep.dim)
+
+
+# sha256 of the sorted-key JSON of each built-in irreducible, pinned before
+# sl(2) and sl(3) shared one Gelfand-Tsetlin builder; an sl(3) entry also
+# covers the weight multiset
+IRREPS = json.loads((Path(__file__).parent / "golden" / "irreps.json").read_text())
+
+
+def _digest(rep, mult=None):
+    obj = {"rep": rep_to_json(rep)}
+    if mult is not None:
+        obj["mult"] = sorted([list(w), c] for w, c in mult.items())
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _irrep_digests():
+    return {
+        "sl2_irrep": {str(m): _digest(sl2_irrep(m)) for m in range(41)},
+        "sl2_poly_irrep": {str(m): _digest(sl2_poly_irrep(m)) for m in range(41)},
+        "sl3_highest_weight_irrep": {
+            f"{m1},{m2}": _digest(*sl3_highest_weight_irrep(m1, m2))
+            for m1 in range(7) for m2 in range(7 - m1)
+        },
+    }
+
+
+def test_irreps_are_pinned():
+    assert _irrep_digests() == IRREPS
+
+
+# --- the Gelfand-Tsetlin builder at n = 4, where a row below row k holds
+# more than one entry and every shifted index of the product formula counts
+
+CARTAN4 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+TOPS4 = [(a, b, c, 0) for a in range(4) for b in range(a + 1) for c in range(b + 1)]
+
+
+def _scaled(rows, s):
+    return [{j: s * x for j, x in row.items()} if s else {} for row in rows]
+
+
+@pytest.mark.parametrize("top", TOPS4)
+def test_gelfand_tsetlin_sl4_dimension_is_weyls(top):
+    H, X, Y, weights = _gelfand_tsetlin(top)
+    want = math.prod(Fraction(top[i] - top[j] + j - i, j - i)
+                     for i, j in itertools.combinations(range(4), 2))
+    assert len(weights) == len(H[0]) == want
+    for k in range(3):  # H_k is diagonal with the H_k weight
+        assert H[k] == [{j: Fraction(w[k])} if w[k] else {} for j, w in enumerate(weights)]
+
+
+@pytest.mark.parametrize("top", TOPS4)
+def test_gelfand_tsetlin_sl4_satisfies_the_chevalley_relations(top):
+    H, E, F, _ = _gelfand_tsetlin(top)
+    zero = [{} for _ in H[0]]
+    for k, l in itertools.product(range(3), repeat=2):
+        a = CARTAN4[k][l]
+        assert _commutator(E[k], F[l]) == (H[k] if k == l else zero)
+        assert _commutator(H[k], E[l]) == _scaled(E[l], a)
+        assert _commutator(H[k], F[l]) == _scaled(F[l], -a)
+        assert _commutator(H[k], H[l]) == zero
+        if k != l:  # Serre: ad(E_k)^(1 - a_kl) E_l = 0, and the same for F
+            for G in (E, F):
+                ad = G[l]
+                for _ in range(1 - a):
+                    ad = _commutator(G[k], ad)
+                assert ad == zero
+
+
+@pytest.mark.parametrize("top", TOPS4)
+def test_gelfand_tsetlin_sl4_weights_are_weyl_invariant(top):
+    mult = Counter(_gelfand_tsetlin(top)[3])
+    for k in range(3):  # the simple reflection s_k(w) = w - w_k a_k
+        reflected = Counter(tuple(x - w[k] * a for x, a in zip(w, CARTAN4[k]))
+                            for w in mult.elements())
+        assert reflected == mult
