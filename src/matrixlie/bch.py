@@ -9,6 +9,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ClosureError, DomainError, OutOfDomainError
@@ -21,10 +23,12 @@ _commutator = bracket.__wrapped__  # for matrices that an entry point has gated
 __all__ = ["bch_heisenberg", "bch_series", "g_operator", "bch_integral"]
 
 
-def _is_zero(M, tol_abs=1e-12) -> bool:
+def _is_zero(M, *scale) -> bool:
+    """M = 0: exactly for rational M, else to 1e-12 times the product of
+    the Frobenius norms of the matrices in `scale`."""
     if is_rational(M):
-        return all(x == 0 for x in M.flat)
-    return frobenius_norm(M) <= tol_abs
+        return not M.any()
+    return frobenius_norm(M) <= 1e-12 * math.prod(map(frobenius_norm, scale))
 
 
 @_entry(2, exact=True)
@@ -32,10 +36,12 @@ def bch_heisenberg(X, Y):
     """Z with e^X e^Y = e^Z when X, Y commute with their commutator.
 
     Z = X + Y + [X,Y]/2; exact for rational inputs, floating if either
-    input is floating.
+    input is floating.  For floating input the commutation is tested
+    relative to scale: ||[X, C]|| <= 1e-12 ||X|| ||C|| for C = [X, Y], and
+    the same for Y.
     """
     C = _commutator(X, Y)
-    if not (_is_zero(_commutator(X, C)) and _is_zero(_commutator(Y, C))):
+    if not all(_is_zero(_commutator(A, C), A, C) for A in (X, Y)):
         raise DomainError("inputs must commute with their commutator")
     return X + Y + C / 2
 
@@ -74,6 +80,8 @@ def g_operator(M: np.ndarray, terms: int = 30) -> np.ndarray:
     Requires ||M - I|| < 1, unless M - I is nilpotent (then the series
     terminates exactly).
     """
+    if terms < 1:
+        raise DomainError(f"terms must be at least 1, got {terms}")
     n = M.shape[0]
     I = reye(n) if is_rational(M) else np.eye(n, dtype=complex)
     B = I - M  # g(M) = 1 - sum_{m>=1} B^m / (m(m+1))

@@ -63,6 +63,8 @@ def sl2_intertwiner(m: int) -> np.ndarray:
 
     T_kk = (-1)^k m!/(m-k)!.
     """
+    if m < 0:
+        raise ValueError("m must be a nonnegative integer")
     d = m + 1
     T = rzeros(d, d)
     for k in range(d):

@@ -7,12 +7,10 @@ A1, A2, A3 below (inner product <A,B> = trace(AB)/2).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .groups import is_member, parse_group
+from .groups import is_member, parse_group, su2_matrix
 from .matcore import DEFAULT_TOL, Tolerance, frobenius_norm, to_complex
 
 __all__ = ["A1", "A2", "A3", "adjoint_to_so3", "so3_lift"]
@@ -36,46 +34,33 @@ def adjoint_to_so3(U: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return R.astype(complex)
 
 
-def _quaternion_to_su2(w: float, x: float, y: float, z: float) -> np.ndarray:
-    return np.array(
-        [[w + 1j * z, 1j * x - y], [1j * x + y, w - 1j * z]], dtype=complex
-    )
-
-
 def so3_lift(R: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """The two preimages (U, -U) of a rotation under adjoint_to_so3.
 
-    Extracts the unit quaternion of R from its trace and antisymmetric
-    part, with the usual largest-diagonal fallback near rotation angle
-    pi.  The first preimage has trace(U) real and >= 0; at trace zero the
-    sign is fixed by the first nonzero quaternion component.
+    Shepperd's rule: for the unit quaternion q = (w, x, y, z) of R, the
+    entries of P = 4 q q^T are linear in R.  The row of P's largest
+    diagonal entry 4 q_i^2 (at least 1, as the diagonal sums to 4) is
+    4 q_i q, and normalizing it divides by 4 |q_i| >= 2, so the lift is
+    accurate to near machine precision up to and at rotation angle pi.
+    The first preimage has trace(U) real and >= 0; at trace zero the sign
+    is fixed by the first nonzero quaternion component.
     """
     R = to_complex(R)
     if not is_member(R, parse_group("SO(3)"), tol):
         raise DomainError("matrix is not in SO(3)")
     R = R.real
-    t = np.trace(R)
-    if t > -1 + 1e-8:
-        w = math.sqrt(max(0.0, 1 + t)) / 2
-        x = (R[2, 1] - R[1, 2]) / (4 * w)
-        y = (R[0, 2] - R[2, 0]) / (4 * w)
-        z = (R[1, 0] - R[0, 1]) / (4 * w)
-    else:
-        # rotation angle near pi: w ~ 0, read the axis from the diagonal
-        i = int(np.argmax(np.diag(R)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = math.sqrt(max(0.0, 1 + R[i, i] - R[j, j] - R[k, k])) / 2
-        q = [0.0, 0.0, 0.0, 0.0]
-        q[1 + i] = s
-        q[0] = (R[k, j] - R[j, k]) / (4 * s)
-        q[1 + j] = (R[j, i] + R[i, j]) / (4 * s)
-        q[1 + k] = (R[k, i] + R[i, k]) / (4 * s)
-        w, x, y, z = q
-    norm = math.sqrt(w * w + x * x + y * y + z * z)
-    w, x, y, z = w / norm, x / norm, y / norm, z / norm
-    if w < 0 or (w == 0 and next((c for c in (x, y, z) if c != 0), 1) < 0):
-        w, x, y, z = -w, -x, -y, -z
-    U = _quaternion_to_su2(w, x, y, z)
+    (a, b, c), (d, e, f), (g, h, k) = R.tolist()  # Python floats: cheaper than numpy here
+    t = a + e + k
+    P = [[1 + t, h - f, c - g, d - b],  # 4 q q^T for q = (w, x, y, z)
+         [h - f, 1 + 2 * a - t, b + d, c + g],
+         [c - g, b + d, 1 + 2 * e - t, f + h],
+         [d - b, c + g, f + h, 1 + 2 * k - t]]
+    q = P[max(range(4), key=lambda i: P[i][i])]
+    s = sum(v * v for v in q) ** 0.5
+    if next(v for v in q if v) < 0:  # the sign convention
+        s = -s
+    w, x, y, z = (v / s for v in q)
+    U = su2_matrix(complex(w, z), complex(y, x))
     if frobenius_norm(adjoint_to_so3(U, tol) - R) > 10 * max(tol.abs, 1e-12):
         raise ConvergenceError("lift reconstruction residual exceeds bound")
     return U, -U

@@ -60,6 +60,33 @@ def test_heisenberg_precondition():
         bch_heisenberg(X, Y)  # [X,[X,Y]] = 4Y != 0
 
 
+def test_heisenberg_exact_beyond_float_range():
+    # the exact path tests commutation exactly and takes no float norm
+    Z = bch_heisenberg(heis(10**400, 0, 0), heis(0, 0, 1))
+    assert Z[0, 2] == Fraction(10**400, 2)
+
+
+def test_heisenberg_conjugated_pair_at_every_scale():
+    # a Heisenberg pair conjugated by a well-conditioned T, scaled by s; an
+    # absolute 1e-12 test on [X, [X, Y]] rejected it from s = 30 upward
+    T = np.array([[2.0, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=complex)
+    Ti = np.linalg.inv(T)
+    X, Y = (T @ np.asarray(heis(*e), dtype=complex) @ Ti for e in ((1, 0, 0), (0, 0, 1)))
+    for s in (1e-8, 1e-3, 1.0, 30.0, 1e3, 1e6):
+        Z = bch_heisenberg(s * X, s * Y)
+        want = T @ np.asarray(heis(s, s * s / 2, s), dtype=complex) @ Ti
+        assert frobenius_norm(Z - want) <= 1e-14 * frobenius_norm(want)
+
+
+def test_heisenberg_rejects_a_small_generic_pair():
+    # a generic pair of norm 1e-5 has ||[X, [X, Y]]|| about 1e-15, under an
+    # absolute 1e-12, yet it does not commute with its commutator
+    rng = np.random.default_rng(7)
+    X, Y = (1e-5 * rng.standard_normal((3, 3)) for _ in range(2))
+    with pytest.raises(DomainError):
+        bch_heisenberg(X, Y)
+
+
 def test_series_commuting():
     X = np.diag([0.1, 0.2]).astype(complex)
     Y = np.diag([0.5, -0.3]).astype(complex)
@@ -181,6 +208,13 @@ def test_integral_needs_a_series_term():
     for terms in (0, -1):
         with pytest.raises(DomainError, match="terms"):
             bch_integral(X, Y, terms=terms)
+
+
+def test_g_operator_needs_a_series_term():
+    M = np.array([[1, 0.1], [0, 1]], dtype=complex)
+    for terms in (0, -3):
+        with pytest.raises(DomainError, match="terms"):
+            g_operator(M, terms)
 
 
 def test_integral_needs_brackets_in_the_span():

@@ -455,14 +455,18 @@ def _so3(q):
 @st.composite
 def su2so3_inputs(draw):
     """(direction, matrix JSON, kind): a member of SU(2) (fwd) or SO(3)
-    (lift) from a unit quaternion, that member with one entry moved by 1e-3
-    ("off"), or any floating matrix ("any")."""
+    (lift) from a unit quaternion, which may lie near rotation angle pi
+    (w <= 1e-4), that member with one entry moved by 1e-3 ("off"), or any
+    floating matrix ("any")."""
     direction = draw(st.sampled_from(["fwd", "lift"]))
     kind = draw(st.sampled_from(["member", "off", "any"]))
     if kind == "any":
         return direction, draw(matrices()), kind
     q = np.array(draw(st.lists(st.floats(-1, 1), min_size=4, max_size=4)))
     q = q / np.linalg.norm(q) if np.linalg.norm(q) > 0.1 else np.array([1.0, 0.0, 0.0, 0.0])
+    if draw(st.booleans()) and np.linalg.norm(q[1:]) > 0.1:  # near angle pi
+        w = draw(st.floats(0, 1e-4))
+        q = np.concatenate(([w], q[1:] * np.sqrt(1 - w * w) / np.linalg.norm(q[1:])))
     M = np.array(_su2(q) if direction == "fwd" else _so3(q), dtype=complex)
     if kind == "off":
         M[draw(st.integers(0, M.shape[0] - 1)), draw(st.integers(0, M.shape[1] - 1))] += 1e-3

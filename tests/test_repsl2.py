@@ -87,6 +87,13 @@ def test_intertwiner_diagonal_values():
     assert sl2_intertwiner(0)[0, 0] == 1
 
 
+@pytest.mark.parametrize("build", [sl2_irrep, sl2_poly_irrep, sl2_intertwiner])
+@pytest.mark.parametrize("m", [-1, -2])
+def test_sl2_builders_reject_negative_m(build, m):
+    with pytest.raises(ValueError, match="m must be a nonnegative integer"):
+        build(m)
+
+
 def test_intertwiner_conjugation_exact():
     for m in range(7):
         T = sl2_intertwiner(m)
