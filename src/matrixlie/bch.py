@@ -37,11 +37,12 @@ def bch_heisenberg(X, Y):
 
     Z = X + Y + [X,Y]/2; exact for rational inputs, floating if either
     input is floating.  For floating input the commutation is tested
-    relative to scale: ||[X, C]|| <= 1e-12 ||X|| ||C|| for C = [X, Y], and
-    the same for Y.
+    relative to the inputs: ||[A, C]|| <= 1e-12 ||A|| ||X|| ||Y|| for
+    C = [X, Y] and A = X, Y.  The bound scales with the inputs, not with C,
+    since a C that is only rounding noise must still pass.
     """
     C = _commutator(X, Y)
-    if not all(_is_zero(_commutator(A, C), A, C) for A in (X, Y)):
+    if not all(_is_zero(_commutator(A, C), A, X, Y) for A in (X, Y)):
         raise DomainError("inputs must commute with their commutator")
     return X + Y + C / 2
 

@@ -78,6 +78,16 @@ def test_heisenberg_conjugated_pair_at_every_scale():
         assert frobenius_norm(Z - want) <= 1e-14 * frobenius_norm(want)
 
 
+def test_heisenberg_floating_commuting_pair():
+    # X and Y commute, but their floating commutator C is rounding noise;
+    # a bound relative to ||C|| rejected these pairs
+    A = np.random.default_rng(3).standard_normal((3, 3))
+    for X, Y in ((0.1 * A, 0.3 * A), (A, A @ A)):
+        assert (X @ Y - Y @ X).any()
+        Z = bch_heisenberg(X, Y)
+        assert frobenius_norm(Z - (X + Y)) <= 1e-15 * frobenius_norm(X + Y)
+
+
 def test_heisenberg_rejects_a_small_generic_pair():
     # a generic pair of norm 1e-5 has ||[X, [X, Y]]|| about 1e-15, under an
     # absolute 1e-12, yet it does not commute with its commutator
