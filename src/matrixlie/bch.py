@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-from .errors import ClosureError, DomainError, OutOfDomainError
+from .errors import DomainError, OutOfDomainError
 from .expmlog import _exp, _exp_scaled
-from .liealg import Basis, _coords, _floating, bracket
+from .liealg import Basis, _coords, _floating, ad_matrix, bracket
 from .matcore import _entry, frobenius_norm, is_rational, reye
 
 _commutator = bracket.__wrapped__  # for matrices that an entry point has gated
@@ -111,8 +111,8 @@ def bch_integral(
     ad X and ad Y are matrices on the coordinates of a basis.  By default
     the basis is the row-major elementary basis of gl(n), where
     ad Z = Z (x) I - I (x) Z^T in closed form.  A custom `basis` gets them
-    from one exact elimination (`_coords`), together with the coordinates
-    of Y, which must lie exactly in its span (DomainError otherwise).
+    from `ad_matrix`, and the coordinates of Y from one exact elimination
+    (`_coords`); Y must lie exactly in its span (DomainError otherwise).
 
     All 2 quad_points + 1 nodes t_k = k h/2 are evaluated as one stack: node
     k is node k - 2^j times e^(2^j (h/2) ad Y), 2^j the top bit of k, so one
@@ -136,17 +136,11 @@ def bch_integral(
         adX, adY = adS.reshape(2, n * n, n * n)  # checked below
         y, elements = Y.ravel(), np.eye(n * n).reshape(-1, n, n)
     else:
-        # one elimination gives ad X, ad Y (the coordinates of the brackets
-        # with each basis element) and the coordinates of Y
-        d = len(basis)
-        brackets = [bracket(Z, b) for Z in (X, Y) for b in basis.elements]
-        coords = _coords(brackets + [Y], basis.elements)
+        adX, adY = ad_matrix(X, basis), ad_matrix(Y, basis)  # complex, as X and Y are
+        coords = _coords([Y], basis.elements)
         if coords is None:
-            if _coords(brackets, basis.elements) is None:
-                raise ClosureError("bracket leaves the span of the basis")
             raise DomainError("Y does not lie in the span of the basis")
-        C = _floating(*coords)
-        adX, adY, y = C[:, :d], C[:, d : 2 * d], C[:, 2 * d]
+        y = _floating(*coords)[:, 0]
         elements = np.asarray(basis.elements, dtype=complex)
     if not (adX.imag.any() or adY.imag.any() or y.imag.any()):  # a real algebra
         adX, adY, y = adX.real, adY.real, y.real

@@ -30,6 +30,7 @@ from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     _check_square,
+    _close,
     _entry,
     approx_eq,
     frobenius_norm,
@@ -194,7 +195,7 @@ def exp_directional_derivative(X, Y, terms: int = 20) -> np.ndarray:
     if terms < 1:
         raise DomainError(f"terms must be >= 1, got {terms}")
     n = X.shape[0]
-    return mat_exp(np.block([[X, Y], [np.zeros_like(X), X]]))[:n, n:]
+    return _exp(np.block([[X, Y], [np.zeros_like(X), X]]))[:n, n:]
 
 
 @_entry(2)
@@ -202,7 +203,7 @@ def lie_product_step(X, Y, m: int) -> np.ndarray:
     """(e^(X/m) e^(Y/m))^m — one step of the Lie product formula, for an int m >= 1."""
     if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
-    F = mat_exp(X / m) @ mat_exp(Y / m)
+    F = _exp(X / m) @ _exp(Y / m)
     return np.linalg.matrix_power(F, m)
 
 
@@ -249,4 +250,4 @@ def in_exp_image_sl2r(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     if not _holds(A, parse_group("SL(2,R)"), tol, group=True):  # A is gated already
         raise DomainError("matrix is not in SL(2,R)")
-    return bool(np.trace(A).real > -2 + tol.abs) or approx_eq(A, -np.eye(2), tol)
+    return bool(np.trace(A).real > -2 + tol.abs) or _close(A, -np.eye(2), tol)

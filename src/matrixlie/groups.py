@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .matcore import (DEFAULT_TOL, Tolerance, _check_square, _entry, _finite, _relative_det,
-                      is_rational, rmat, to_complex)
+from .matcore import (DEFAULT_TOL, Tolerance, _check_square, _close, _entry, _finite,
+                      _relative_det, is_rational, rmat, to_complex)
 
 __all__ = [
     "GroupId",
@@ -97,9 +97,9 @@ def _parse(s: str, group: bool) -> LieId:
     return LieId(m[1] + suffix, int(n or 3), int(arg) if shape == "nk" else 0, field)
 
 
-def parse_group(s: str) -> GroupId:
-    """Parse a group name like "SO(3)", "O(3,1)", "Sp(2,R)", "Heis"."""
-    return _parse(s, group=True)
+def parse_group(s) -> GroupId:
+    """Parse a group name like "SO(3)", "O(3,1)", "Sp(2,R)", "Heis"; a LieId passes."""
+    return s if isinstance(s, LieId) else _parse(s, group=True)
 
 
 def metric_g(n: int, k: int) -> np.ndarray:
@@ -204,10 +204,6 @@ def _project(X: np.ndarray, lid: LieId) -> np.ndarray:
     return X
 
 
-def _close(A, B, tol):
-    return bool((np.abs(A - B) <= tol.abs + tol.rel * np.abs(B)).all())
-
-
 def _holds(M: np.ndarray, lid: LieId, tol: Tolerance, group: bool) -> bool:
     """Test the defining identity of lid on M, within tol: the group's if
     group is true, else its Lie algebra's.  M must have passed the entry
@@ -252,9 +248,7 @@ _satisfies = _entry(1)(_holds)
 
 def is_member(A: np.ndarray, g, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Test the defining algebraic condition of group g on A, within tol."""
-    if isinstance(g, str):
-        g = parse_group(g)
-    return _satisfies(A, g, tol, group=True)
+    return _satisfies(A, parse_group(g), tol, group=True)
 
 
 def su2_matrix(alpha: complex, beta: complex) -> np.ndarray:
@@ -306,6 +300,7 @@ def polar_decompose_sl(A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     return (W @ Vt).astype(complex), (Vt.T * s @ Vt).astype(complex)
 
 
+@_entry(1)
 def o11_component(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Which of the four connected pieces of O(1,1) the matrix lies in.
 
@@ -314,9 +309,8 @@ def o11_component(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     3: A11 > 0, det < 0
     4: A11 < 0, det < 0
     """
-    if not is_member(A, parse_group("O(1,1)"), tol):
+    if not _holds(A, parse_group("O(1,1)"), tol, group=True):
         raise DomainError("matrix is not in O(1,1)")
-    A = np.asarray(A, dtype=complex)
     det = np.linalg.det(A).real
     a11 = A[0, 0].real
     if det > 0:

@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ClosureError, DomainError, ShapeError
-from .expmlog import mat_exp
-from .groups import LieId, _parse, _project, _satisfies, is_member, parse_group
+from .expmlog import _exp
+from .groups import LieId, _holds, _parse, _project, _satisfies, parse_group
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -61,16 +61,14 @@ __all__ = [
 AlgebraId = LieId
 
 
-def parse_algebra(s: str) -> AlgebraId:
-    """Parse an algebra name like "su(2)", "sl(3,C)", "so(3,1)", "heis"."""
-    return _parse(s, group=False)
+def parse_algebra(s) -> AlgebraId:
+    """Parse an algebra name like "su(2)", "sl(3,C)", "so(3,1)", "heis"; a LieId passes."""
+    return s if isinstance(s, LieId) else _parse(s, group=False)
 
 
 def in_algebra(X: np.ndarray, a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Test the defining linear condition of algebra a on X, within tol."""
-    if isinstance(a, str):
-        a = parse_algebra(a)
-    return _satisfies(X, a, tol, group=False)
+    return _satisfies(X, parse_algebra(a), tol, group=False)
 
 
 @_entry(2, exact=True)
@@ -136,14 +134,8 @@ def gl_basis(n: int) -> Basis:
 
 
 def heis_basis() -> Basis:
-    """Generators of the strictly-upper-triangular 3x3 algebra."""
-    X = np.zeros((3, 3), dtype=complex)
-    X[0, 1] = 1
-    Y = np.zeros((3, 3), dtype=complex)
-    Y[1, 2] = 1
-    Z = np.zeros((3, 3), dtype=complex)
-    Z[0, 2] = 1
-    return Basis("heis", ("X", "Y", "Z"), (X, Y, Z))
+    """Generators E12, E23, E13 of the strictly-upper-triangular 3x3 algebra."""
+    return Basis("heis", ("X", "Y", "Z"), tuple(gl_basis(3).elements[k] for k in (1, 5, 2)))
 
 
 def _coords(targets, elements):
@@ -220,8 +212,7 @@ def structure_constants(basis: Basis) -> np.ndarray:
     d = len(basis)
     els = basis.elements
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    c = np.empty((d, d, d), dtype=object)
-    c[:] = Fraction(0)
+    c = rzeros(d * d, d).reshape(d, d, d)
     if exact := pairs and all(map(is_rational, els)):  # bracket as sparse rows
         _check_square(*els)
         els = [_sparse_rows(B) for B in els]
@@ -245,6 +236,7 @@ def u_decompose(X: np.ndarray):
     return X1, X2
 
 
+@_entry(1)
 def algebra_membership_via_exp(
     X: np.ndarray, g, samples=(-1.0, -0.3, 0.3, 1.0), tol: Tolerance = DEFAULT_TOL
 ) -> bool:
@@ -253,17 +245,14 @@ def algebra_membership_via_exp(
     Checks group membership of e^(tX) at each sampled t.  Necessarily
     incomplete (finitely many t); in_algebra is the authoritative test.
     """
-    if isinstance(g, str):
-        g = parse_group(g)
-    X = np.asarray(X, dtype=complex)  # mat_exp and is_member check its shape
-    return all(is_member(mat_exp(t * X), g, tol) for t in samples)
+    g = parse_group(g)
+    return all(_holds(_exp(t * X), g, tol, group=True) for t in samples)
 
 
 def random_algebra_element(a, rng, scale: float = 0.5) -> np.ndarray:
     """Draw a random element of the named algebra (for property tests): a
     complex Gaussian matrix with entries of scale `scale`, projected onto
     the algebra by the family's defining identity."""
-    if isinstance(a, str):
-        a = parse_algebra(a)
+    a = parse_algebra(a)
     d = a.matrix_dim
     return _project((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * scale, a)

@@ -14,6 +14,7 @@ and the JSON interchange format used by the CLI and test fixtures.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,7 +98,12 @@ def approx_eq(A, B, tol: Tolerance = DEFAULT_TOL) -> bool:
     B = to_complex(B)
     if A.shape != B.shape:
         raise ShapeError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return bool(np.all(np.abs(A - B) <= tol.abs + tol.rel * np.abs(B)))
+    return _close(A, B, tol)
+
+
+def _close(A: np.ndarray, B: np.ndarray, tol: Tolerance) -> bool:
+    """approx_eq for floating arrays of one shape, with no conversion."""
+    return bool((np.abs(A - B) <= tol.abs + tol.rel * np.abs(B)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -166,20 +172,24 @@ def _finite(M: np.ndarray) -> bool:
 
 
 def _entry(nmats: int, exact: bool = False):
-    """Decorator of a floating entry point whose first nmats arguments are
-    matrices: ShapeError unless nonempty, square and of one shape, and
-    DomainError for a non-finite entry.  They reach the function as complex
-    arrays; with exact=True they stay exact if all are rational, and else a
-    floating array keeps its dtype and any other (a rational, integer or bool
-    array, or a list) becomes complex.  The function runs with numpy's
-    overflow, invalid and divide warnings silenced; a floating array in its
-    result, alone or in a tuple, that is not finite raises DomainError."""
+    """Decorator of a floating entry point whose first nmats parameters are
+    matrices, by position or keyword: ShapeError unless nonempty, square
+    and of one shape, DomainError for a non-finite entry.  They reach the
+    function as complex arrays; with exact=True they stay exact if all are
+    rational, and else a floating array keeps its dtype and any other (a
+    rational, integer or bool array, or a list) becomes complex.  numpy's
+    overflow, invalid and divide warnings are silenced while it runs; a
+    non-finite floating array in its result, alone or in a tuple, raises DomainError."""
 
     def decorate(f):
         quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")(f)
+        signature = inspect.signature(f)
 
         @functools.wraps(f)
         def entry(*args, **kwargs):
+            if len(args) < nmats:  # a matrix passed by keyword; a missing one is a TypeError
+                bound = signature.bind(*args, **kwargs)
+                args, kwargs = bound.args, bound.kwargs
             Ms = args[:nmats]
             keep = exact and all(map(is_rational, Ms))  # exact input stays exact
             if not keep:

@@ -280,10 +280,16 @@ def rep_from_json(obj: dict) -> Representation:
         raise DomainError('"labels" and "generators" must be lists')
     mats = [_json_matrix(g) for g in gens]  # exact: sparse rows; floating: dense
     _check_shapes(labels, [(len(M), cols) for M, cols in mats])
+    n = mats[0][1]
+    dim = obj.get("dim", n)
+    if type(dim) is not int:  # bool is not int
+        raise DomainError('"dim" must be an integer')
+    if dim != n:
+        raise ShapeError(f'"dim" is {dim}, but the generators are {n}x{n}')
     if weights is not None:
         if not isinstance(weights, dict):
             raise DomainError('"weights" must be an object of basis index -> weight')
-        if set(weights) != {str(i) for i in range(mats[0][1])}:
+        if set(weights) != {str(i) for i in range(n)}:
             raise ShapeError('the "weights" keys must be the basis indices 0..dim-1')
         shapes = {len(w) if type(w) is list else None for w in weights.values()}
         entries = (x for w in weights.values() for x in (w if type(w) is list else [w]))

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .groups import is_member, parse_group, su2_matrix
-from .matcore import DEFAULT_TOL, Tolerance, frobenius_norm, to_complex
+from .groups import _holds, parse_group, su2_matrix
+from .matcore import DEFAULT_TOL, Tolerance, _entry, frobenius_norm
 
 __all__ = ["A1", "A2", "A3", "adjoint_to_so3", "so3_lift"]
 
@@ -21,19 +21,23 @@ A3 = np.array([[1, 0], [0, -1]], dtype=complex)
 _BASIS = np.array([A1, A2, A3])
 
 
+def _rotation(U: np.ndarray) -> np.ndarray:
+    """adjoint_to_so3 of a U known to be in SU(2), as a real array, by one contraction."""
+    return np.einsum("iab,bc,jcd,da->ij", _BASIS, U, _BASIS, U.conj().T).real / 2
+
+
+@_entry(1)
 def adjoint_to_so3(U: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """3x3 rotation R with R_ij = Re trace(A_i U A_j U*)/2, all nine traces
-    in one contraction over the stacked basis.
+    """3x3 rotation R with R_ij = Re trace(A_i U A_j U*)/2.
 
     A homomorphism onto SO(3) with kernel {I, -I}.
     """
-    U = to_complex(U)
-    if not is_member(U, parse_group("SU(2)"), tol):
+    if not _holds(U, parse_group("SU(2)"), tol, group=True):
         raise DomainError("matrix is not in SU(2)")
-    R = np.einsum("iab,bc,jcd,da->ij", _BASIS, U, _BASIS, U.conj().T).real / 2
-    return R.astype(complex)
+    return _rotation(U).astype(complex)
 
 
+@_entry(1)
 def so3_lift(R: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """The two preimages (U, -U) of a rotation under adjoint_to_so3.
 
@@ -45,8 +49,7 @@ def so3_lift(R: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     The first preimage has trace(U) real and >= 0; at trace zero the sign
     is fixed by the first nonzero quaternion component.
     """
-    R = to_complex(R)
-    if not is_member(R, parse_group("SO(3)"), tol):
+    if not _holds(R, parse_group("SO(3)"), tol, group=True):
         raise DomainError("matrix is not in SO(3)")
     R = R.real
     (a, b, c), (d, e, f), (g, h, k) = R.tolist()  # Python floats: cheaper than numpy here
@@ -61,6 +64,6 @@ def so3_lift(R: np.ndarray, tol: Tolerance = DEFAULT_TOL):
         s = -s
     w, x, y, z = (v / s for v in q)
     U = su2_matrix(complex(w, z), complex(y, x))
-    if frobenius_norm(adjoint_to_so3(U, tol) - R) > 10 * max(tol.abs, 1e-12):
+    if frobenius_norm(_rotation(U) - R) > 10 * max(tol.abs, 1e-12):
         raise ConvergenceError("lift reconstruction residual exceeds bound")
     return U, -U

@@ -190,6 +190,14 @@ def test_one_param_generator_recovers():
     assert frobenius_norm(G - X) <= 1e-10
 
 
+def test_one_param_generator_takes_exact_sample_times():
+    # t X is then an object array, which the reconstruction check must convert
+    X = np.array([[0, -0.5], [0.5, 0]])
+    times = (Fraction(0), Fraction(1, 4), Fraction(1))
+    samples = [OneParamSample(t, mat_exp(float(t) * X)) for t in times]
+    assert approx_eq(np.asarray(one_param_generator(samples), dtype=complex), X)
+
+
 def test_one_param_generator_constant():
     samples = [OneParamSample(t, np.eye(2)) for t in (0.0, 1.0, 2.0)]
     assert np.all(np.abs(one_param_generator(samples)) <= 1e-12)

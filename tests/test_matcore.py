@@ -1,4 +1,5 @@
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -326,7 +327,8 @@ def test_rref_matches_sympy(M):
 
 
 def _gated():
-    """(name, call, arity) of every floating-only entry point."""
+    """(name, call, arity) of every floating entry point, its matrices
+    passed by position; a name with "(" passes them by keyword."""
     from matrixlie.bch import bch_integral
     from matrixlie.expmlog import (
         exp_directional_derivative,
@@ -335,8 +337,10 @@ def _gated():
         mat_exp,
         mat_log,
     )
-    from matrixlie.groups import is_member, polar_decompose_sl
-    from matrixlie.liealg import Ad_apply, in_algebra, u_decompose
+    from matrixlie.groups import is_member, o11_component, polar_decompose_sl
+    from matrixlie.liealg import (Ad_apply, algebra_membership_via_exp, bracket, in_algebra,
+                                  u_decompose)
+    from matrixlie.su2so3 import adjoint_to_so3, so3_lift
 
     return [
         ("mat_exp", mat_exp, 1),
@@ -350,6 +354,30 @@ def _gated():
         ("polar_decompose_sl", polar_decompose_sl, 1),
         ("is_member", lambda A: is_member(A, "GL(2,C)"), 1),
         ("in_algebra", lambda X: in_algebra(X, "gl(2,C)"), 1),
+        ("bracket", bracket, 2),
+        ("adjoint_to_so3", adjoint_to_so3, 1),
+        ("so3_lift", so3_lift, 1),
+        ("o11_component", o11_component, 1),
+        ("algebra_membership_via_exp", lambda X: algebra_membership_via_exp(X, "GL(2,C)"), 1),
+        ("mat_exp(X=)", lambda X: mat_exp(X=X), 1),
+        ("mat_log(A=)", lambda A: mat_log(A=A), 1),
+        ("exp_directional_derivative(X=, Y=)",
+         lambda X, Y: exp_directional_derivative(X=X, Y=Y), 2),
+        ("lie_product_step(X=, Y=)", lambda X, Y: lie_product_step(X=X, Y=Y, m=2), 2),
+        ("in_exp_image_sl2r(A=)", lambda A: in_exp_image_sl2r(A=A), 1),
+        ("Ad_apply(A=, X=)", lambda A, X: Ad_apply(A=A, X=X), 2),
+        ("u_decompose(X=)", lambda X: u_decompose(X=X), 1),
+        ("bch_integral(X=, Y=)", lambda X, Y: bch_integral(X=X, Y=Y, quad_points=4), 2),
+        ("polar_decompose_sl(A=)", lambda A: polar_decompose_sl(A=A), 1),
+        ("is_member(A=)", lambda A: is_member(A=A, g="GL(2,C)"), 1),
+        ("in_algebra(X=)", lambda X: in_algebra(X=X, a="gl(2,C)"), 1),
+        ("bracket(X=, Y=)", lambda X, Y: bracket(X=X, Y=Y), 2),
+        ("bracket(X, Y=)", lambda X, Y: bracket(X, Y=Y), 2),
+        ("adjoint_to_so3(U=)", lambda U: adjoint_to_so3(U=U), 1),
+        ("so3_lift(R=)", lambda R: so3_lift(R=R), 1),
+        ("o11_component(A=)", lambda A: o11_component(A=A), 1),
+        ("algebra_membership_via_exp(X=)",
+         lambda X: algebra_membership_via_exp(X=X, g="GL(2,C)"), 1),
     ]
 
 
@@ -376,6 +404,33 @@ def test_gate_rejects_bad_shapes(name, call, arity):
     for args in shapes:
         with pytest.raises(ShapeError):
             call(*args)
+
+
+def _outcome(call, args):
+    """The pickled result of call(*args), or the type and text of its error."""
+    try:
+        return pickle.dumps(call(*[np.array(M) for M in args]))
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("name,call,arity", [g for g in GATED if "(" in g[0]],
+                         ids=[g[0] for g in GATED if "(" in g[0]])
+def test_gate_takes_matrices_by_keyword(name, call, arity):
+    positional = {g[0]: g[1] for g in GATED}[name.split("(")[0]]
+    turn = np.array([[0.6, -0.8, 0], [0.8, 0.6, 0], [0, 0, 1]])
+    inputs = [[GOOD, 0.5 * GOOD.T], [np.array([[2.0, 1], [1, 1]]), 0.1 * np.eye(2)],
+              [turn, 0.2 * turn.T], [GOOD, np.eye(3)], [GOOD.astype(complex) * np.nan, GOOD]]
+    for args in inputs:
+        assert _outcome(call, args[:arity]) == _outcome(positional, args[:arity]), args
+
+
+def test_gate_missing_matrix_is_a_type_error():
+    from matrixlie.liealg import Ad_apply, bracket
+
+    for call in (lambda: bracket(X=GOOD), lambda: bracket(GOOD), lambda: Ad_apply(X=GOOD)):
+        with pytest.raises(TypeError, match="missing"):
+            call()
 
 
 def test_gate_converts_rational_input():

@@ -281,6 +281,12 @@ MALFORMED_JSON = {
     "weights_nested_lists": ({"weights": {"0": [[2]], "1": [[0]], "2": [[-2]]}}, DomainError),
     "weights_int_and_list": ({"weights": {"0": 2, "1": [0], "2": -2}}, DomainError),
     "weights_of_two_lengths": ({"weights": {"0": [2, 0], "1": [0], "2": [-2, 0]}}, DomainError),
+    "dim_string": ({"dim": "x"}, DomainError),
+    "dim_bool": ({"dim": True}, DomainError),
+    "dim_float": ({"dim": 3.0}, DomainError),
+    "dim_null": ({"dim": None}, DomainError),
+    "dim_not_the_generator_size": ({"dim": 99}, ShapeError),
+    "dim_too_small": ({"dim": 2}, ShapeError),
 }
 
 

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from matrixlie import groups
 from matrixlie.errors import DomainError
 from matrixlie.expmlog import mat_exp
 from matrixlie.groups import is_member, su2_matrix
@@ -93,6 +96,23 @@ def test_lift_round_trip():
         err = min(frobenius_norm(U - U0), frobenius_norm(Um - U0))
         assert err <= 1e-9
         assert np.array_equal(Um, -U)
+
+
+def test_lift_tests_the_membership_identity_once():
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is groups._holds.__code__:
+            calls.append(frame.f_locals["lid"])
+
+    R = adjoint_to_so3(random_su2(np.random.default_rng(25)))
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        so3_lift(R)
+    finally:
+        sys.setprofile(previous)
+    assert calls == [groups.parse_group("SO(3)")]  # R only: the lift's own U is not retested
 
 
 def test_lift_pi_rotation():
