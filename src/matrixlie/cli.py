@@ -65,8 +65,7 @@ def _ad(a, tol):
 
 
 def _structconst(a, tol):
-    basis = _BASES[a.basis]()
-    c = liealg.structure_constants(basis)
+    basis, c = liealg._builtin_constants(_BASES[a.basis])
     return {"labels": list(basis.labels), "c": [[list(map(str, r)) for r in p] for p in c]}
 
 

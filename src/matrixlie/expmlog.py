@@ -232,7 +232,7 @@ def one_param_generator(samples, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         raise DomainError("samples must include t = 0 with value = I")
     positive = sorted((s for s in samples if s.t != 0), key=lambda s: abs(s.t))
     first = positive[0]
-    X = mat_log(first.value) / first.t
+    X = mat_log(first.value) / float(first.t)  # complex128 also for a Fraction t
     for s in samples:
         if not approx_eq(mat_exp(s.t * X), s.value, tol):
             raise InconsistentSamplesError(

@@ -97,9 +97,18 @@ def _parse(s: str, group: bool) -> LieId:
     return LieId(m[1] + suffix, int(n or 3), int(arg) if shape == "nk" else 0, field)
 
 
+def _of_kind(lid: LieId, group: bool) -> LieId:
+    """lid if it names a group (group true) or an algebra, told by the case
+    of its family; else DomainError."""
+    if lid.family[:1].isupper() != group:
+        raise DomainError(f"expected {'a group' if group else 'an algebra'} id, got {lid}")
+    return lid
+
+
 def parse_group(s) -> GroupId:
-    """Parse a group name like "SO(3)", "O(3,1)", "Sp(2,R)", "Heis"; a LieId passes."""
-    return s if isinstance(s, LieId) else _parse(s, group=True)
+    """Parse a group name like "SO(3)", "O(3,1)", "Sp(2,R)", "Heis"; a LieId
+    passes if it names a group (DomainError if an algebra)."""
+    return _of_kind(s, group=True) if isinstance(s, LieId) else _parse(s, group=True)
 
 
 def metric_g(n: int, k: int) -> np.ndarray:

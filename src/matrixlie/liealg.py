@@ -14,6 +14,7 @@ single exact solve.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ClosureError, DomainError, ShapeError
 from .expmlog import _exp
-from .groups import LieId, _holds, _parse, _project, _satisfies, parse_group
+from .groups import LieId, _holds, _of_kind, _parse, _project, _satisfies, parse_group
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
@@ -62,8 +63,9 @@ AlgebraId = LieId
 
 
 def parse_algebra(s) -> AlgebraId:
-    """Parse an algebra name like "su(2)", "sl(3,C)", "so(3,1)", "heis"; a LieId passes."""
-    return s if isinstance(s, LieId) else _parse(s, group=False)
+    """Parse an algebra name like "su(2)", "sl(3,C)", "so(3,1)", "heis"; a
+    LieId passes if it names an algebra (DomainError if a group)."""
+    return _of_kind(s, group=False) if isinstance(s, LieId) else _parse(s, group=False)
 
 
 def in_algebra(X: np.ndarray, a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -226,6 +228,16 @@ def structure_constants(basis: Basis) -> np.ndarray:
         c[i, j] = re[:, t]
         c[j, i] = -re[:, t]
     return c
+
+
+@functools.cache
+def _builtin_constants(build) -> tuple:
+    """The basis build() and its structure constants, read-only, computed
+    once per process; build is a built-in basis builder of no arguments."""
+    basis = build()
+    c = structure_constants(basis)
+    c.flags.writeable = False
+    return basis, c
 
 
 @_entry(1)

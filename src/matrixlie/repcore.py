@@ -121,11 +121,18 @@ def verify_relations(rep: Representation, basis: Basis, tol_abs: float = 1e-10) 
     denominators of c_ij.  A floating one passes when the residual of
     each pair is within tol_abs in Frobenius norm.
     """
+    return _verify_relations(rep, basis, None, tol_abs)
+
+
+def _verify_relations(rep: Representation, basis: Basis, c, tol_abs: float = 1e-10) -> bool:
+    """verify_relations with c the structure constants of basis, computed
+    here when None."""
     if len(rep.rows) != len(basis):
         raise ShapeError("generator count does not match basis size")
     if rep.labels != tuple(basis.labels):
         raise DomainError(f"generator labels {rep.labels} are not the basis labels {basis.labels}")
-    c = structure_constants(basis)
+    if c is None:
+        c = structure_constants(basis)
     exact = rep.exact
     if exact:
         D = math.lcm(*(x.denominator for g in rep.rows for row in g for x in row.values()))

@@ -16,15 +16,16 @@ u_k = (-1)^k m!/(m-k)! z1^k z2^(m-k).
 
 from __future__ import annotations
 
+import collections
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DecompositionError, DomainError
-from .liealg import sl2_basis_rational
+from .liealg import _builtin_constants, sl2_basis_rational
 from .matcore import _axpy, _nullspace_rows, _rref_rows, rzeros
-from .repcore import Representation, _gelfand_tsetlin, verify_relations
+from .repcore import Representation, _gelfand_tsetlin, _verify_relations
 
 __all__ = [
     "sl2_basis_rational",
@@ -72,26 +73,63 @@ def sl2_intertwiner(m: int) -> np.ndarray:
     return T
 
 
+def _integral_diagonal(H, strict: bool):
+    """The integral diagonal of a triangular pi(H), sparse rows H; else None (raise if strict)."""
+    diag = [row.get(i, 0) for i, row in enumerate(H)]
+    if not (all(j <= i for i, row in enumerate(H) for j in row)
+            or all(j >= i for i, row in enumerate(H) for j in row)):
+        why = "pi(H) must be triangular or the rep weight-annotated"
+    elif any(x.denominator != 1 for x in diag):
+        why = "pi(H) spectrum is not integral"
+    else:
+        return [int(x) for x in diag]
+    if strict:
+        raise DomainError(why)
+
+
 def sl2_weights(rep: Representation) -> list:
     """Sorted multiset of integer H-eigenvalues of a rational rep."""
     if not rep.exact:
         raise DomainError("the generators must be rational matrices")
     if rep.weights is not None:
         return sorted(rep.weights.values(), reverse=True)
-    H = rep.rows_of("H")
-    # triangular is enough to read the spectrum off the diagonal
-    lower = all(j <= i for i, row in enumerate(H) for j in row)
-    upper = all(j >= i for i, row in enumerate(H) for j in row)
-    if not (lower or upper):
-        raise DomainError("pi(H) must be triangular or the rep weight-annotated")
-    diag = [row.get(i, 0) for i, row in enumerate(H)]
-    if any(x.denominator != 1 for x in diag):
-        raise DomainError("pi(H) spectrum is not integral")
-    return sorted((int(x) for x in diag), reverse=True)
+    return sorted(_integral_diagonal(rep.rows_of("H"), strict=True), reverse=True)
 
 
 def sl2_decompose(rep: Representation) -> list:
-    """Multiset of highest weights m of the irreducible summands.
+    """Multiset of highest weights m of the irreducible summands, descending.
+
+    A rep is determined up to isomorphism by its H-weight multiplicities, so
+    the number of summands V_m is mult(m) - mult(m+2): the Weyl character
+    formula read as an alternating sum.  The weights are read off the
+    diagonal of pi(H) when pi(H) is triangular, all upper or all lower, and
+    that diagonal integral; rep.weights, as from JSON, is never trusted.  Any
+    other rep falls back to _kernel_highest_weights.
+
+    Either rule holds only for a true sl(2) rep, so the sl(2) relations are
+    checked first, unless rep.relations_hold says that its generators
+    satisfy them by construction; a hand-built or JSON rep that fails them
+    raises DomainError.
+    """
+    if not rep.exact:
+        raise DomainError("the generators must be rational matrices")
+    trusted = rep.relations_hold and rep.algebra == "sl(2,C)"
+    if not trusted and not _verify_relations(rep, *_builtin_constants(sl2_basis_rational)):
+        raise DomainError("generators do not satisfy the sl(2) relations")
+    H, d = rep.rows_of("H"), rep.dim
+    if (weights := _integral_diagonal(H, strict=False)) is None:
+        found = _kernel_highest_weights(rep, H)
+    else:
+        mult = collections.Counter(weights)
+        found = [m for m in range(max(weights), -1, -1) for _ in range(mult[m] - mult[m + 2])]
+    covered = sum(found) + len(found)
+    if covered != d:
+        raise DecompositionError(f"summand dimensions total {covered}, expected {d}")
+    return found
+
+
+def _kernel_highest_weights(rep: Representation, H) -> list:
+    """sl2_decompose's highest weights from pi(X) and pi(H), sparse rows H.
 
     The number of summands with highest weight lambda is
     dim(ker pi(X) intersect eigenspace(pi(H), lambda)).  Since [H, X] = 2X,
@@ -103,17 +141,8 @@ def sl2_decompose(rep: Representation) -> list:
     multiplicities of K, reach r.  The eigenvalues of K are the highest
     weights, integers >= 0, so the scan starts at the lesser of tr K and the
     Gershgorin bound of K.
-
-    The sl(2) relations are checked first, unless rep.relations_hold says
-    that its generators satisfy them by construction; a hand-built or JSON
-    rep that fails them raises DomainError.
     """
-    if not rep.exact:
-        raise DomainError("the generators must be rational matrices")
-    trusted = rep.relations_hold and rep.algebra == "sl(2,C)"
-    if not trusted and not verify_relations(rep, sl2_basis_rational()):
-        raise DomainError("generators do not satisfy the sl(2) relations")
-    H, d = rep.rows_of("H"), rep.dim
+    d = rep.dim
     kernel = _nullspace_rows([dict(row) for row in rep.rows_of("X")], d)
     free = [max(v) for v in kernel]  # the other entries of v_f sit left of f
     r = len(free)
@@ -129,7 +158,4 @@ def sl2_decompose(rep: Representation) -> list:
         for a, row in enumerate(shifted):
             _axpy(row, Fraction(-lam), {a: 1})
         found += [lam] * (r - len(_rref_rows(shifted)[1]))
-    covered = sum(found) + len(found)
-    if covered != d:
-        raise DecompositionError(f"summand dimensions total {covered}, expected {d}")
     return found

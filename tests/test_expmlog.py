@@ -198,6 +198,15 @@ def test_one_param_generator_takes_exact_sample_times():
     assert approx_eq(np.asarray(one_param_generator(samples), dtype=complex), X)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_one_param_generator_is_complex128_for_any_sample_times(exact):
+    X = np.array([[0, -0.5], [0.5, 0]])
+    times = [Fraction(0), Fraction(1, 4), Fraction(1)]
+    samples = [OneParamSample(t if exact else float(t), mat_exp(float(t) * X)) for t in times]
+    G = one_param_generator(samples)
+    assert G.dtype == np.complex128 and frobenius_norm(G - X) <= 1e-12
+
+
 def test_one_param_generator_constant():
     samples = [OneParamSample(t, np.eye(2)) for t in (0.0, 1.0, 2.0)]
     assert np.all(np.abs(one_param_generator(samples)) <= 1e-12)

@@ -228,6 +228,22 @@ def test_parse_group_grammar():
         parse_group("XO(3)")
 
 
+@pytest.mark.parametrize("gname, aname", [("SU(2)", "su(2)"), ("SO(3,1)", "so(3,1)"),
+                                           ("Sp(2,R)", "sp(2,R)"), ("E(3)", "e(3)"),
+                                           ("P(3,1)", "p(3,1)"), ("Heis", "heis")])
+def test_a_parsed_id_passes_only_for_its_own_kind(gname, aname):
+    from matrixlie.liealg import parse_algebra
+
+    g, a = parse_group(gname), parse_algebra(aname)
+    assert parse_group(g) is g and parse_algebra(a) is a
+    d = g.matrix_dim
+    assert is_member(np.eye(d), g) and in_algebra(np.zeros((d, d)), a)
+    with pytest.raises(DomainError, match="expected a group"):
+        is_member(np.eye(d), a)
+    with pytest.raises(DomainError, match="expected an algebra"):
+        in_algebra(np.zeros((d, d)), g)
+
+
 def test_parsed_names_are_shared_and_bad_names_raise_every_time():
     from matrixlie.liealg import parse_algebra
 

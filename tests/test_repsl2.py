@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matrixlie import cli, repsl2
+from matrixlie import cli, liealg, repsl2
 from matrixlie.errors import DomainError, ShapeError
 from matrixlie.matcore import (
     rational_inverse,
@@ -20,11 +20,14 @@ from matrixlie.repcore import (
     Representation,
     direct_sum,
     dual,
+    rep_from_json,
     rep_to_json,
     tensor_product,
     verify_relations,
 )
 from matrixlie.repsl2 import (
+    _integral_diagonal,
+    _kernel_highest_weights,
     sl2_basis_rational,
     sl2_decompose,
     sl2_intertwiner,
@@ -32,7 +35,7 @@ from matrixlie.repsl2 import (
     sl2_poly_irrep,
     sl2_weights,
 )
-from matrixlie.repsl3 import sl3_highest_weight_irrep
+from matrixlie.repsl3 import sl3_basis, sl3_highest_weight_irrep
 
 
 def weight_counting_oracle(weights):
@@ -342,7 +345,7 @@ def test_cg_does_not_check_but_decompose_of_json_does(monkeypatch):
     def reached(*args):
         raise _CheckReached
 
-    monkeypatch.setattr(repsl2, "verify_relations", reached)
+    monkeypatch.setattr(repsl2, "_verify_relations", reached)
     assert _cli("cg", "5", "5") == (0, '{"summands":[10,8,6,4,2,0]}\n')
     text = json.dumps(rep_to_json(tensor_product(sl2_irrep(5), sl2_irrep(5))))
     with pytest.raises(_CheckReached):
@@ -359,3 +362,144 @@ def test_cg_and_decompose_of_the_same_product_agree():
             text = json.dumps(rep_to_json(tensor_product(sl2_irrep(m), sl2_irrep(n))))
             assert _cli("cg", str(m), str(n)) == (0, want)
             assert _cli("decompose", "sl2", text) == (0, want), (m, n)
+
+
+# --- the character rule n_m = mult(m) - mult(m+2) and the K-matrix path
+
+
+def _direct_sum_of(ms):
+    rep = sl2_irrep(ms[0])
+    for m in ms[1:]:
+        rep = direct_sum(rep, sl2_irrep(m))
+    return rep
+
+
+def _bidiagonal_conjugate(rep, upper):
+    """T^-1 pi T for a unit bidiagonal T, upper or lower, with +-1 next to
+    its diagonal: pi(H) stays triangular the same way, but is dense."""
+    d = rep.dim
+    T = reye(d)
+    for i in range(d - 1):
+        T[(i, i + 1) if upper else (i + 1, i)] = Fraction(1 if (3 * i) % 5 < 3 else -1)
+    Ti = rational_inverse(T)
+    return Representation(rep.algebra, rep.labels, tuple(Ti @ g @ T for g in rep.generators))
+
+
+def _both_paths(rep):
+    """sl2_decompose, and the K-matrix path on the same rep; the rep must be
+    one the character rule applies to."""
+    H = rep.rows_of("H")
+    assert _integral_diagonal(H, strict=False) is not None
+    return sl2_decompose(rep), _kernel_highest_weights(rep, H)
+
+
+def test_character_rule_matches_the_kernel_path_on_tensor_products():
+    for m in range(9):
+        for n in range(m + 1):
+            got, oracle = _both_paths(tensor_product(sl2_irrep(m), sl2_irrep(n)))
+            assert got == oracle == list(range(m + n, m - n - 1, -2)), (m, n)
+
+
+@pytest.mark.parametrize("upper", [True, False])
+@pytest.mark.parametrize("ms", [[3, 1, 0], [2, 2], [4, 2, 2, 0], [1, 1, 1], [6, 0, 0], [5, 3]])
+def test_character_rule_matches_the_kernel_path_on_triangular_conjugates(ms, upper):
+    rep = _bidiagonal_conjugate(_direct_sum_of(ms), upper)
+    H = rep.rows_of("H")
+    below = any(j < i for i, row in enumerate(H) for j in row)
+    above = any(j > i for i, row in enumerate(H) for j in row)
+    assert (above, below) == (upper, not upper), "pi(H) is dense on one side only"
+    got, oracle = _both_paths(rep)
+    assert got == oracle == sorted(ms, reverse=True)
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = repsl2._kernel_highest_weights
+    monkeypatch.setattr(repsl2, "_kernel_highest_weights",
+                        lambda rep, H: calls.append(rep.dim) or kernel(rep, H))
+    return calls
+
+
+def test_only_a_non_triangular_h_takes_the_kernel_path(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    rep = tensor_product(sl2_irrep(3), sl2_irrep(2))
+    assert sl2_decompose(rep) == [5, 3, 1]
+    assert sl2_decompose(_bidiagonal_conjugate(rep, upper=True)) == [5, 3, 1]
+    assert sl2_decompose(_bidiagonal_conjugate(rep, upper=False)) == [5, 3, 1]
+    assert calls == []
+    assert sl2_decompose(_dense_conjugate(rep)) == [5, 3, 1]
+    assert calls == [12]
+
+
+def test_a_non_integral_diagonal_is_refused_by_the_relations(monkeypatch):
+    # pi(H) triangular with a half-integer diagonal is no sl(2) rep: the
+    # relation check refuses it before either path is chosen
+    calls = _count_kernel_calls(monkeypatch)
+    half = rzeros(2, 2)
+    half[0, 0], half[1, 1] = Fraction(1, 2), Fraction(-1, 2)
+    rep = Representation("sl(2,C)", ("H", "X", "Y"), (half, rzeros(2, 2), rzeros(2, 2)))
+    assert _integral_diagonal(rep.rows_of("H"), strict=False) is None
+    with pytest.raises(DomainError, match="not integral"):
+        _integral_diagonal(rep.rows_of("H"), strict=True)
+    with pytest.raises(DomainError, match="relations"):
+        sl2_decompose(rep)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lie", ["swapped", "zero", "reversed"])
+def test_json_weights_are_not_trusted(lie, monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    ms = [4, 2, 1, 0]
+    obj = rep_to_json(_bidiagonal_conjugate(_direct_sum_of(ms), upper=True))
+    true = [4, 2, 0, -2, -4, 2, 0, -2, 1, -1, 0]
+    obj["weights"] = {str(i): w for i, w in enumerate(
+        {"swapped": [true[1], true[0]] + true[2:], "zero": [0] * len(true),
+         "reversed": true[::-1]}[lie])}
+    rep = rep_from_json(obj)
+    assert sl2_decompose(rep) == ms
+    code, out = _cli("decompose", "sl2", json.dumps(obj))
+    assert (code, json.loads(out)) == (0, {"summands": ms})
+    assert calls == []
+
+
+def test_relations_are_checked_before_the_diagonal_is_read():
+    # H = diag(1, -1, 0) with X = Y = 0: the character rule alone would
+    # count V_1 + V_0, whose dimensions do total 3
+    H = rzeros(3, 3)
+    H[0, 0], H[1, 1] = Fraction(1), Fraction(-1)
+    rep = Representation("sl(2,C)", ("H", "X", "Y"), (H, rzeros(3, 3), rzeros(3, 3)))
+    assert _integral_diagonal(rep.rows_of("H"), strict=False) == [1, -1, 0]
+    with pytest.raises(DomainError, match="relations"):
+        sl2_decompose(rep)
+    obj = rep_to_json(rep)
+    obj["weights"] = {"0": 1, "1": -1, "2": 0}
+    with pytest.raises(DomainError, match="relations"):
+        sl2_decompose(rep_from_json(obj))
+    code, out = _cli("decompose", "sl2", json.dumps(obj))
+    assert code == 1 and json.loads(out)["error"] == "domain"
+
+
+def test_sl2_constants_are_computed_once(monkeypatch):
+    liealg._builtin_constants.cache_clear()
+    calls = []
+    compute = liealg.structure_constants
+    monkeypatch.setattr(liealg, "structure_constants", lambda b: calls.append(b) or compute(b))
+    for ms in ([2, 0], [3, 3, 1]):
+        rep = _bidiagonal_conjugate(_direct_sum_of(ms), upper=False)
+        assert not rep.relations_hold and sl2_decompose(rep) == ms
+    assert len(calls) == 1
+    basis, c = liealg._builtin_constants(sl2_basis_rational)
+    assert len(calls) == 1 and not c.flags.writeable
+    with pytest.raises(ValueError):
+        c[0, 1, 0] = 5
+
+
+def test_mutating_public_constants_changes_no_later_result():
+    text = json.dumps(rep_to_json(_bidiagonal_conjugate(_direct_sum_of([3, 1]), upper=True)))
+    before = _cli("decompose", "sl2", text), _cli("structconst", "--basis", "sl3")
+    for c in (liealg.structure_constants(sl2_basis_rational()),
+              liealg.structure_constants(sl3_basis())):
+        assert c.flags.writeable
+        c[...] = Fraction(7)
+    assert (_cli("decompose", "sl2", text), _cli("structconst", "--basis", "sl3")) == before
+    assert before[0] == (0, '{"summands":[3,1]}\n')
