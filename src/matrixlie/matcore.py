@@ -5,10 +5,12 @@ ones are ``numpy`` arrays of ``complex128``, exact rational ones are
 ``numpy`` object arrays of ``fractions.Fraction`` (never rounded, always
 in lowest terms).  Exact elimination and representation generators use
 sparse rows instead, one dict {column: entry} of nonzero entries per
-row, Fraction or complex: ``_sparse_rows`` and ``_dense`` convert between
-the forms, ``_commutator`` brackets rows, ``_rref_rows`` eliminates on rows,
-and ``_json_matrix`` reads and ``_rows_to_json`` writes them.  Also here: norm/comparison primitives, exact rank/nullspace/solve,
-and the JSON interchange format used by the CLI and test fixtures.
+row: ``_sparse_rows`` and ``_dense`` convert between the forms,
+``_commutator`` brackets rows, ``_rref_rows`` eliminates on rows.  A
+representation generator is integer rows over one denominator D > 0, made
+by ``_over_lcm`` and ``_integer_rows``, read back by ``_fractions``, and
+read and written with no Fraction by ``_json_matrix`` and ``_rows_to_json``.
+Also here: norms, exact rank/nullspace/solve and the JSON interchange format.
 """
 
 from __future__ import annotations
@@ -241,6 +243,23 @@ def _dense(rows: list[dict], shape: tuple, exact: bool = True) -> np.ndarray:
     return M
 
 
+def _over_lcm(rows: list[dict]) -> tuple:
+    """Sparse rows of (numerator, denominator) pairs, in any terms and signs,
+    as (integer rows, D), D > 0 the least common denominator of the entries."""
+    D = math.lcm(*(b // math.gcd(a, b) for row in rows for a, b in row.values()))
+    return [{j: a * D // b for j, (a, b) in row.items()} for row in rows], D
+
+
+def _integer_rows(rows: list[dict]) -> tuple:
+    """Sparse rows of Fraction (or int) entries as (integer rows, D)."""
+    return _over_lcm([{j: x.as_integer_ratio() for j, x in row.items()} for row in rows])
+
+
+def _fractions(rows: list[dict], D: int) -> list[dict]:
+    """Integer rows over D as new rows of Fraction entries."""
+    return [{j: Fraction(x, D) for j, x in row.items()} for row in rows]
+
+
 def _axpy(y: dict, a, x: dict):
     """y += a x for sparse vectors, dropping entries that cancel."""
     for k, v in x.items():
@@ -368,7 +387,7 @@ def rational_inverse(A: np.ndarray) -> np.ndarray:
 def matrix_to_json(M: np.ndarray) -> dict:
     rows, cols = M.shape
     if is_rational(M):
-        return _rows_to_json(_sparse_rows(M), cols)
+        return _rows_to_json(*_integer_rows(_sparse_rows(M)), cols)
     M = np.asarray(M, dtype=complex)
     out = {"rows": rows, "cols": cols, "re": M.real.ravel().tolist()}
     if np.any(M.imag != 0):
@@ -376,23 +395,24 @@ def matrix_to_json(M: np.ndarray) -> dict:
     return out
 
 
-def _rows_to_json(rows: list[dict], cols: int, exact: bool = True) -> dict:
-    """The JSON object of the matrix with these sparse rows.  Zeros of an
-    exact matrix are written as 0/1 without making a Fraction; a floating
-    one goes through its dense form."""
+def _rows_to_json(rows: list[dict], D: int, cols: int, exact: bool = True) -> dict:
+    """The JSON object of the matrix with these sparse rows over D.  An exact
+    entry x / D is written in lowest terms by one gcd and a zero as 0/1, with
+    no Fraction made; a floating matrix (D = 1) goes through its dense form."""
     if not exact:
         return matrix_to_json(_dense(rows, (len(rows), cols), exact=False))
     num, den = [0] * (len(rows) * cols), [1] * (len(rows) * cols)
     for i, row in enumerate(rows):
         for j, x in row.items():
-            num[i * cols + j], den[i * cols + j] = x.numerator, x.denominator
+            g = math.gcd(x, D)
+            num[i * cols + j], den[i * cols + j] = x // g, D // g
     return {"rows": len(rows), "cols": cols, "num": num, "den": den}
 
 
 def _json_entries(obj: dict, key: str, kinds: tuple, n: int) -> list:
     """obj[key] as a list of n numbers whose types are among kinds (bool never is)."""
     xs = obj[key]
-    if not isinstance(xs, list) or not all(type(x) in kinds for x in xs):
+    if not isinstance(xs, list) or not set(map(type, xs)) <= set(kinds):
         names = " or ".join(k.__name__ for k in kinds)
         raise DomainError(f'"{key}" must be a list of {names} entries')
     if len(xs) != n:
@@ -401,9 +421,9 @@ def _json_entries(obj: dict, key: str, kinds: tuple, n: int) -> list:
 
 
 def _json_matrix(obj: dict) -> tuple:
-    """The checked JSON matrix obj and its column count: an exact one as
-    sparse rows, read straight from num/den with no Fraction for a zero, a
-    floating one as a dense complex array."""
+    """The checked JSON matrix obj as (matrix, D, column count): an exact one
+    as integer rows over D, read from num/den with no Fraction made, a
+    floating one as a dense complex array over 1."""
     if not isinstance(obj, dict):
         raise DomainError(f"a matrix is a JSON object, got {type(obj).__name__}")
     rows, cols = obj["rows"], obj["cols"]
@@ -420,17 +440,17 @@ def _json_matrix(obj: dict) -> tuple:
         out = [{} for _ in range(rows)]
         for k, a in enumerate(num):
             if a:
-                out[k // cols][k % cols] = Fraction(a, den[k])
-        return out, cols
+                out[k // cols][k % cols] = a, den[k]
+        return *_over_lcm(out), cols
     re = _json_entries(obj, "re", (int, float), n)
     im = _json_entries(obj, "im", (int, float), n) if "im" in obj else [0.0] * n
     flat = [a + 1j * b for a, b in zip(re, im)]
     try:
-        return cmat([flat[i * cols : (i + 1) * cols] for i in range(rows)]), cols
+        return cmat([flat[i * cols : (i + 1) * cols] for i in range(rows)]), 1, cols
     except ValueError:  # JSON's NaN and Infinity tokens
         raise DomainError("matrix entries must be finite") from None
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    M, cols = _json_matrix(obj)
-    return _dense(M, (len(M), cols)) if type(M) is list else M
+    M, D, cols = _json_matrix(obj)
+    return _dense(_fractions(M, D), (len(M), cols)) if type(M) is list else M

@@ -2,14 +2,14 @@
 
 A Representation is a labeled family of generators (one per basis symbol
 of the algebra) acting on a common d-dimensional space, optionally
-annotated with a weight per basis vector.  Generators are held as sparse
-rows (see matcore), with Fraction entries if the representation is exact
-and complex ones if it is floating; rows are never changed once held.
-Builders, constructions, the relation check and JSON output work on rows
-with no dense d x d scan; dense arrays are accepted at construction and
-built on demand.  Direct sum, tensor product and dual
-preserve the homomorphism property; the tensor index convention is
-row-major, index = i1 * d2 + i2.
+annotated with a weight per basis vector.  Generator k is held as
+``held[k] = (N, D)``, sparse rows N (see matcore) over one denominator D:
+integer rows over a positive integer if the representation is exact,
+complex rows over 1 if it is floating.  Builders, constructions, the
+relation check and JSON output work on them with no Fraction made and no
+dense d x d scan; ``rows`` reads them as Fractions.  Direct sum and tensor
+product, over the lcm of the denominators, and dual preserve the
+homomorphism property; the tensor index is row-major, i1 * d2 + i2.
 
 ``relations_hold`` records that the generators are known to satisfy the
 bracket relations of their algebra, so a consumer such as sl2_decompose
@@ -18,8 +18,8 @@ may skip verify_relations.  Only the irreducible builders set it
 tensor_product and dual keep it when all their inputs have it.
 Representation(...), from_rows by default and rep_from_json leave it
 unset, so a hand-built or JSON representation is always checked.  The
-flag is sound only because rows are never changed once held: do not
-mutate ``rows`` of a representation after construction.
+flag is sound because the held rows are never changed: do not mutate
+``held`` of a representation after construction.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,7 +36,10 @@ from .matcore import (
     _axpy,
     _commutator,
     _dense,
+    _fractions,
+    _integer_rows,
     _json_matrix,
+    _over_lcm,
     _rows_to_json,
     _sparse_rows,
     frobenius_norm,
@@ -67,37 +69,42 @@ def _check_shapes(labels, shapes):
 
 
 class Representation:
-    """Generators as sparse rows (``rows``, one list of row dicts per label),
-    exact or floating (``exact``), with optional weights (basis index ->
-    int or tuple); ``relations_hold`` if the generators are known to satisfy
-    the relations (see the module docstring)."""
+    """Generators held as (integer rows, D) pairs, ``held`` (see the module
+    docstring), exact or floating (``exact``), with optional weights (basis
+    index -> int or tuple); ``relations_hold`` if the generators are known to
+    satisfy the relations."""
 
     def __init__(self, algebra: str, labels, generators, weights: dict | None = None):
         """Take generators as object (exact) or complex (floating) arrays."""
         gens = tuple(np.asarray(g) for g in generators)
         _check_shapes(labels, [g.shape for g in gens])
         exact = all(is_rational(g) for g in gens)
-        self._take(algebra, labels, [_sparse_rows(g) for g in gens], weights, exact, False)
+        self._hold(algebra, labels, [_sparse_rows(g) for g in gens], weights, exact, False)
 
     @classmethod
-    def from_rows(cls, algebra: str, labels, rows, weights=None, exact=True,
-                  relations_hold=False):
-        """A representation on generators given as sparse rows.  Pass
-        relations_hold=True only for generators that satisfy the relations
-        by construction."""
+    def from_rows(cls, algebra: str, labels, rows, weights=None, exact=True, relations_hold=False):
+        """A representation on generators given as sparse rows (a list, of
+        Fraction entries if exact) or as (rows, D) pairs (a tuple), as held.
+        Pass relations_hold=True only for generators that satisfy the
+        relations by construction."""
         rep = cls.__new__(cls)
-        rep._take(algebra, labels, rows, weights, exact, relations_hold)
+        rep._hold(algebra, labels, rows, weights, exact, relations_hold)
         return rep
 
-    def _take(self, algebra, labels, rows, weights, exact, relations_hold):
-        if not exact:
-            rows = [[{j: complex(x) for j, x in row.items()} for row in g] for g in rows]
-        self.algebra, self.labels, self.rows = algebra, tuple(labels), tuple(rows)
-        self.weights, self.exact, self.relations_hold = weights, exact, relations_hold
+    def _hold(self, algebra, labels, rows, weights, exact, relations_hold):
+        held = [g if type(g) is tuple else _integer_rows(g) if exact else (g, 1) for g in rows]
+        self.held = tuple(held if exact else _floating(held))
+        self.algebra, self.labels, self.weights = algebra, tuple(labels), weights
+        self.exact, self.relations_hold = exact, relations_hold
+
+    @property
+    def rows(self) -> tuple:
+        """The generators as new sparse rows of Fraction (exact) or complex entries."""
+        return tuple(_fractions(g, D) if self.exact else list(map(dict, g)) for g, D in self.held)
 
     @property
     def dim(self) -> int:
-        return len(self.rows[0])
+        return len(self.held[0][0])
 
     @property
     def generators(self) -> tuple:
@@ -110,16 +117,21 @@ class Representation:
         return _dense(self.rows_of(label), (self.dim, self.dim), self.exact)
 
 
+def _floating(held):
+    """(rows, D) pairs as complex rows over 1."""
+    return [([{j: complex(x / D) for j, x in row.items()} for row in g], 1) for g, D in held]
+
+
 def verify_relations(rep: Representation, basis: Basis, tol_abs: float = 1e-10) -> bool:
     """Check pi([b_i, b_j]) = [pi(b_i), pi(b_j)] for all basis pairs; the
     generators must carry the basis labels in the basis order (DomainError).
 
     Uses the exact structure constants of the basis.  A rational
-    representation is checked in integers: with D the lcm of the
-    denominators of all generator entries and N_i = D pi(b_i), check
-    [N_i, N_j] = D sum_k c_ijk N_k, both sides scaled by the lcm E of the
-    denominators of c_ij.  A floating one passes when the residual of
-    each pair is within tol_abs in Frobenius norm.
+    representation is checked on its integer rows: with pi(b_i) = N_i / D_i,
+    check [N_i, N_j] L / (D_i D_j) = sum_k c_ijk (L / D_k) N_k for L the lcm
+    of D_i D_j and every D_k E, E the lcm of the denominators of c_ij.  A
+    floating one passes when the residual of each pair is within tol_abs in
+    Frobenius norm.
     """
     return _verify_relations(rep, basis, None, tol_abs)
 
@@ -127,39 +139,34 @@ def verify_relations(rep: Representation, basis: Basis, tol_abs: float = 1e-10) 
 def _verify_relations(rep: Representation, basis: Basis, c, tol_abs: float = 1e-10) -> bool:
     """verify_relations with c the structure constants of basis, computed
     here when None."""
-    if len(rep.rows) != len(basis):
+    if len(rep.held) != len(basis):
         raise ShapeError("generator count does not match basis size")
     if rep.labels != tuple(basis.labels):
         raise DomainError(f"generator labels {rep.labels} are not the basis labels {basis.labels}")
     if c is None:
         c = structure_constants(basis)
-    exact = rep.exact
-    if exact:
-        D = math.lcm(*(x.denominator for g in rep.rows for row in g for x in row.values()))
-        gens = [[{j: int(x * D) for j, x in row.items()} for row in g] for g in rep.rows]
-    else:
-        D, gens = 1, rep.rows
-    scalar = int if exact else complex
+    exact, (gens, D) = rep.exact, zip(*rep.held)
     for i, j in itertools.combinations(range(len(gens)), 2):
+        ks = np.flatnonzero(c[i, j]).tolist()
         E = math.lcm(*(x.denominator for x in c[i, j])) if exact else 1
-        acc = _commutator(gens[i], gens[j], E)
-        for k in np.flatnonzero(c[i, j]).tolist():
-            s = scalar(-D * E * c[i, j, k])
+        L = math.lcm(D[i] * D[j], *(D[k] * E for k in ks))
+        acc = _commutator(gens[i], gens[j], L // (D[i] * D[j]))
+        for k in ks:
+            x = c[i, j, k]
+            s = -(L // D[k]) // x.denominator * x.numerator if exact else complex(-x)
             for r, row in enumerate(gens[k]):
                 _axpy(acc[r], s, row)
-        if exact:
-            if any(acc):
-                return False
-        elif not frobenius_norm(np.array([x for r in acc for x in r.values()], complex)) <= tol_abs:
-            return False  # also when the residual overflows to inf or nan
+        res = [x for r in acc for x in r.values()]  # the nonzero entries of the residual
+        if res and (exact or not frobenius_norm(np.array(res, complex)) <= tol_abs):
+            return False  # also when a floating residual overflows to inf or nan
     return True
 
 
 def _gelfand_tsetlin(top):
     """The gl(n) irreducible with highest weight top (nonincreasing integers)
-    on its Gelfand-Tsetlin basis: sparse rows H, X, Y of E_kk - E_k+1,k+1,
-    E_k,k+1 and E_k+1,k for k = 1..n-1, and the H_k eigenvalues of each
-    basis vector.  Vector j is the j-th pattern, its rows n..1 read as one
+    on its Gelfand-Tsetlin basis: (integer rows, D) pairs H, X, Y of E_kk -
+    E_k+1,k+1, E_k,k+1 and E_k+1,k for k = 1..n-1, and the H_k eigenvalues of
+    each basis vector.  Vector j is the j-th pattern, its rows n..1 read as one
     tuple in descending order, so the top pattern comes first.  By Molev
     (arXiv:math/0211289, Thm 2.3), with l_ki = lam_ki - i + 1, E_k,k+1 and
     E_k+1,k take a pattern to sum_i c_i (pattern with lam_ki +- 1), a pattern
@@ -182,14 +189,14 @@ def _gelfand_tsetlin(top):
         weights.append(w := tuple([2 * s[k] - s[k - 1] - s[k + 1] - 1 for k in range(1, n)]))
         for k in range(1, n):
             if w[k - 1]:
-                H[k - 1][j][j] = Fraction(w[k - 1])
+                H[k - 1][j][j] = w[k - 1]
             for c in range(start[k], start[k] + k):
                 l = p[c]
                 den = math.prod(l - t for t in p[rows[k]] if t != l)
                 for G, step, sign, other in ((X, 1, -1, rows[k + 1]), (Y, -1, 1, rows[k - 1])):
                     if (i := index.get(p[:c] + (l + step,) + p[c + 1:])) is not None:
-                        G[k - 1][i][j] = Fraction(sign * math.prod(l - t for t in p[other]), den)
-    return H, X, Y, weights
+                        G[k - 1][i][j] = sign * math.prod(l - t for t in p[other]), den
+    return [(g, 1) for g in H], *([_over_lcm(g) for g in G] for G in (X, Y)), weights
 
 
 def _weight_map(f, *ws):
@@ -197,44 +204,47 @@ def _weight_map(f, *ws):
     return tuple(map(f, *ws)) if isinstance(ws[0], tuple) else f(*ws)
 
 
-def _check_compatible(r1: Representation, r2: Representation):
+def _compatible(r1: Representation, r2: Representation) -> tuple:
+    """(exact, held pairs of r1, held pairs of r2), floating for both unless both are exact."""
     if r1.algebra != r2.algebra or r1.labels != r2.labels:
         raise DomainError("representations are of different algebras")
+    exact = r1.exact and r2.exact
+    return exact, *(r.held if exact else _floating(r.held) for r in (r1, r2))
 
 
 def direct_sum(r1: Representation, r2: Representation) -> Representation:
     """Block-diagonal sum; weight annotations concatenate."""
-    _check_compatible(r1, r2)
+    exact, g1, g2 = _compatible(r1, r2)
     d1 = r1.dim
-    rows = tuple(
-        g1 + [{d1 + j: x for j, x in row.items()} for row in g2]
-        for g1, g2 in zip(r1.rows, r2.rows)
-    )
+    gens = [([{j: x * (D // Da) for j, x in row.items()} for row in A]
+             + [{d1 + j: x * (D // Db) for j, x in row.items()} for row in B], D)
+            for (A, Da), (B, Db) in zip(g1, g2) for D in [math.lcm(Da, Db)]]
     weights = None
     if r1.weights is not None and r2.weights is not None:
         weights = dict(r1.weights)
         weights.update({d1 + i: w for i, w in r2.weights.items()})
-    return Representation.from_rows(r1.algebra, r1.labels, rows, weights, r1.exact and r2.exact,
+    return Representation.from_rows(r1.algebra, r1.labels, gens, weights, exact,
                                     r1.relations_hold and r2.relations_hold)
 
 
-def _kron_sum(A, B):
-    """Sparse rows of A (x) I + I (x) B."""
-    d2 = len(B)
+def _kron_sum(A, Da: int, B, Db: int) -> tuple:
+    """(Sparse rows, D) of A/Da (x) I + I (x) B/Db, with D = lcm(Da, Db)."""
+    D = math.lcm(Da, Db)
+    s, t, d2 = D // Da, D // Db, len(B)
     out = []
     for i, a in enumerate(A):
         for k, b in enumerate(B):
-            row = {j * d2 + k: x for j, x in a.items()}
-            _axpy(row, 1, {i * d2 + l: y for l, y in b.items()})
+            row = {j * d2 + k: s * x for j, x in a.items()}
+            _axpy(row, t, {i * d2 + l: y for l, y in b.items()})
             out.append(row)
-    return out
+    return out, D
 
 
 def tensor_product(r1: Representation, r2: Representation) -> Representation:
     """Generators pi1(b) (x) I + I (x) pi2(b); weights add factorwise."""
-    _check_compatible(r1, r2)
+    exact, g1, g2 = _compatible(r1, r2)
     d2 = r2.dim
-    rows = tuple(_kron_sum(g1, g2) for g1, g2 in zip(r1.rows, r2.rows))
+    gens = [_kron_sum(*a, *b) for a, b in zip(g1, g2)]
     weights = None
     if r1.weights is not None and r2.weights is not None:
         weights = {
@@ -242,7 +252,7 @@ def tensor_product(r1: Representation, r2: Representation) -> Representation:
             for i1, w1 in r1.weights.items()
             for i2, w2 in r2.weights.items()
         }
-    return Representation.from_rows(r1.algebra, r1.labels, rows, weights, r1.exact and r2.exact,
+    return Representation.from_rows(r1.algebra, r1.labels, gens, weights, exact,
                                     r1.relations_hold and r2.relations_hold)
 
 
@@ -256,11 +266,11 @@ def _negated_transpose(rows):
 
 def dual(rep: Representation) -> Representation:
     """Generators -(pi(b))^T; weights negate.  dual(dual(r)) == r."""
-    rows = tuple(_negated_transpose(g) for g in rep.rows)
+    gens = [(_negated_transpose(g), D) for g, D in rep.held]
     weights = None
     if rep.weights is not None:
         weights = {i: _weight_map(operator.neg, w) for i, w in rep.weights.items()}
-    return Representation.from_rows(rep.algebra, rep.labels, rows, weights, rep.exact,
+    return Representation.from_rows(rep.algebra, rep.labels, gens, weights, rep.exact,
                                     rep.relations_hold)
 
 
@@ -269,7 +279,7 @@ def rep_to_json(rep: Representation) -> dict:
         "algebra": rep.algebra,
         "labels": list(rep.labels),
         "dim": rep.dim,
-        "generators": [_rows_to_json(g, rep.dim, rep.exact) for g in rep.rows],
+        "generators": [_rows_to_json(g, D, rep.dim, rep.exact) for g, D in rep.held],
     }
     if rep.weights is not None:
         out["weights"] = {
@@ -285,9 +295,9 @@ def rep_from_json(obj: dict) -> Representation:
     labels, gens, weights = obj["labels"], obj["generators"], obj.get("weights")
     if not isinstance(labels, list) or not isinstance(gens, list):
         raise DomainError('"labels" and "generators" must be lists')
-    mats = [_json_matrix(g) for g in gens]  # exact: sparse rows; floating: dense
-    _check_shapes(labels, [(len(M), cols) for M, cols in mats])
-    n = mats[0][1]
+    mats = [_json_matrix(g) for g in gens]  # exact: integer rows over D; floating: dense over 1
+    _check_shapes(labels, [(len(M), cols) for M, _, cols in mats])
+    n = mats[0][2]
     dim = obj.get("dim", n)
     if type(dim) is not int:  # bool is not int
         raise DomainError('"dim" must be an integer')
@@ -303,6 +313,6 @@ def rep_from_json(obj: dict) -> Representation:
         if len(shapes) > 1 or not all(type(x) is int for x in entries):  # bool is not int
             raise DomainError("every weight must be an integer, or a list of integers, of one shape")
         weights = {int(i): tuple(w) if type(w) is list else w for i, w in weights.items()}
-    exact = all(type(M) is list for M, _ in mats)
-    rows = [M if type(M) is list else _sparse_rows(M) for M, _ in mats]
-    return Representation.from_rows(obj["algebra"], labels, rows, weights, exact)
+    exact = all(type(M) is list for M, _, _ in mats)
+    gens = [(M, D) if type(M) is list else (_sparse_rows(M), 1) for M, D, _ in mats]
+    return Representation.from_rows(obj["algebra"], labels, gens, weights, exact)

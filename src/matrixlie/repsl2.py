@@ -52,10 +52,10 @@ def sl2_poly_irrep(m: int) -> Representation:
     pi(Y) z1^k z2^(m-k) = -(m-k) z1^(k+1) z2^(m-k-1); that is, the abstract
     generators conjugated by sl2_intertwiner(m)."""
     rep = sl2_irrep(m)
-    t = sl2_intertwiner(m).diagonal()
-    rows = tuple([{j: t[i] * x / t[j] for j, x in row.items()} for i, row in enumerate(g)]
-                 for g in rep.rows)
-    return Representation.from_rows(rep.algebra, rep.labels, rows, rep.weights,
+    t = [int(x) for x in sl2_intertwiner(m).diagonal()]
+    gens = [([{j: t[i] * x // (t[j] * D) for j, x in row.items()} for i, row in enumerate(g)], 1)
+            for g, D in rep.held]  # integral, as above
+    return Representation.from_rows(rep.algebra, rep.labels, gens, rep.weights,
                                     relations_hold=True)
 
 
@@ -73,27 +73,30 @@ def sl2_intertwiner(m: int) -> np.ndarray:
     return T
 
 
-def _integral_diagonal(H, strict: bool):
-    """The integral diagonal of a triangular pi(H), sparse rows H; else None (raise if strict)."""
+def _integral_diagonal(H, strict: bool, D: int = 1):
+    """The integral diagonal of a triangular pi(H) = H / D, sparse rows H of
+    integers, or Fractions over D = 1; else None (raise if strict)."""
     diag = [row.get(i, 0) for i, row in enumerate(H)]
     if not (all(j <= i for i, row in enumerate(H) for j in row)
             or all(j >= i for i, row in enumerate(H) for j in row)):
-        why = "pi(H) must be triangular or the rep weight-annotated"
-    elif any(x.denominator != 1 for x in diag):
+        why = "pi(H) must be triangular"
+    elif any(x % D for x in diag):
         why = "pi(H) spectrum is not integral"
     else:
-        return [int(x) for x in diag]
+        return [x // D for x in diag]
     if strict:
         raise DomainError(why)
 
 
 def sl2_weights(rep: Representation) -> list:
-    """Sorted multiset of integer H-eigenvalues of a rational rep."""
+    """Sorted multiset of integer H-eigenvalues of a rational rep: its weights
+    if rep.relations_hold vouches for them, else the diagonal of a triangular pi(H)."""
     if not rep.exact:
         raise DomainError("the generators must be rational matrices")
-    if rep.weights is not None:
+    if rep.weights is not None and rep.relations_hold:
         return sorted(rep.weights.values(), reverse=True)
-    return sorted(_integral_diagonal(rep.rows_of("H"), strict=True), reverse=True)
+    H, D = rep.held[rep.labels.index("H")]
+    return sorted(_integral_diagonal(H, strict=True, D=D), reverse=True)
 
 
 def sl2_decompose(rep: Representation) -> list:
@@ -116,15 +119,15 @@ def sl2_decompose(rep: Representation) -> list:
     trusted = rep.relations_hold and rep.algebra == "sl(2,C)"
     if not trusted and not _verify_relations(rep, *_builtin_constants(sl2_basis_rational)):
         raise DomainError("generators do not satisfy the sl(2) relations")
-    H, d = rep.rows_of("H"), rep.dim
-    if (weights := _integral_diagonal(H, strict=False)) is None:
-        found = _kernel_highest_weights(rep, H)
+    H, D = rep.held[rep.labels.index("H")]
+    if (weights := _integral_diagonal(H, strict=False, D=D)) is None:
+        found = _kernel_highest_weights(rep, rep.rows_of("H"))
     else:
         mult = collections.Counter(weights)
         found = [m for m in range(max(weights), -1, -1) for _ in range(mult[m] - mult[m + 2])]
     covered = sum(found) + len(found)
-    if covered != d:
-        raise DecompositionError(f"summand dimensions total {covered}, expected {d}")
+    if covered != rep.dim:
+        raise DecompositionError(f"summand dimensions total {covered}, expected {rep.dim}")
     return found
 
 
@@ -143,7 +146,7 @@ def _kernel_highest_weights(rep: Representation, H) -> list:
     Gershgorin bound of K.
     """
     d = rep.dim
-    kernel = _nullspace_rows([dict(row) for row in rep.rows_of("X")], d)
+    kernel = _nullspace_rows(rep.rows_of("X"), d)
     free = [max(v) for v in kernel]  # the other entries of v_f sit left of f
     r = len(free)
     K = [{b: x for b, v in enumerate(kernel)  # (pi(H) v_f)[g]

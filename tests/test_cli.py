@@ -4,6 +4,7 @@ import json
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -376,3 +377,27 @@ def test_exact_entry_beyond_the_float_range_is_a_domain_error(argv):
     with contextlib.redirect_stdout(out):
         code = main([*argv, huge])
     assert code == 1 and json.loads(out.getvalue())["error"] == "domain"
+
+
+def test_exact_cli_paths_make_no_fraction(monkeypatch):
+    # cg, rep sl3 and decompose of a triangular pi(H) work on integer rows
+    # over one denominator per generator; only the structure constants, made
+    # once per process, are Fractions
+    text = json.dumps(rep_to_json(direct_sum(sl2_irrep(3), sl2_irrep(2))))
+    argvs = [["cg", "5", "5"], ["rep", "sl3", "2", "2"], ["decompose", "sl2", text]]
+    for argv in argvs:  # warm the per-process caches
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+    new, made = Fraction.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert made == [], (argv[:2], made[:5])
+    assert Fraction(1, 2) and made == [(1, 2)]  # the count works

@@ -272,10 +272,24 @@ def decompose_inputs(draw):
     if draw(st.booleans()):
         del obj["weights"]
     gens = obj["generators"]
-    case = draw(st.sampled_from(["valid", "floating", "no_generators", "mixed_shapes",
-                                 "non_square", "label_count", "weights_list", "entry"]))
+    case = draw(st.sampled_from(["valid", "rescaled", "rational", "floating", "no_generators",
+                                 "mixed_shapes", "non_square", "label_count", "weights_list",
+                                 "entry"]))
     kind = "shape"
     if case == "valid":
+        return obj, None, sorted(ms, reverse=True)
+    if case == "rescaled":  # every num/den pair of a generator times one k
+        for g in gens:
+            k = draw(st.sampled_from([-3, -1, 2, 6]))
+            g["num"], g["den"] = [k * a for a in g["num"]], [k * b for b in g["den"]]
+        return obj, None, sorted(ms, reverse=True)
+    if case == "rational":  # T^-1 pi T for a diagonal rational T
+        t = [Fraction(draw(st.integers(1, 9)), draw(st.sampled_from([-7, -2, 1, 3, 4])))
+             for _ in range(d)]
+        for g in gens:
+            xs = [Fraction(a, b) * t[k % d] / t[k // d] for k, (a, b) in
+                  enumerate(zip(g["num"], g["den"]))]
+            g["num"], g["den"] = [x.numerator for x in xs], [x.denominator for x in xs]
         return obj, None, sorted(ms, reverse=True)
     if case == "floating":
         obj["generators"] = [{"rows": d, "cols": d, "re": [n / q for n, q in

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from matrixlie.errors import DomainError, ShapeError
-from matrixlie.matcore import _commutator, matrix_to_json, to_complex
+from matrixlie.matcore import _commutator, _fractions, matrix_to_json, to_complex
 from matrixlie.repcore import (
     Representation,
     _gelfand_tsetlin,
@@ -234,6 +234,48 @@ def test_rep_json_reads_back_the_same_rows():
                        for x in row.values())
 
 
+def test_exact_rep_json_round_trips_in_lowest_terms():
+    # numerators past 2**64, denominators negative or sharing a factor with
+    # their numerator: rep_from_json holds integer rows over one denominator
+    # per generator, rep_to_json writes each entry in lowest terms, and
+    # .rows reads the entries back as Fractions
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    big = 2**64
+    nums = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-big * big, big * big))
+    dens = st.one_of(st.integers(1, 12), st.integers(-12, -1), st.integers(big, big * 1000),
+                     st.integers(-big * 1000, -big))
+
+    @st.composite
+    def reps(draw):
+        d = draw(st.integers(1, 4))
+        pairs = [draw(st.lists(st.tuples(nums, dens), min_size=d * d, max_size=d * d))
+                 for _ in range(3)]
+        obj = {"algebra": "sl(2,C)", "labels": ["H", "X", "Y"], "dim": d, "generators": [
+            {"rows": d, "cols": d, "num": [a for a, _ in g], "den": [b for _, b in g]}
+            for g in pairs]}
+        if draw(st.booleans()):
+            obj["weights"] = {str(i): draw(st.integers(-5, 5)) for i in range(d)}
+        return obj
+
+    @hyp.settings(derandomize=True, max_examples=200, deadline=None)
+    @hyp.given(obj=reps())
+    def check(obj):
+        rep = rep_from_json(obj)
+        xs = [[Fraction(a, b) for a, b in zip(g["num"], g["den"])] for g in obj["generators"]]
+        lowest = {**obj, "generators": [
+            {"rows": g["rows"], "cols": g["cols"], "num": [x.numerator for x in gx],
+             "den": [x.denominator for x in gx]} for g, gx in zip(obj["generators"], xs)]}
+        assert rep.exact and rep_to_json(rep) == lowest
+        d = obj["dim"]
+        for g, gx in zip(rep.rows, xs):
+            assert all(type(x) is Fraction for row in g for x in row.values())
+            assert [g[k // d].get(k % d, 0) for k in range(d * d)] == gx
+        assert all(D > 0 for _, D in rep.held)
+
+    check()
+
+
 def test_rep_json_with_one_floating_generator_is_floating():
     obj = rep_to_json(sl2_irrep(2))
     X = obj["generators"][1]
@@ -392,13 +434,19 @@ CARTAN4 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 TOPS4 = [(a, b, c, 0) for a in range(4) for b in range(a + 1) for c in range(b + 1)]
 
 
+def _gelfand_tsetlin_fractions(top):
+    """_gelfand_tsetlin(top) with each (integer rows, D) pair read as Fraction rows."""
+    *gens, weights = _gelfand_tsetlin(top)
+    return (*([_fractions(g, D) for g, D in G] for G in gens), weights)
+
+
 def _scaled(rows, s):
     return [{j: s * x for j, x in row.items()} if s else {} for row in rows]
 
 
 @pytest.mark.parametrize("top", TOPS4)
 def test_gelfand_tsetlin_sl4_dimension_is_weyls(top):
-    H, X, Y, weights = _gelfand_tsetlin(top)
+    H, X, Y, weights = _gelfand_tsetlin_fractions(top)
     want = math.prod(Fraction(top[i] - top[j] + j - i, j - i)
                      for i, j in itertools.combinations(range(4), 2))
     assert len(weights) == len(H[0]) == want
@@ -408,7 +456,7 @@ def test_gelfand_tsetlin_sl4_dimension_is_weyls(top):
 
 @pytest.mark.parametrize("top", TOPS4)
 def test_gelfand_tsetlin_sl4_satisfies_the_chevalley_relations(top):
-    H, E, F, _ = _gelfand_tsetlin(top)
+    H, E, F, _ = _gelfand_tsetlin_fractions(top)
     zero = [{} for _ in H[0]]
     for k, l in itertools.product(range(3), repeat=2):
         a = CARTAN4[k][l]

@@ -503,3 +503,30 @@ def test_mutating_public_constants_changes_no_later_result():
         c[...] = Fraction(7)
     assert (_cli("decompose", "sl2", text), _cli("structconst", "--basis", "sl3")) == before
     assert before[0] == (0, '{"summands":[3,1]}\n')
+
+
+# --- sl2_weights reads weight annotations only when the relations are vouched for
+
+
+def test_sl2_weights_of_a_json_rep_read_the_diagonal_not_its_weights():
+    obj = rep_to_json(direct_sum(sl2_irrep(2), sl2_irrep(1)))
+    obj["weights"] = {str(i): 0 for i in range(5)}
+    rep = rep_from_json(obj)
+    assert not rep.relations_hold
+    assert sl2_weights(rep) == [2, 1, 0, -1, -2]
+    assert sl2_decompose(rep) == [2, 1]
+
+
+def test_sl2_weights_of_a_built_rep_read_its_weights():
+    rep = tensor_product(sl2_irrep(3), dual(sl2_irrep(2)))
+    assert rep.relations_hold and rep.weights is not None
+    assert sl2_weights(rep) == sorted(rep.weights.values(), reverse=True)
+
+
+def test_sl2_weights_of_a_weighted_json_rep_with_a_non_triangular_h_raise():
+    rep = _dense_conjugate(tensor_product(sl2_irrep(2), sl2_irrep(1)))
+    obj = rep_to_json(rep)
+    obj["weights"] = {str(i): w for i, w in enumerate([3, 1, -1, -3, 1, -1])}
+    with pytest.raises(DomainError, match="triangular"):
+        sl2_weights(rep_from_json(obj))
+    assert sl2_decompose(rep_from_json(obj)) == [3, 1]
