@@ -18,7 +18,7 @@ from . import bch as bchmod
 from . import expmlog, groups, liealg, repsl2, repsl3, su2so3
 from .errors import DomainError, LieError
 from .matcore import Tolerance, matrix_from_json, matrix_to_json
-from .repcore import rep_from_json, rep_to_json, tensor_product
+from .repcore import Representation, _rep_text, rep_from_json, tensor_product
 
 _BASES = {
     "su2": liealg.su2_basis,
@@ -40,11 +40,11 @@ def _load_json(arg: str, decode=matrix_from_json):
 
 
 def _emit(out):
-    """Print a handler's value as strict JSON, a matrix as matrix_to_json; a
-    non-finite float is a DomainError, so stdout never holds inf or nan."""
+    """Print a handler's value as strict JSON, a Representation by _rep_text and
+    a matrix as matrix_to_json; a non-finite float is a DomainError."""
     try:
-        text = json.dumps(out, sort_keys=True, separators=(",", ":"), allow_nan=False,
-                          default=matrix_to_json)
+        text = _rep_text(out) if isinstance(out, Representation) else json.dumps(
+            out, sort_keys=True, separators=(",", ":"), allow_nan=False, default=matrix_to_json)
     except ValueError:  # json refuses inf and nan
         raise DomainError("the result has a non-finite entry") from None
     print(text)
@@ -88,7 +88,7 @@ def _su2so3(a, tol):
 
 def _rep_sl2(a, tol):
     build = repsl2.sl2_irrep if a.model == "abstract" else repsl2.sl2_poly_irrep
-    return rep_to_json(build(a.m))
+    return build(a.m)
 
 
 def _rep_sl3(a, tol):
@@ -96,7 +96,7 @@ def _rep_sl3(a, tol):
     if a.weights_csv:
         with open(a.weights_csv, "w") as f:
             f.write(repsl3.weight_table_csv(mult))
-    return rep_to_json(rep)
+    return rep
 
 
 def _cg(a, tol):
@@ -112,7 +112,7 @@ def _polar(a, tol):
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser.  Each command sets `run`, its handler (args, tol) -> a
-    matrix or a JSON value."""
+    matrix, an exact Representation or a JSON value."""
     p = argparse.ArgumentParser(prog="matrixlie")
     p.add_argument("--tol-abs", type=float, default=1e-9)
     p.add_argument("--tol-rel", type=float, default=1e-9)

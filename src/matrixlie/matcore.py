@@ -9,7 +9,8 @@ row: ``_sparse_rows`` and ``_dense`` convert between the forms,
 ``_commutator`` brackets rows, ``_rref_rows`` eliminates on rows.  A
 representation generator is integer rows over one denominator D > 0, made
 by ``_over_lcm`` and ``_integer_rows``, read back by ``_fractions``, and
-read and written with no Fraction by ``_json_matrix`` and ``_rows_to_json``.
+read and written with no Fraction by ``_json_matrix`` and ``_rows_to_json``,
+or ``_rows_to_text``, which writes the same object as JSON text.
 Also here: norms, exact rank/nullspace/solve and the JSON interchange format.
 """
 
@@ -395,18 +396,31 @@ def matrix_to_json(M: np.ndarray) -> dict:
     return out
 
 
-def _rows_to_json(rows: list[dict], D: int, cols: int, exact: bool = True) -> dict:
-    """The JSON object of the matrix with these sparse rows over D.  An exact
-    entry x / D is written in lowest terms by one gcd and a zero as 0/1, with
-    no Fraction made; a floating matrix (D = 1) goes through its dense form."""
-    if not exact:
-        return matrix_to_json(_dense(rows, (len(rows), cols), exact=False))
-    num, den = [0] * (len(rows) * cols), [1] * (len(rows) * cols)
+def _lowest_terms(rows: list[dict], D: int, cols: int, kind=int) -> tuple:
+    """The row-major num and den lists of integer rows over D as kind (int, or
+    str for JSON text): each entry in lowest terms by one gcd, a zero as 0/1."""
+    num, den = [kind(0)] * (len(rows) * cols), [kind(1)] * (len(rows) * cols)
     for i, row in enumerate(rows):
         for j, x in row.items():
             g = math.gcd(x, D)
-            num[i * cols + j], den[i * cols + j] = x // g, D // g
+            num[i * cols + j], den[i * cols + j] = kind(x // g), kind(D // g)
+    return num, den
+
+
+def _rows_to_json(rows: list[dict], D: int, cols: int, exact: bool = True) -> dict:
+    """The JSON object of the matrix with these sparse rows over D: an exact
+    one by _lowest_terms, a floating one (D = 1) through its dense form."""
+    if not exact:
+        return matrix_to_json(_dense(rows, (len(rows), cols), exact=False))
+    num, den = _lowest_terms(rows, D, cols)
     return {"rows": len(rows), "cols": cols, "num": num, "den": den}
+
+
+def _rows_to_text(rows: list[dict], D: int, cols: int) -> str:
+    """_rows_to_json of exact rows as the text json.dumps writes with sorted
+    keys and no spaces: str only at the nonzero entries, one join per list."""
+    num, den = map(",".join, _lowest_terms(rows, D, cols, str))
+    return f'{{"cols":{cols},"den":[{den}],"num":[{num}],"rows":{len(rows)}}}'
 
 
 def _json_entries(obj: dict, key: str, kinds: tuple, n: int) -> list:

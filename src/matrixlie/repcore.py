@@ -25,6 +25,7 @@ flag is sound because the held rows are never changed: do not mutate
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
 
@@ -41,6 +42,7 @@ from .matcore import (
     _json_matrix,
     _over_lcm,
     _rows_to_json,
+    _rows_to_text,
     _sparse_rows,
     frobenius_norm,
     is_rational,
@@ -190,12 +192,17 @@ def _gelfand_tsetlin(top):
         for k in range(1, n):
             if w[k - 1]:
                 H[k - 1][j][j] = w[k - 1]
-            for c in range(start[k], start[k] + k):
-                l = p[c]
-                den = math.prod(l - t for t in p[rows[k]] if t != l)
-                for G, step, sign, other in ((X, 1, -1, rows[k + 1]), (Y, -1, 1, rows[k - 1])):
-                    if (i := index.get(p[:c] + (l + step,) + p[c + 1:])) is not None:
-                        G[k - 1][i][j] = sign * math.prod(l - t for t in p[other]), den
+            for c in range(start[k], start[k] + k):  # i is j with l_kc + 1: X[i][j], Y[j][i]
+                if (i := index.get(p[:c] + (p[c] + 1,) + p[c + 1:])) is not None:
+                    l, xn, xd, yn, yd = p[c], -1, 1, 1, 1
+                    for t in p[rows[k + 1]]:
+                        xn *= l - t
+                    for t in p[rows[k - 1]]:
+                        yn *= l + 1 - t
+                    for t in p[rows[k]]:
+                        if t != l:
+                            xd, yd = xd * (l - t), yd * (l + 1 - t)
+                    X[k - 1][i][j], Y[k - 1][j][i] = (xn, xd), (yn, yd)
     return [(g, 1) for g in H], *([_over_lcm(g) for g in G] for G in (X, Y)), weights
 
 
@@ -275,18 +282,26 @@ def dual(rep: Representation) -> Representation:
 
 
 def rep_to_json(rep: Representation) -> dict:
-    out = {
-        "algebra": rep.algebra,
-        "labels": list(rep.labels),
-        "dim": rep.dim,
-        "generators": [_rows_to_json(g, D, rep.dim, rep.exact) for g, D in rep.held],
-    }
-    if rep.weights is not None:
-        out["weights"] = {
-            str(i): list(w) if isinstance(w, tuple) else w
-            for i, w in sorted(rep.weights.items())
-        }
-    return out
+    gens = [_rows_to_json(g, D, rep.dim, rep.exact) for g, D in rep.held]
+    return {"algebra": rep.algebra, "labels": list(rep.labels), "dim": rep.dim,
+            "generators": gens, **_json_weights(rep)}
+
+
+def _json_weights(rep: Representation) -> dict:
+    """{"weights": basis index as a string -> int or list}, or {} without weights."""
+    return {} if rep.weights is None else {"weights": {
+        str(i): list(w) if isinstance(w, tuple) else w for i, w in sorted(rep.weights.items())}}
+
+
+def _rep_text(rep: Representation) -> str:
+    """json.dumps(rep_to_json(rep), sort_keys=True, separators=(",", ":")) of
+    an exact rep, byte for byte, with its generators written from the held
+    rows by _rows_to_text; "generators" sorts between "dim" and "labels"."""
+    head, tail = (json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in (
+        {"algebra": rep.algebra, "dim": rep.dim},
+        {"labels": list(rep.labels), **_json_weights(rep)}))
+    gens = ",".join(_rows_to_text(g, D, rep.dim) for g, D in rep.held)
+    return f'{head[:-1]},"generators":[{gens}],{tail[1:]}'
 
 
 def rep_from_json(obj: dict) -> Representation:

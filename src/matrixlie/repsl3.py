@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import LieError
+from .errors import DomainError
 from .liealg import Basis
 from .matcore import _commutator, rmat
 from .repcore import Representation, _gelfand_tsetlin, dual
@@ -119,7 +119,7 @@ def sl3_highest_weight_irrep(m1: int, m2: int):
     if m1 < 0 or m2 < 0:
         raise ValueError("m1, m2 must be nonnegative integers")
     if m1 + m2 > MAX_WEIGHT_SUM:
-        raise LieError(f"m1 + m2 = {m1 + m2} exceeds the cap {MAX_WEIGHT_SUM}")
+        raise DomainError(f"m1 + m2 = {m1 + m2} exceeds the cap {MAX_WEIGHT_SUM}")
     (H1, H2), (X1, X2), (Y1, Y2), weights = _gelfand_tsetlin((m1 + m2, m2, 0))
     X3, Y3 = ((_commutator(A, B), Da * Db) for (A, Da), (B, Db) in ((X1, X2), (Y2, Y1)))
     rep = Representation.from_rows("sl(3,C)", _LABELS, (H1, H2, X1, X2, X3, Y1, Y2, Y3),

@@ -186,6 +186,13 @@ def test_json_nan_and_infinity_are_domain_errors(token):
     assert code == 1 and json.loads(out.getvalue())["error"] == "domain"
 
 
+def test_rep_sl3_past_the_cap_is_a_domain_error():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["rep", "sl3", "7", "0"])
+    assert code == 1 and json.loads(out.getvalue())["error"] == "domain"
+
+
 def test_exp_overflow_is_a_domain_error():
     for x in (1e308, 800.0):
         r = run_cli("exp", mat_json([[x]]))

@@ -14,6 +14,7 @@ from matrixlie.matcore import _commutator, _fractions, matrix_to_json, to_comple
 from matrixlie.repcore import (
     Representation,
     _gelfand_tsetlin,
+    _rep_text,
     direct_sum,
     dual,
     rep_from_json,
@@ -272,6 +273,58 @@ def test_exact_rep_json_round_trips_in_lowest_terms():
             assert all(type(x) is Fraction for row in g for x in row.values())
             assert [g[k // d].get(k % d, 0) for k in range(d * d)] == gx
         assert all(D > 0 for _, D in rep.held)
+
+    check()
+
+
+def test_rep_text_is_the_json_dumps_of_rep_to_json():
+    # the CLI writes a rep by _rep_text, from its held rows; it must print the
+    # bytes json.dumps writes of rep_to_json, also on reps the CLI never
+    # builds: constructions of irreps, and from_rows reps with unreduced or
+    # negative denominators, numerators past 2**64, any weights and d >= 11
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    big = 2**64
+    nums = st.one_of(st.integers(-9, 9), st.integers(-big * big, big * big))
+    dens = st.one_of(st.integers(-12, -1), st.integers(1, 12), st.integers(big, big * 1000))
+    sl2 = st.one_of(st.integers(0, 12).map(sl2_irrep), st.integers(0, 12).map(sl2_poly_irrep))
+    sl3 = st.sampled_from([(1, 0), (0, 2), (1, 1), (2, 1)]).map(
+        lambda m: sl3_highest_weight_irrep(*m)[0])
+
+    @st.composite
+    def built(draw):
+        irreps = draw(st.sampled_from([sl2, sl3]))
+        r1, r2 = draw(irreps), draw(irreps)
+        return draw(st.sampled_from([r1, direct_sum(r1, r2), tensor_product(r1, r2), dual(r2)]))
+
+    @st.composite
+    def from_rows(draw):
+        d = draw(st.integers(1, 13))
+        cells = st.tuples(st.integers(0, d - 1), st.integers(0, d - 1))
+        gens = []
+        for _ in range(3):
+            entries = draw(st.dictionaries(cells, nums, max_size=2 * d))
+            rows = [{} for _ in range(d)]
+            if draw(st.booleans()):  # Fraction rows, each entry over its own denominator
+                for (i, j), a in entries.items():
+                    rows[i][j] = Fraction(a, draw(dens))
+                gens.append(rows)
+            else:  # (integer rows, D), entries and D sharing the factor g
+                g = draw(st.sampled_from([1, 6, big]))
+                for (i, j), a in entries.items():
+                    rows[i][j] = a * g
+                gens.append((rows, g * draw(st.integers(1, 12))))
+        weight = draw(st.sampled_from([None, st.integers(-20, 20),
+                                       st.tuples(st.integers(-5, 5), st.integers(-5, 5))]))
+        weights = None if weight is None else {i: draw(weight) for i in range(d)}
+        algebra = draw(st.text(max_size=4))  # written through json.dumps's escaping
+        return Representation.from_rows(algebra, ["H", "X", "Y"], gens, weights)
+
+    @hyp.settings(derandomize=True, max_examples=150, deadline=None)
+    @hyp.given(rep=st.one_of(built(), from_rows()))
+    def check(rep):
+        assert rep.exact
+        assert _rep_text(rep) == json.dumps(rep_to_json(rep), sort_keys=True, separators=(",", ":"))
 
     check()
 
