@@ -9,16 +9,19 @@
 
 from __future__ import annotations
 
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, OutOfDomainError
 from .expmlog import _exp, _exp_scaled
 from .liealg import Basis, _coords, _floating, ad_matrix, bracket
-from .matcore import _entry, frobenius_norm, is_rational, reye
+from .matcore import _count, _entry, frobenius_norm, is_rational, reye
 
 _commutator = bracket.__wrapped__  # for matrices that an entry point has gated
+_PS_DOUBLINGS = 2  # _g_series sums blocks of s = 2^2 terms; 8 was slower on gl(4)
 
 __all__ = ["bch_heisenberg", "bch_series", "g_operator", "bch_integral"]
 
@@ -66,12 +69,18 @@ def bch_series(X, Y, order: int = 3):
 
 def _g_series(B, V, terms: int):
     """g(I - B) V = V - sum_{m=1..terms} B^m V / (m(m+1)), for a matrix B or
-    a stack of them; V = I gives the matrix g(I - B)."""
-    G = P = V
-    for m in range(1, terms + 1):
-        P = B @ P
-        G = G - P / (m * (m + 1))
-    return G
+    a stack of them; V = I gives g(I - B), exact for exact B.  Paterson-Stockmeyer
+    (1973): one product sums each block of s terms from W[j] = B^j V, j < s,
+    and Horner's rule in B^s joins the blocks."""
+    one = Fraction(1) if B.dtype == object else 1.0
+    c = [one] + [-one / (m * (m + 1)) for m in range(1, terms + 1)]
+    C = np.array(c + [0 * one] * (-len(c) % 2**_PS_DOUBLINGS)).reshape(-1, 2**_PS_DOUBLINGS)
+    W, P = np.broadcast_to(V, (1, *B.shape[:-1], V.shape[-1])), B
+    for _ in range(_PS_DOUBLINGS):  # W[j] = B^j V for j < 2^i, and P = B^(2^i)
+        W = np.concatenate((W, P @ W))
+        P = P @ P
+    S = np.tensordot(C, W, axes=1)  # S[k] = sum_j C[k, j] B^j V = sum_j c_(ks+j) B^j V
+    return functools.reduce(lambda G, Sk: Sk + P @ G, S[-2::-1], S[-1])  # Horner in P
 
 
 @_entry(1, exact=True)
@@ -81,8 +90,7 @@ def g_operator(M: np.ndarray, terms: int = 30) -> np.ndarray:
     Requires ||M - I|| < 1, unless M - I is nilpotent (then the series
     terminates exactly).
     """
-    if terms < 1:
-        raise DomainError(f"terms must be at least 1, got {terms}")
+    terms = _count("terms", terms)
     n = M.shape[0]
     I = reye(n) if is_rational(M) else np.eye(n, dtype=complex)
     B = I - M  # g(M) = 1 - sum_{m>=1} B^m / (m(m+1))
@@ -114,21 +122,19 @@ def bch_integral(
     from `ad_matrix`, and the coordinates of Y from one exact elimination
     (`_coords`); Y must lie exactly in its span (DomainError otherwise).
 
-    All 2 quad_points + 1 nodes t_k = k h/2 are evaluated as one stack: node
+    All 2 quad_points + 1 nodes t_k = k h/2 fill one preallocated stack: node
     k is node k - 2^j times e^(2^j (h/2) ad Y), 2^j the top bit of k, so one
-    stacked exponential of bit_length(2 quad_points) factors and 2 quad_points
-    products build them all from e^(ad X).  The g series is applied to the
-    coordinates of Y rather than formed as a matrix.  When ad X, ad Y and
+    stacked exponential of bit_length(2 quad_points) factors, and one product
+    per factor, build them from e^(ad X); I minus them then overwrites them.
+    The g series is applied to the coordinates of Y in blocks of terms
+    (`_g_series`) rather than formed as a matrix.  When ad X, ad Y and
     the coordinates of Y have no nonzero imaginary part, as on gl(n,R),
     su(2) or so(3), all of this runs in real arithmetic; the result is
     complex either way.
     Every node must satisfy ||e^(ad X) e^(t ad Y) - I|| < 1; otherwise
     OutOfDomainError names the first failing node in ascending t.
     """
-    if quad_points < 1:
-        raise DomainError(f"quad_points must be at least 1, got {quad_points}")
-    if terms < 1:
-        raise DomainError(f"terms must be at least 1, got {terms}")
+    quad_points, terms = _count("quad_points", quad_points), _count("terms", terms)
     n = X.shape[0]
     if basis is None:  # the row-major elementary basis E_ij of gl(n)
         S, In = np.stack((X, Y)), np.eye(n)  # ad Z[(i,j),(k,l)] = Z[i,k] I[j,l] - I[i,k] Z[l,j]
@@ -156,19 +162,20 @@ def bch_integral(
     if not (np.isfinite(adX).all() and normY < np.inf):  # _exp checks the norm of ad X
         raise DomainError("ad X or ad Y overflows")
     EadX = _exp(adX)
-    I = np.eye(len(y))
+    I = np.eye(N := len(y))
     if not frobenius_norm(EadX - I) < 1.0:  # the node t = 0 needs no e^(t ad Y)
         raise _outside(0.0)
     # the factors' largest norm is at most ||ad Y||_1.  One can overflow only
     # when ||ad Y||_1 > 700; node 2^j, at or before every node that uses it,
     # is then inf or nan, and its distance fails the test below
     steps = 2.0 ** np.arange((2 * quad_points).bit_length()) * (h / 2)
-    Q = EadX  # the rows of the nodes built so far, node after node
-    for F in _exp_scaled(steps[:, None, None] * adY, steps[-1] * normY):
-        Q = np.concatenate((Q, Q[: t.size * len(y) - len(Q)] @ F))
-    B = I - Q.reshape(t.size, *I.shape)
-    dist = np.linalg.norm(B, axis=(1, 2))
-    out = np.flatnonzero(~(dist < 1.0))
+    B = np.empty((t.size, N, N), EadX.dtype)  # the nodes, then I minus them
+    B[0], rows = EadX, B.reshape(-1, N)  # node k is rows kN to kN + N - 1
+    for j, F in enumerate(_exp_scaled(steps[:, None, None] * adY, steps[-1] * normY)):
+        lo, hi = 2**j, min(2 ** (j + 1), t.size)  # node lo + i is node i times F
+        np.matmul(rows[: (hi - lo) * N], F, out=rows[lo * N : hi * N])
+    R = np.subtract(I, B, out=B).view(float)  # I minus the nodes; any complex part apart
+    out = np.flatnonzero(~(np.einsum("kij,kij->k", R, R) < 1.0))  # squared distances
     if out.size:
         raise _outside(float(t[out[0]]))
     G = _g_series(B, y[:, None], terms)[:, :, 0]  # g(e^(adX) e^(t adY)) y per node

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +30,7 @@ from .matcore import (
     Tolerance,
     _check_square,
     _close,
+    _count,
     _entry,
     approx_eq,
     frobenius_norm,
@@ -192,8 +192,7 @@ def exp_directional_derivative(X, Y, terms: int = 20) -> np.ndarray:
     (Van Loan 1978), accurate to machine precision.  `terms` is kept for
     a uniform signature and must be at least 1, but changes nothing.
     """
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
+    _count("terms", terms)
     n = X.shape[0]
     return _exp(np.block([[X, Y], [np.zeros_like(X), X]]))[:n, n:]
 
@@ -201,8 +200,7 @@ def exp_directional_derivative(X, Y, terms: int = 20) -> np.ndarray:
 @_entry(2)
 def lie_product_step(X, Y, m: int) -> np.ndarray:
     """(e^(X/m) e^(Y/m))^m — one step of the Lie product formula, for an int m >= 1."""
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-        raise DomainError(f"m must be an integer >= 1, got {m!r}")
+    m = _count("m", m)
     F = _exp(X / m) @ _exp(Y / m)
     return np.linalg.matrix_power(F, m)
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,6 +214,13 @@ def _entry(nmats: int, exact: bool = False):
     return decorate
 
 
+def _count(name: str, value) -> int:
+    """value as an int >= 1, numpy integers included; else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return operator.index(value)
+
+
 def _relative_det(A: np.ndarray) -> float:
     """|det A| / (||A||_F / sqrt(n))^n, which does not change when A is
     scaled: 1 for a multiple of a unitary matrix, at most 1 by Hadamard's
@@ -247,6 +256,8 @@ def _dense(rows: list[dict], shape: tuple, exact: bool = True) -> np.ndarray:
 def _over_lcm(rows: list[dict]) -> tuple:
     """Sparse rows of (numerator, denominator) pairs, in any terms and signs,
     as (integer rows, D), D > 0 the least common denominator of the entries."""
+    if all(b == 1 for row in rows for _, b in row.values()):
+        return [{j: a for j, (a, _) in row.items()} for row in rows], 1
     D = math.lcm(*(b // math.gcd(a, b) for row in rows for a, b in row.values()))
     return [{j: a * D // b for j, (a, b) in row.items()} for row in rows], D
 

@@ -242,7 +242,10 @@ def _kron_sum(A, Da: int, B, Db: int) -> tuple:
     for i, a in enumerate(A):
         for k, b in enumerate(B):
             row = {j * d2 + k: s * x for j, x in a.items()}
-            _axpy(row, t, {i * d2 + l: y for l, y in b.items()})
+            for l, y in b.items():  # A (x) I and I (x) B meet only where l = k
+                row[i * d2 + l] = t * y + row.get(i * d2 + l, 0)
+            if not row.get(i * d2 + k, 1):
+                del row[i * d2 + k]
             out.append(row)
     return out, D
 

@@ -485,3 +485,85 @@ def test_integral_overflowing_ad_is_a_domain_error():
     for X, Y in ((huge, small), (small, huge)):
         with pytest.raises(DomainError, match="overflows"):
             bch_integral(X, Y, 4)
+
+
+def g_series_loop(B, V, terms):
+    """Reference for _g_series: the per-term loop it replaced, one product
+    B^m V = B (B^(m-1) V) per term."""
+    G = P = V
+    for m in range(1, terms + 1):
+        P = B @ P
+        G = G - P / (m * (m + 1))
+    return G
+
+
+def random_contractions(rng, shape, complex_):
+    """Matrices B of the given stack shape with ||B||_F < 0.95 each."""
+    B = rng.standard_normal(shape)
+    if complex_:
+        B = B + 1j * rng.standard_normal(shape)
+    return B * rng.uniform(0.0, 0.95) / np.linalg.norm(B, axis=(-2, -1), keepdims=True)
+
+
+def assert_g_series_is_the_loop(B, V, terms):
+    # the blocked sum differs from the loop only in the order of rounding:
+    # about 4 machine epsilons relative to V on these inputs
+    got, want = bch._g_series(B, V, terms), g_series_loop(B, V, terms)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(V).max()
+
+
+@pytest.mark.parametrize("terms", range(1, 41))
+def test_g_series_matches_the_loop_on_stacks(terms):
+    # terms 1..40 take in every remainder mod the block size, and fewer
+    # terms than one block
+    rng = np.random.default_rng(500 + terms)
+    for K, N, complex_ in ((1, 1, False), (129, 16, False), (7, 4, True), (33, 9, False)):
+        B = random_contractions(rng, (K, N, N), complex_)
+        assert_g_series_is_the_loop(B, rng.standard_normal((N, 1)), terms)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 4, 5, 7, 8, 9, 30, 40])
+def test_g_series_matches_the_loop_on_one_matrix(terms):
+    rng = np.random.default_rng(600 + terms)
+    for n, complex_ in ((1, False), (3, True), (5, False)):
+        B = random_contractions(rng, (n, n), complex_)
+        assert_g_series_is_the_loop(B, np.eye(n, dtype=B.dtype), terms)
+
+
+@pytest.mark.parametrize("terms", range(1, 12))
+def test_g_series_is_exact_on_fractions(terms):
+    # nilpotent, and a rational contraction whose series does not terminate
+    N = rmat([[0, 1, Fraction(2, 3), -4], [0, 0, 5, Fraction(1, 7)], [0, 0, 0, 3], [0, 0, 0, 0]])
+    C = rmat([[Fraction(1, 3), Fraction(-1, 5)], [Fraction(2, 7), Fraction(1, 4)]])
+    for B in (N, C):
+        I = reye(len(B))
+        G = bch._g_series(B, I, terms)
+        assert G.dtype == object and all(type(x) is Fraction for x in G.flat)
+        assert (G == g_series_loop(B, I, terms)).all()
+
+
+# --- counts: quad_points and terms -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bad", [2.5, 4.0, True, False, "4", None, np.float64(4), np.array([4, 4]), 0, -2]
+)
+def test_counts_must_be_integers_at_least_one(bad):
+    X = np.array([[0, 0.1], [0, 0]])
+    Y = np.array([[0, 0], [0.1, 0]])
+    with pytest.raises(DomainError, match=r"^quad_points must be an integer >= 1"):
+        bch_integral(X, Y, quad_points=bad)
+    with pytest.raises(DomainError, match=r"^terms must be an integer >= 1"):
+        bch_integral(X, Y, terms=bad)
+    with pytest.raises(DomainError, match=r"^terms must be an integer >= 1"):
+        g_operator(np.eye(2) + X, bad)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_counts_accept_numpy_integers(kind):
+    X = np.array([[0, 0.1], [0, 0]])
+    Y = np.array([[0, 0], [0.1, 0]])
+    want = bch_integral(X, Y, 4, 9)
+    assert np.array_equal(bch_integral(X, Y, kind(4), kind(9)), want)
+    assert np.array_equal(g_operator(np.eye(2) + Y, kind(9)), g_operator(np.eye(2) + Y, 9))

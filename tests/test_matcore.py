@@ -466,3 +466,17 @@ def test_overflowing_coordinates_are_a_domain_error():
     X = 1.7e308 * np.array([[0, 1.0], [-1.0, 0]])
     with pytest.raises(DomainError, match="finite"):
         ad_matrix(X, su2_basis())
+
+
+def test_over_lcm_puts_rows_over_the_least_common_denominator():
+    from matrixlie.matcore import _over_lcm
+
+    # all denominators 1: the numerators come back as they are, over D = 1
+    assert _over_lcm([{0: (3, 1), 2: (-5, 1)}, {}, {1: (7, 1)}]) == ([{0: 3, 2: -5}, {}, {1: 7}], 1)
+    assert _over_lcm([]) == ([], 1)
+    # unreduced and negative denominators
+    rows = [{0: (3, 1), 2: (1, 2)}, {1: (2, 4)}, {0: (1, -3), 1: (6, 9)}]
+    out, D = _over_lcm(rows)
+    assert D == 6 and out == [{0: 18, 2: 3}, {1: 3}, {0: -2, 1: 4}]
+    for row, got in zip(rows, out):
+        assert all(Fraction(*row[j]) == Fraction(x, D) for j, x in got.items())

@@ -532,3 +532,21 @@ def test_gelfand_tsetlin_sl4_weights_are_weyl_invariant(top):
         reflected = Counter(tuple(x - w[k] * a for x, a in zip(w, CARTAN4[k]))
                             for w in mult.elements())
         assert reflected == mult
+
+
+def test_tensor_product_rows_are_the_kron_sum():
+    # pi1 (x) I and I (x) pi2 share only the diagonal entry of each row; for
+    # V (x) V* under H it cancels and must not be stored.  Generators over
+    # different denominators (sl(2) against sl2_poly_irrep) are put over one.
+    pairs = [
+        (sl2_irrep(3), dual(sl2_irrep(3))),
+        (sl2_irrep(2), sl2_poly_irrep(3)),
+        (sl3_highest_weight_irrep(1, 1)[0], dual(sl3_standard_rep())),
+    ]
+    for r1, r2 in pairs:
+        for a, b in ((r1, r2), (floating(r1), floating(r2))):
+            t = tensor_product(a, b)
+            assert all(x != 0 for g in t.rows for row in g for x in row.values())
+            for G, A, B in zip(t.generators, a.generators, b.generators):
+                want = np.kron(A, np.eye(len(B), dtype=int)) + np.kron(np.eye(len(A), dtype=int), B)
+                assert (G == want).all()
