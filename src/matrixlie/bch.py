@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, OutOfDomainError
 from .expmlog import _exp, _exp_scaled
 from .liealg import Basis, _coords, _floating, ad_matrix, bracket
-from .matcore import _count, _entry, frobenius_norm, is_rational, reye
+from .matcore import _count, _entry, _integer, frobenius_norm, is_rational, reye
 
 _commutator = bracket.__wrapped__  # for matrices that an entry point has gated
 _PS_DOUBLINGS = 2  # _g_series sums blocks of s = 2^2 terms; 8 was slower on gl(4)
@@ -56,7 +56,7 @@ def bch_series(X, Y, order: int = 3):
 
     Exact for rational inputs, floating if either input is floating.
     """
-    if order not in (1, 2, 3):
+    if _integer(order, 1) not in (1, 2, 3):
         raise ValueError("order must be 1, 2, or 3")
     Z = X + Y
     if order >= 2:
@@ -67,19 +67,27 @@ def bch_series(X, Y, order: int = 3):
     return Z
 
 
+@functools.lru_cache(maxsize=16)
+def _g_coefficients(terms: int, exact: bool) -> np.ndarray:
+    """The read-only blocks C[k, j] = c_(ks+j) of _g_series; Fractions if exact."""
+    one = Fraction(1) if exact else 1.0
+    c = [one] + [-one / (m * (m + 1)) for m in range(1, terms + 1)]
+    C = np.array(c + [0 * one] * (-len(c) % 2**_PS_DOUBLINGS)).reshape(-1, 2**_PS_DOUBLINGS)
+    C.flags.writeable = False
+    return C
+
+
 def _g_series(B, V, terms: int):
     """g(I - B) V = V - sum_{m=1..terms} B^m V / (m(m+1)), for a matrix B or
     a stack of them; V = I gives g(I - B), exact for exact B.  Paterson-Stockmeyer
     (1973): one product sums each block of s terms from W[j] = B^j V, j < s,
-    and Horner's rule in B^s joins the blocks."""
-    one = Fraction(1) if B.dtype == object else 1.0
-    c = [one] + [-one / (m * (m + 1)) for m in range(1, terms + 1)]
-    C = np.array(c + [0 * one] * (-len(c) % 2**_PS_DOUBLINGS)).reshape(-1, 2**_PS_DOUBLINGS)
+    and Horner's rule in B^s joins the blocks; C is built once per terms (`_g_coefficients`)."""
+    C = _g_coefficients(terms, B.dtype == object)
     W, P = np.broadcast_to(V, (1, *B.shape[:-1], V.shape[-1])), B
     for _ in range(_PS_DOUBLINGS):  # W[j] = B^j V for j < 2^i, and P = B^(2^i)
         W = np.concatenate((W, P @ W))
         P = P @ P
-    S = np.tensordot(C, W, axes=1)  # S[k] = sum_j C[k, j] B^j V = sum_j c_(ks+j) B^j V
+    S = (C @ W.reshape(len(W), -1)).reshape(-1, *W.shape[1:])  # S[k] = sum_j c_(ks+j) B^j V
     return functools.reduce(lambda G, Sk: Sk + P @ G, S[-2::-1], S[-1])  # Horner in P
 
 
@@ -102,6 +110,21 @@ def g_operator(M: np.ndarray, terms: int = 30) -> np.ndarray:
     return _g_series(B, I, terms)
 
 
+@functools.lru_cache(maxsize=16)
+def _simpson_plan(quad_points: int):
+    """Composite Simpson on quad_points panels of width h: h, and the read-only node
+    times t (0, then a + h/2 and a + h per panel start a), weights w and steps."""
+    h = 1.0 / quad_points
+    a = np.arange(quad_points) * h
+    t = np.zeros(2 * quad_points + 1)
+    t[1::2], t[2::2] = a + h / 2, a + h
+    w = np.full(t.size, 2.0)
+    w[1::2], w[0], w[-1] = 4.0, 1.0, 1.0
+    steps = 2.0 ** np.arange((2 * quad_points).bit_length()) * (h / 2)
+    t.flags.writeable = w.flags.writeable = steps.flags.writeable = False
+    return h, t, w, steps
+
+
 def _outside(t: float) -> OutOfDomainError:
     return OutOfDomainError(f"||e^(adX) e^(t adY) - I|| >= 1 at quadrature node t = {t}")
 
@@ -122,15 +145,17 @@ def bch_integral(
     from `ad_matrix`, and the coordinates of Y from one exact elimination
     (`_coords`); Y must lie exactly in its span (DomainError otherwise).
 
-    All 2 quad_points + 1 nodes t_k = k h/2 fill one preallocated stack: node
-    k is node k - 2^j times e^(2^j (h/2) ad Y), 2^j the top bit of k, so one
-    stacked exponential of bit_length(2 quad_points) factors, and one product
-    per factor, build them from e^(ad X); I minus them then overwrites them.
+    All 2 quad_points + 1 nodes t_k = k h/2 (times, weights and steps kept per
+    quad_points by `_simpson_plan`) fill one preallocated stack: node k is node
+    k - 2^j times e^(2^j (h/2) ad Y), 2^j the top bit of k, so one stacked
+    exponential of bit_length(2 quad_points) factors, and one product per
+    factor, build them from e^(ad X); I minus them then overwrites them.
     The g series is applied to the coordinates of Y in blocks of terms
-    (`_g_series`) rather than formed as a matrix.  When ad X, ad Y and
-    the coordinates of Y have no nonzero imaginary part, as on gl(n,R),
-    su(2) or so(3), all of this runs in real arithmetic; the result is
-    complex either way.
+    (`_g_series`) rather than formed as a matrix.  When ad X, ad Y and the
+    coordinates of Y have no nonzero imaginary part, as on gl(n,R), su(2) or
+    so(3), all of this runs in real arithmetic; the result is complex either
+    way.  On gl(n) that is read off X and Y before ad is built: ad X is real
+    when Im X is a multiple of I, and the coordinates when Y is real.
     Every node must satisfy ||e^(ad X) e^(t ad Y) - I|| < 1; otherwise
     OutOfDomainError names the first failing node in ascending t.
     """
@@ -138,9 +163,10 @@ def bch_integral(
     n = X.shape[0]
     if basis is None:  # the row-major elementary basis E_ij of gl(n)
         S, In = np.stack((X, Y)), np.eye(n)  # ad Z[(i,j),(k,l)] = Z[i,k] I[j,l] - I[i,k] Z[l,j]
+        S = S if Y.imag.any() or (X.imag - X.imag[0, 0] * In).any() else S.real  # ad(icI) = 0
         adS = np.einsum("zik,jl->zijkl", S, In) - np.einsum("ik,zlj->zijkl", In, S)
-        adX, adY = adS.reshape(2, n * n, n * n)  # checked below
-        y, elements = Y.ravel(), np.eye(n * n).reshape(-1, n, n)
+        adX, adY = adS.reshape(2, n * n, n * n)
+        y = S[1].ravel()
     else:
         adX, adY = ad_matrix(X, basis), ad_matrix(Y, basis)  # complex, as X and Y are
         coords = _coords([Y], basis.elements)
@@ -148,16 +174,9 @@ def bch_integral(
             raise DomainError("Y does not lie in the span of the basis")
         y = _floating(*coords)[:, 0]
         elements = np.asarray(basis.elements, dtype=complex)
-    if not (adX.imag.any() or adY.imag.any() or y.imag.any()):  # a real algebra
-        adX, adY, y = adX.real, adY.real, y.real
-    # composite Simpson: quad_points panels of width h, each sampled at its
-    # endpoints and midpoint; t, the nodes as reported, is a + h/2 and a + h
-    h = 1.0 / quad_points
-    a = np.arange(quad_points) * h
-    t = np.zeros(2 * quad_points + 1)
-    t[1::2], t[2::2] = a + h / 2, a + h
-    w = np.full(t.size, 2.0)
-    w[1::2], w[0], w[-1] = 4.0, 1.0, 1.0
+        if not (adX.imag.any() or adY.imag.any() or y.imag.any()):  # a real algebra
+            adX, adY, y = adX.real, adY.real, y.real
+    h, t, w, steps = _simpson_plan(quad_points)
     normY = float(np.abs(adY).sum(axis=0).max())
     if not (np.isfinite(adX).all() and normY < np.inf):  # _exp checks the norm of ad X
         raise DomainError("ad X or ad Y overflows")
@@ -168,7 +187,6 @@ def bch_integral(
     # the factors' largest norm is at most ||ad Y||_1.  One can overflow only
     # when ||ad Y||_1 > 700; node 2^j, at or before every node that uses it,
     # is then inf or nan, and its distance fails the test below
-    steps = 2.0 ** np.arange((2 * quad_points).bit_length()) * (h / 2)
     B = np.empty((t.size, N, N), EadX.dtype)  # the nodes, then I minus them
     B[0], rows = EadX, B.reshape(-1, N)  # node k is rows kN to kN + N - 1
     for j, F in enumerate(_exp_scaled(steps[:, None, None] * adY, steps[-1] * normY)):
@@ -179,4 +197,5 @@ def bch_integral(
     if out.size:
         raise _outside(float(t[out[0]]))
     G = _g_series(B, y[:, None], terms)[:, :, 0]  # g(e^(adX) e^(t adY)) y per node
-    return X + np.tensordot((h / 6) * (w @ G), elements, axes=1)
+    v = (h / 6) * (w @ G)  # the coordinates of Z - X
+    return X + (v.reshape(n, n) if basis is None else np.tensordot(v, elements, axes=1))

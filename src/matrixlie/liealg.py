@@ -28,6 +28,7 @@ from .matcore import (
     Tolerance,
     _check_square,
     _commutator,
+    _count,
     _entry,
     _relative_det,
     _rref_rows,
@@ -130,7 +131,8 @@ def sl2_basis() -> Basis:
 
 
 def gl_basis(n: int) -> Basis:
-    """The n^2 elementary matrices E_ij, row-major order."""
+    """The n^2 elementary matrices E_ij, row-major order; n an integer >= 1."""
+    n = _count("n", n)
     labels = tuple(f"E{i + 1}{j + 1}" for i in range(n) for j in range(n))
     return Basis(f"gl({n},C)", labels, tuple(np.eye(n * n, dtype=complex).reshape(-1, n, n)))
 

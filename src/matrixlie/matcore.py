@@ -214,11 +214,19 @@ def _entry(nmats: int, exact: bool = False):
     return decorate
 
 
+def _integer(value, least: int) -> int | None:
+    """value as an int >= least, numpy integers included; else None (for a
+    bool, float, str, None or array too)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        return None
+    return operator.index(value)
+
+
 def _count(name: str, value) -> int:
     """value as an int >= 1, numpy integers included; else DomainError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    if (count := _integer(value, 1)) is None:
         raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-    return operator.index(value)
+    return count
 
 
 def _relative_det(A: np.ndarray) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DecompositionError, DomainError
 from .liealg import _builtin_constants, sl2_basis_rational
-from .matcore import _axpy, _nullspace_rows, _rref_rows, rzeros
+from .matcore import _axpy, _integer, _nullspace_rows, _rref_rows, rzeros
 from .repcore import Representation, _gelfand_tsetlin, _verify_relations
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 
 def sl2_irrep(m: int) -> Representation:
     """The (m+1)-dimensional irreducible representation, abstract basis."""
-    if m < 0:
+    if (m := _integer(m, 0)) is None:
         raise ValueError("m must be a nonnegative integer")
     (H,), (X,), (Y,), weights = _gelfand_tsetlin((m, 0))
     return Representation.from_rows("sl(2,C)", ("H", "X", "Y"), (H, X, Y),
@@ -64,7 +64,7 @@ def sl2_intertwiner(m: int) -> np.ndarray:
 
     T_kk = (-1)^k m!/(m-k)!.
     """
-    if m < 0:
+    if (m := _integer(m, 0)) is None:
         raise ValueError("m must be a nonnegative integer")
     d = m + 1
     T = rzeros(d, d)

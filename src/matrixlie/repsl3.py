@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .liealg import Basis
-from .matcore import _commutator, rmat
+from .matcore import _commutator, _integer, rmat
 from .repcore import Representation, _gelfand_tsetlin, dual
 
 __all__ = [
@@ -101,10 +101,18 @@ def sl3_antifundamental_rep() -> Representation:
     return dual(sl3_standard_rep())
 
 
+def _highest_weight(m1, m2) -> tuple[int, int]:
+    """(m1, m2) as ints, numpy integers included; ValueError unless both are
+    nonnegative integers."""
+    weight = _integer(m1, 0), _integer(m2, 0)
+    if None in weight:
+        raise ValueError("m1, m2 must be nonnegative integers")
+    return weight
+
+
 def sl3_dim_formula(m1: int, m2: int) -> int:
     """(m1+1)(m2+1)(m1+m2+2)/2 — dimension of the (m1, m2) irreducible."""
-    if m1 < 0 or m2 < 0:
-        raise ValueError("m1, m2 must be nonnegative integers")
+    m1, m2 = _highest_weight(m1, m2)
     return (m1 + 1) * (m2 + 1) * (m1 + m2 + 2) // 2
 
 
@@ -116,8 +124,7 @@ def sl3_highest_weight_irrep(m1: int, m2: int):
     X3 = [X1, X2] and Y3 = [Y2, Y1].  Returns (Representation with weight
     annotations, weight multiset dict).
     """
-    if m1 < 0 or m2 < 0:
-        raise ValueError("m1, m2 must be nonnegative integers")
+    m1, m2 = _highest_weight(m1, m2)
     if m1 + m2 > MAX_WEIGHT_SUM:
         raise DomainError(f"m1 + m2 = {m1 + m2} exceeds the cap {MAX_WEIGHT_SUM}")
     (H1, H2), (X1, X2), (Y1, Y2), weights = _gelfand_tsetlin((m1 + m2, m2, 0))

@@ -104,6 +104,20 @@ def test_series_commuting():
         assert np.allclose(bch_series(X, Y, order), X + Y)
 
 
+@pytest.mark.parametrize("bad", [True, False, 2.0, np.float64(2), "2", None, np.array(2), 0, 4])
+def test_series_order_must_be_an_integer_from_one_to_three(bad):
+    X = np.diag([0.1, 0.2])
+    with pytest.raises(ValueError, match=r"^order must be 1, 2, or 3$"):
+        bch_series(X, X, bad)
+
+
+def test_series_order_accepts_numpy_integers():
+    X, Y = heis(2, 1, 0), heis(0, -1, 3)
+    for order in (1, 2, 3):
+        got = bch_series(X, Y, np.int64(order))
+        assert all(p == q for p, q in zip(got.flat, bch_series(X, Y, order).flat))
+
+
 def test_series_matches_heisenberg_on_nilpotent():
     X = heis(2, 1, 0)
     Y = heis(0, -1, 3)
@@ -389,6 +403,66 @@ def test_integral_exponentials_are_real_on_a_real_algebra(monkeypatch, basis, im
     assert seen == [dtype]
 
 
+REALNESS = ["both real", "X complex", "Y complex", "both complex", "Im X a multiple of I"]
+
+
+def realness_case(rng, n, case):
+    X, Y = gl_pair(rng, n, 0.2 / n**0.5)
+    iX, iY = gl_pair(rng, n, 0.1 / n**0.5)
+    if case in ("X complex", "both complex"):
+        X = X + 1j * iX
+    if case in ("Y complex", "both complex"):
+        Y = Y + 1j * iY
+    if case == "Im X a multiple of I":  # ad X is real though X is not
+        X = X + 0.3j * np.eye(n)
+    return X, Y
+
+
+@pytest.mark.parametrize("case", REALNESS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integral_realness_from_the_operands_matches_the_basis_path(monkeypatch, n, case):
+    # on gl(n) realness is read off X and Y before ad is built; a custom
+    # basis reads it off ad X, ad Y and y.  Both must run the same
+    # arithmetic, so the results are bit-equal and the exponentials share a dtype
+    seen = []
+
+    def spy(A, norm):
+        seen.append(A.dtype)
+        return expmlog._exp_scaled(A, norm)
+
+    monkeypatch.setattr(bch, "_exp_scaled", spy)
+    X, Y = realness_case(np.random.default_rng(60 + n), n, case)
+    Z = bch_integral(X, Y, 8)
+    assert Z.dtype == np.complex128
+    assert np.array_equal(Z, bch_integral(X, Y, 8, basis=gl_basis(n)))
+    real = not Y.imag.any() and (case != "X complex" or n == 1)  # on gl(1), ad X = 0
+    assert seen == [np.dtype(float if real else complex)] * 2
+
+
+def test_integral_plan_and_coefficients_are_read_only():
+    for A in (*bch._simpson_plan(5)[1:], bch._g_coefficients(30, False),
+              bch._g_coefficients(30, True)):
+        assert not A.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            A[0] = 0
+
+
+def test_integral_after_the_caches_evict():
+    # more distinct q and terms than either bounded cache holds: results
+    # rebuilt after eviction equal the first ones bit for bit
+    plans, coefficients = bch._simpson_plan.cache_info(), bch._g_coefficients.cache_info()
+    assert plans.maxsize and coefficients.maxsize  # bounded
+    X, Y = gl_pair(np.random.default_rng(70), 2, 0.2)
+    first = {(q, m): bch_integral(X, Y, q, m) for q, m in ((3, 7), (16, 30), (64, 12))}
+    for k in range(1, max(plans.maxsize, coefficients.maxsize) + 5):
+        bch_integral(X, Y, k, k)
+        g_operator(reye(2) + rmat([[0, 1], [1, 0]]) / 3, k)  # exact, not nilpotent
+    assert bch._simpson_plan.cache_info().currsize <= plans.maxsize
+    assert bch._g_coefficients.cache_info().currsize <= coefficients.maxsize
+    for (q, m), Z in first.items():
+        assert np.array_equal(bch_integral(X, Y, q, m), Z)
+
+
 def mp_log_of_product(X, Y):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
@@ -435,6 +509,20 @@ def test_integral_reports_the_first_interior_node_outside(basis, q, t):
     basis = sl2_basis() if basis else None
     with pytest.raises(OutOfDomainError, match=f"at quadrature node t = {t}$"):
         bch_integral(0.05 * H, 0.8 * H, q, basis=basis)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "q, t", [(3, "0.3333333333333333"), (7, "0.3571428571428571"),
+             (48, "0.3333333333333333"), (100, "0.335")]
+)
+def test_integral_reports_the_first_node_outside_from_the_plan(q, t):
+    # as above on the default basis, for q where 2q is not a power of two:
+    # t is read from the per-q plan, twice, so a cached plan reports it too
+    H = np.diag([1.0, -1.0])
+    for _ in range(2):
+        with pytest.raises(OutOfDomainError, match=f"at quadrature node t = {re.escape(t)}$"):
+            bch_integral(0.05 * H, 0.8 * H, q)
 
 
 @pytest.mark.filterwarnings("error")

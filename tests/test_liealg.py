@@ -118,6 +118,13 @@ def test_Ad_apply():
     assert frobenius_norm(lhs - rhs) <= 1e-9
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2", None, np.array(2), 0, -1])
+def test_gl_basis_needs_an_integer_at_least_one(bad):
+    with pytest.raises(DomainError, match=r"^n must be an integer >= 1"):
+        gl_basis(bad)
+    assert gl_basis(np.int64(2)).labels == gl_basis(2).labels == ("E11", "E12", "E21", "E22")
+
+
 def test_Ad_preserves_algebra():
     rng = np.random.default_rng(13)
     U = mat_exp(random_algebra_element("su(2)", rng), TIGHT)

@@ -97,6 +97,22 @@ def test_sl2_builders_reject_negative_m(build, m):
         build(m)
 
 
+@pytest.mark.parametrize("build", [sl2_irrep, sl2_poly_irrep, sl2_intertwiner])
+@pytest.mark.parametrize("m", [2.5, 2.0, True, False, "2", None, np.array(2), np.array([2])])
+def test_sl2_builders_reject_a_non_integer_m(build, m):
+    # a bool is not a count: True would silently build V1
+    with pytest.raises(ValueError, match="^m must be a nonnegative integer$"):
+        build(m)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint8])
+def test_sl2_builders_accept_numpy_integers(kind):
+    assert np.array_equal(sl2_intertwiner(kind(3)), sl2_intertwiner(3))
+    for build in (sl2_irrep, sl2_poly_irrep):
+        rep, want = build(kind(3)), build(3)
+        assert rep.held == want.held and rep.weights == want.weights
+
+
 def test_intertwiner_conjugation_exact():
     for m in range(7):
         T = sl2_intertwiner(m)

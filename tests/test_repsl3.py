@@ -114,6 +114,21 @@ def test_dim_formula():
     assert sl3_dim_formula(2, 0) == 6
 
 
+@pytest.mark.parametrize("m1, m2", [(1.5, 1), (1, 1.0), (True, 0), (0, False), ("1", 1),
+                                    (None, 0), (np.array(1), 0), (-1, 0), (0, -2)])
+def test_highest_weight_must_be_nonnegative_integers(m1, m2):
+    for build in (sl3_highest_weight_irrep, sl3_dim_formula):
+        with pytest.raises(ValueError, match="^m1, m2 must be nonnegative integers$"):
+            build(m1, m2)
+
+
+def test_highest_weight_accepts_numpy_integers():
+    rep, mult = sl3_highest_weight_irrep(np.int64(2), np.uint8(1))
+    want, want_mult = sl3_highest_weight_irrep(2, 1)
+    assert rep.held == want.held and rep.weights == want.weights and mult == want_mult
+    assert sl3_dim_formula(np.int64(2), np.uint8(1)) == sl3_dim_formula(2, 1) == 15
+
+
 def test_trivial_rep():
     rep, mult = sl3_highest_weight_irrep(0, 0)
     assert rep.dim == 1 and mult == {(0, 0): 1}
