@@ -12,27 +12,28 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
+# modules, not names: each loads when a handler first uses it (see the package)
 from . import bch as bchmod
-from . import expmlog, groups, liealg, repsl2, repsl3, su2so3
+from . import expmlog, groups, liealg, matcore, repcore, repsl2, repsl3, rowcore, su2so3
 from .errors import DomainError, LieError
-from .matcore import Tolerance, matrix_from_json, matrix_to_json
-from .repcore import Representation, _rep_text, rep_from_json, tensor_product
 
 _BASES = {
-    "su2": liealg.su2_basis,
-    "so3": liealg.so3_basis,
-    "sl2": liealg.sl2_basis,
-    "heis": liealg.heis_basis,
-    "sl3": repsl3.sl3_basis,
+    "su2": lambda: liealg.su2_basis(),
+    "so3": lambda: liealg.so3_basis(),
+    "sl2": lambda: liealg.sl2_basis(),
+    "heis": lambda: liealg.heis_basis(),
+    "sl3": lambda: repsl3.sl3_basis(),
     "gl2": lambda: liealg.gl_basis(2),
     "gl3": lambda: liealg.gl_basis(3),
 }
 
 
-def _load_json(arg: str, decode=matrix_from_json):
-    """Decode an inline JSON argument, or the JSON file named by @path."""
+def _load_json(arg: str, decode=None):
+    """Decode an inline JSON argument, or the JSON file named by @path (a matrix by default)."""
+    decode = decode or matcore.matrix_from_json
     if arg.startswith("@"):
         with open(arg[1:]) as f:
             return decode(json.load(f))
@@ -43,8 +44,9 @@ def _emit(out):
     """Print a handler's value as strict JSON, a Representation by _rep_text and
     a matrix as matrix_to_json; a non-finite float is a DomainError."""
     try:
-        text = _rep_text(out) if isinstance(out, Representation) else json.dumps(
-            out, sort_keys=True, separators=(",", ":"), allow_nan=False, default=matrix_to_json)
+        text = repcore._rep_text(out) if isinstance(out, repcore.Representation) else json.dumps(
+            out, sort_keys=True, separators=(",", ":"), allow_nan=False,
+            default=lambda M: matcore.matrix_to_json(M))
     except ValueError:  # json refuses inf and nan
         raise DomainError("the result has a non-finite entry") from None
     print(text)
@@ -100,7 +102,7 @@ def _rep_sl3(a, tol):
 
 
 def _cg(a, tol):
-    prod = tensor_product(repsl2.sl2_irrep(a.m), repsl2.sl2_irrep(a.n))
+    prod = repcore.tensor_product(repsl2.sl2_irrep(a.m), repsl2.sl2_irrep(a.n))
     return {"summands": repsl2.sl2_decompose(prod)}
 
 
@@ -165,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dec = sub.add_parser("decompose", help="decompose a representation")
     dec = dec.add_subparsers(dest="which", required=True)
     s = command(dec, "sl2", lambda a, tol: {
-        "summands": repsl2.sl2_decompose(_load_json(a.rep, rep_from_json))})
+        "summands": repsl2.sl2_decompose(_load_json(a.rep, repcore.rep_from_json))})
     s.add_argument("rep", help="representation JSON (rational matrices)")
 
     s = command(sub, "cg", _cg, help="decompose tensor of two sl2 irreducibles")
@@ -183,9 +185,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # one BLAS thread for small matrices unless the caller chose; numpy is not loaded yet
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     args = _build_parser().parse_args(argv)
     try:
-        _emit(args.run(args, Tolerance(abs=args.tol_abs, rel=args.tol_rel)))
+        _emit(args.run(args, rowcore.Tolerance(abs=args.tol_abs, rel=args.tol_rel)))
         return 0
     except LieError as e:
         print(json.dumps({"error": e.kind, "detail": str(e)}))

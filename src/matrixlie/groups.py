@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .matcore import (DEFAULT_TOL, Tolerance, _check_square, _close, _entry, _finite,
-                      _relative_det, is_rational, rmat, to_complex)
+from .matcore import (DEFAULT_TOL, Tolerance, _check_square, _close, _count, _entry, _finite,
+                      _integer, _relative_det, is_rational, rmat, to_complex)
 
 __all__ = [
     "GroupId",
@@ -112,12 +112,17 @@ def parse_group(s) -> GroupId:
 
 
 def metric_g(n: int, k: int) -> np.ndarray:
-    """diag(1,...,1, -1,...,-1) with n plus signs and k minus signs."""
+    """diag(1,...,1, -1,...,-1) with n plus signs and k minus signs; n and k
+    are integers >= 0 with n + k >= 1 (DomainError otherwise)."""
+    if None in (counts := (_integer(n, 0), _integer(k, 0))) or not sum(counts):
+        raise DomainError(f"n and k must be integers >= 0 with n + k >= 1, got {n!r} and {k!r}")
+    n, k = counts
     return np.diag([1.0] * n + [-1.0] * k).astype(complex)
 
 
 def symplectic_J(n: int) -> np.ndarray:
-    """The 2n x 2n block matrix [[0, I],[-I, 0]]."""
+    """The 2n x 2n block matrix [[0, I],[-I, 0]]; n an integer >= 1."""
+    n = _count("n", n)
     J = np.zeros((2 * n, 2 * n), dtype=complex)
     J[:n, n:] = np.eye(n)
     J[n:, :n] = -np.eye(n)

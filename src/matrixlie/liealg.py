@@ -15,11 +15,12 @@ single exact solve.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from . import rowcore
 from .errors import ClosureError, DomainError, ShapeError
 from .expmlog import _exp
 from .groups import LieId, _holds, _of_kind, _parse, _project, _satisfies, parse_group
@@ -27,11 +28,10 @@ from .matcore import (
     DEFAULT_TOL,
     Tolerance,
     _check_square,
-    _commutator,
     _count,
+    _dense,
     _entry,
     _relative_det,
-    _rref_rows,
     _sparse_rows,
     is_rational,
     rmat,
@@ -143,36 +143,15 @@ def heis_basis() -> Basis:
 
 
 def _coords(targets, elements):
-    """Exact coordinates of every target in span(elements), or None.
-
-    Targets and elements are dense matrices or sparse rows; floating entries
-    are dyadic rationals, so Fraction reads them exactly.  Returns (re, im):
-    object arrays of Fractions, column t holding the real and imaginary
-    parts of the coefficients of targets[t].  They solve the doubled real
-    system in the unknowns (Re c_j, Im c_j), whose column for i c_j is
-    (-Im B_j, Re B_j), built as sparse rows from the nonzero parts only with
-    one right-hand side per target; one _rref_rows solves it, free unknowns
-    at 0.  None means some target lies outside the span.
-    """
+    """rowcore._coords of dense matrices or sparse rows, as object arrays of
+    Fractions (re, im), column t holding the real and imaginary parts of the
+    coefficients of targets[t]; None if some target lies outside the span."""
     d = len(elements)
-    eqs = {}  # (i, j, 0 for the real part or 1 for the imaginary) -> {column: Fraction}
-    for c, M in enumerate([*elements, *targets]):  # the column of target t is 2d + t
-        for i, row in enumerate(M if type(M) is list else _sparse_rows(M)):
-            for j, x in row.items():
-                for k, v in ((0, x.real), (1, x.imag)):
-                    if v:
-                        v = v if type(v) is Fraction else Fraction(v)
-                        eqs.setdefault((i, j, k), {})[c if c < d else c + d] = v
-                        if c < d:  # the column of i c_j
-                            eqs.setdefault((i, j, 1 - k), {})[c + d] = -v if k else v
-    reduced, pivots = _rref_rows(list(eqs.values()))
-    if pivots and pivots[-1] >= 2 * d:
+    coef = rowcore._coords(*([M if type(M) is list else _sparse_rows(M) for M in Ms]
+                             for Ms in (targets, elements)))
+    if coef is None:
         return None
-    coef = rzeros(2 * d, len(targets))
-    for p, row in zip(pivots, reduced):
-        for c, v in row.items():
-            if c >= 2 * d:
-                coef[p, c - 2 * d] = v
+    coef = _dense(coef, (2 * d, len(targets)))
     return coef[:d], coef[d:]
 
 
@@ -213,22 +192,15 @@ def structure_constants(basis: Basis) -> np.ndarray:
     ClosureError if a bracket leaves the span, DomainError if any
     coefficient is not real.
     """
-    d = len(basis)
-    els = basis.elements
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    c = rzeros(d * d, d).reshape(d, d, d)
-    if exact := pairs and all(map(is_rational, els)):  # bracket as sparse rows
+    els, d = basis.elements, len(basis)
+    if exact := d > 1 and all(map(is_rational, els)):  # bracketed on sparse rows
         _check_square(*els)
-        els = [_sparse_rows(B) for B in els]
-    coords = _coords([(_commutator if exact else bracket)(els[i], els[j]) for i, j in pairs], els)
-    if coords is None:
-        raise ClosureError("bracket leaves the span of the basis")
-    re, im = coords
-    if im.any():
-        raise DomainError("structure constants are not real rational")
-    for t, (i, j) in enumerate(pairs):
-        c[i, j] = re[:, t]
-        c[j, i] = -re[:, t]
+    brackets = None if exact else [_sparse_rows(bracket(A, B))
+                                   for A, B in itertools.combinations(els, 2)]
+    c = rzeros(d * d, d).reshape(d, d, d)
+    for (i, j), row in rowcore._constants([_sparse_rows(B) for B in els], brackets).items():
+        for k, x in row.items():
+            c[i, j, k], c[j, i, k] = x, -x
     return c
 
 

@@ -1,17 +1,12 @@
-"""Matrix carriers and the primitives everything else builds on.
+"""Dense matrix carriers and the floating primitives everything else builds on.
 
 The public functions take and return dense matrices: complex floating
 ones are ``numpy`` arrays of ``complex128``, exact rational ones are
 ``numpy`` object arrays of ``fractions.Fraction`` (never rounded, always
-in lowest terms).  Exact elimination and representation generators use
-sparse rows instead, one dict {column: entry} of nonzero entries per
-row: ``_sparse_rows`` and ``_dense`` convert between the forms,
-``_commutator`` brackets rows, ``_rref_rows`` eliminates on rows.  A
-representation generator is integer rows over one denominator D > 0, made
-by ``_over_lcm`` and ``_integer_rows``, read back by ``_fractions``, and
-read and written with no Fraction by ``_json_matrix`` and ``_rows_to_json``,
-or ``_rows_to_text``, which writes the same object as JSON text.
-Also here: norms, exact rank/nullspace/solve and the JSON interchange format.
+in lowest terms).  ``_sparse_rows`` and ``_dense`` convert them to and from
+the sparse rows of the exact row kernel, ``rowcore``, which imports no
+numpy; its names are re-exported here.  Also here: norms, the floating
+entry-point gate, exact rank/nullspace/solve and the JSON interchange format.
 """
 
 from __future__ import annotations
@@ -19,14 +14,14 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-import numbers
-import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .rowcore import (Tolerance, _axpy, _commutator, _count, _fractions, _integer,  # noqa: F401
+                      _integer_rows, _json_matrix, _lowest_terms, _nullspace_rows, _over_lcm,
+                      _rows_to_json, _rows_to_text, _rref_rows)
 
 __all__ = [
     "Tolerance",
@@ -47,20 +42,6 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
 ]
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative tolerance pair used by every floating comparison."""
-
-    abs: float = 1e-9
-    rel: float = 1e-9
-
-    def __post_init__(self):
-        if not (self.abs >= 0 and self.rel >= 0):
-            raise ValueError("tolerances must be nonnegative")
-        if not (np.isfinite(self.abs) and np.isfinite(self.rel)):
-            raise ValueError("tolerances must be finite")
 
 
 DEFAULT_TOL = Tolerance()
@@ -214,21 +195,6 @@ def _entry(nmats: int, exact: bool = False):
     return decorate
 
 
-def _integer(value, least: int) -> int | None:
-    """value as an int >= least, numpy integers included; else None (for a
-    bool, float, str, None or array too)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        return None
-    return operator.index(value)
-
-
-def _count(name: str, value) -> int:
-    """value as an int >= 1, numpy integers included; else DomainError."""
-    if (count := _integer(value, 1)) is None:
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-    return count
-
-
 def _relative_det(A: np.ndarray) -> float:
     """|det A| / (||A||_F / sqrt(n))^n, which does not change when A is
     scaled: 1 for a multiple of a unitary matrix, at most 1 by Hadamard's
@@ -261,75 +227,6 @@ def _dense(rows: list[dict], shape: tuple, exact: bool = True) -> np.ndarray:
     return M
 
 
-def _over_lcm(rows: list[dict]) -> tuple:
-    """Sparse rows of (numerator, denominator) pairs, in any terms and signs,
-    as (integer rows, D), D > 0 the least common denominator of the entries."""
-    if all(b == 1 for row in rows for _, b in row.values()):
-        return [{j: a for j, (a, _) in row.items()} for row in rows], 1
-    D = math.lcm(*(b // math.gcd(a, b) for row in rows for a, b in row.values()))
-    return [{j: a * D // b for j, (a, b) in row.items()} for row in rows], D
-
-
-def _integer_rows(rows: list[dict]) -> tuple:
-    """Sparse rows of Fraction (or int) entries as (integer rows, D)."""
-    return _over_lcm([{j: x.as_integer_ratio() for j, x in row.items()} for row in rows])
-
-
-def _fractions(rows: list[dict], D: int) -> list[dict]:
-    """Integer rows over D as new rows of Fraction entries."""
-    return [{j: Fraction(x, D) for j, x in row.items()} for row in rows]
-
-
-def _axpy(y: dict, a, x: dict):
-    """y += a x for sparse vectors, dropping entries that cancel."""
-    for k, v in x.items():
-        s = y.get(k, 0) + a * v
-        if s:
-            y[k] = s
-        else:
-            y.pop(k, None)  # a floating product can underflow to 0
-
-
-def _commutator(A: list[dict], B: list[dict], s=1) -> list[dict]:
-    """Sparse rows of s (AB - BA)."""
-    out = [{} for _ in A]
-    for P, Q, t in ((A, B, s), (B, A, -s)):
-        for i, row in enumerate(P):
-            for k, a in row.items():
-                _axpy(out[i], t * a, Q[k])
-    return out
-
-
-def _rref_rows(rows: list[dict]):
-    """Gauss-Jordan elimination on sparse rows, which it consumes.
-
-    Returns (reduced nonzero rows, pivots), the rows in ascending pivot
-    order.  A forward pass takes the rows sparsest first and reduces each by
-    the pivot rows found so far, in ascending column order; a row that is
-    still nonzero becomes the pivot row of its leading column.  One back
-    substitution from the last pivot then clears the other pivot columns.
-    The reduced form is unique, so the row order does not change it.
-    """
-    piv = {}  # leading column -> its row, scaled so that the leading entry is 1
-    for row in sorted(rows, key=len):
-        while row:
-            c = min(row)
-            p = piv.get(c)
-            if p is None:
-                a = row[c]
-                piv[c] = {j: x / a for j, x in row.items()}
-                break
-            _axpy(row, -row[c], p)
-            row.pop(c, None)  # a floating leading entry need not cancel exactly
-    pivots = sorted(piv)
-    for c in reversed(pivots):
-        row = piv[c]
-        for j in [j for j in row if j != c and j in piv]:
-            _axpy(row, -row[j], piv[j])
-            row.pop(j, None)
-    return [piv[c] for c in pivots], pivots
-
-
 def rational_rref(M: np.ndarray):
     """Reduced row echelon form by exact Gaussian elimination.
 
@@ -353,20 +250,6 @@ def rational_nullspace(M: np.ndarray) -> list[np.ndarray]:
     """
     cols = M.shape[1]
     return [_dense([v], (1, cols)).T for v in _nullspace_rows(_sparse_rows(M), cols)]
-
-
-def _nullspace_rows(rows: list[dict], cols: int) -> list[dict]:
-    """Sparse basis of the right nullspace of the matrix with these rows
-    (which it consumes).  The vector of free column f is 1 at f, -R_i[f] at
-    the pivot column of each reduced row R_i, and 0 at the other free
-    columns; the vectors come in the order of their free columns."""
-    reduced, pivots = _rref_rows(rows)
-    kernel = {f: {f: Fraction(1)} for f in sorted(set(range(cols)) - set(pivots))}
-    for p, row in zip(pivots, reduced):
-        for f, x in row.items():
-            if f != p:
-                kernel[f][p] = -x
-    return list(kernel.values())
 
 
 def rational_solve(A: np.ndarray, b: np.ndarray):
@@ -397,11 +280,7 @@ def rational_inverse(A: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange
-#
-# Complex: { "rows": r, "cols": c, "re": [...], "im": [...] } ("im" optional).
-# Rational: { "rows": r, "cols": c, "num": [...], "den": [...] }.
-# All entry lists are row-major.
+# JSON interchange (the format is described in rowcore)
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
@@ -413,75 +292,6 @@ def matrix_to_json(M: np.ndarray) -> dict:
     if np.any(M.imag != 0):
         out["im"] = M.imag.ravel().tolist()
     return out
-
-
-def _lowest_terms(rows: list[dict], D: int, cols: int, kind=int) -> tuple:
-    """The row-major num and den lists of integer rows over D as kind (int, or
-    str for JSON text): each entry in lowest terms by one gcd, a zero as 0/1."""
-    num, den = [kind(0)] * (len(rows) * cols), [kind(1)] * (len(rows) * cols)
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            g = math.gcd(x, D)
-            num[i * cols + j], den[i * cols + j] = kind(x // g), kind(D // g)
-    return num, den
-
-
-def _rows_to_json(rows: list[dict], D: int, cols: int, exact: bool = True) -> dict:
-    """The JSON object of the matrix with these sparse rows over D: an exact
-    one by _lowest_terms, a floating one (D = 1) through its dense form."""
-    if not exact:
-        return matrix_to_json(_dense(rows, (len(rows), cols), exact=False))
-    num, den = _lowest_terms(rows, D, cols)
-    return {"rows": len(rows), "cols": cols, "num": num, "den": den}
-
-
-def _rows_to_text(rows: list[dict], D: int, cols: int) -> str:
-    """_rows_to_json of exact rows as the text json.dumps writes with sorted
-    keys and no spaces: str only at the nonzero entries, one join per list."""
-    num, den = map(",".join, _lowest_terms(rows, D, cols, str))
-    return f'{{"cols":{cols},"den":[{den}],"num":[{num}],"rows":{len(rows)}}}'
-
-
-def _json_entries(obj: dict, key: str, kinds: tuple, n: int) -> list:
-    """obj[key] as a list of n numbers whose types are among kinds (bool never is)."""
-    xs = obj[key]
-    if not isinstance(xs, list) or not set(map(type, xs)) <= set(kinds):
-        names = " or ".join(k.__name__ for k in kinds)
-        raise DomainError(f'"{key}" must be a list of {names} entries')
-    if len(xs) != n:
-        raise ShapeError("entry count does not match rows*cols")
-    return xs
-
-
-def _json_matrix(obj: dict) -> tuple:
-    """The checked JSON matrix obj as (matrix, D, column count): an exact one
-    as integer rows over D, read from num/den with no Fraction made, a
-    floating one as a dense complex array over 1."""
-    if not isinstance(obj, dict):
-        raise DomainError(f"a matrix is a JSON object, got {type(obj).__name__}")
-    rows, cols = obj["rows"], obj["cols"]
-    if type(rows) is not int or type(cols) is not int:
-        raise DomainError('"rows" and "cols" must be integers')
-    n = rows * cols
-    if "num" in obj:
-        num = _json_entries(obj, "num", (int,), n)
-        den = _json_entries(obj, "den", (int,), n)
-        if 0 in den:
-            raise DomainError("a denominator is 0")
-        if rows < 1:
-            raise ShapeError("a rational matrix needs at least one row")
-        out = [{} for _ in range(rows)]
-        for k, a in enumerate(num):
-            if a:
-                out[k // cols][k % cols] = a, den[k]
-        return *_over_lcm(out), cols
-    re = _json_entries(obj, "re", (int, float), n)
-    im = _json_entries(obj, "im", (int, float), n) if "im" in obj else [0.0] * n
-    flat = [a + 1j * b for a, b in zip(re, im)]
-    try:
-        return cmat([flat[i * cols : (i + 1) * cols] for i in range(rows)]), 1, cols
-    except ValueError:  # JSON's NaN and Infinity tokens
-        raise DomainError("matrix entries must be finite") from None
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

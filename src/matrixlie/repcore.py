@@ -3,7 +3,7 @@
 A Representation is a labeled family of generators (one per basis symbol
 of the algebra) acting on a common d-dimensional space, optionally
 annotated with a weight per basis vector.  Generator k is held as
-``held[k] = (N, D)``, sparse rows N (see matcore) over one denominator D:
+``held[k] = (N, D)``, sparse rows N (see rowcore) over one denominator D:
 integer rows over a positive integer if the representation is exact,
 complex rows over 1 if it is floating.  Builders, constructions, the
 relation check and JSON output work on them with no Fraction made and no
@@ -29,23 +29,17 @@ import json
 import math
 import operator
 
-import numpy as np
-
+from . import liealg, matcore  # lazy (see the package): only dense or floating work loads them
 from .errors import DomainError, ShapeError
-from .liealg import Basis, structure_constants
-from .matcore import (
+from .rowcore import (
     _axpy,
     _commutator,
-    _dense,
     _fractions,
     _integer_rows,
     _json_matrix,
     _over_lcm,
     _rows_to_json,
     _rows_to_text,
-    _sparse_rows,
-    frobenius_norm,
-    is_rational,
 )
 
 __all__ = [
@@ -78,10 +72,12 @@ class Representation:
 
     def __init__(self, algebra: str, labels, generators, weights: dict | None = None):
         """Take generators as object (exact) or complex (floating) arrays."""
+        import numpy as np
+
         gens = tuple(np.asarray(g) for g in generators)
         _check_shapes(labels, [g.shape for g in gens])
-        exact = all(is_rational(g) for g in gens)
-        self._hold(algebra, labels, [_sparse_rows(g) for g in gens], weights, exact, False)
+        exact = all(map(matcore.is_rational, gens))
+        self._hold(algebra, labels, [matcore._sparse_rows(g) for g in gens], weights, exact, False)
 
     @classmethod
     def from_rows(cls, algebra: str, labels, rows, weights=None, exact=True, relations_hold=False):
@@ -110,13 +106,13 @@ class Representation:
 
     @property
     def generators(self) -> tuple:
-        return tuple(_dense(g, (self.dim, self.dim), self.exact) for g in self.rows)
+        return tuple(matcore._dense(g, (self.dim, self.dim), self.exact) for g in self.rows)
 
     def rows_of(self, label: str) -> list:
         return self.rows[self.labels.index(label)]
 
     def generator(self, label: str):
-        return _dense(self.rows_of(label), (self.dim, self.dim), self.exact)
+        return matcore._dense(self.rows_of(label), (self.dim, self.dim), self.exact)
 
 
 def _floating(held):
@@ -124,7 +120,7 @@ def _floating(held):
     return [([{j: complex(x / D) for j, x in row.items()} for row in g], 1) for g, D in held]
 
 
-def verify_relations(rep: Representation, basis: Basis, tol_abs: float = 1e-10) -> bool:
+def verify_relations(rep: Representation, basis, tol_abs: float = 1e-10) -> bool:
     """Check pi([b_i, b_j]) = [pi(b_i), pi(b_j)] for all basis pairs; the
     generators must carry the basis labels in the basis order (DomainError).
 
@@ -135,31 +131,29 @@ def verify_relations(rep: Representation, basis: Basis, tol_abs: float = 1e-10) 
     floating one passes when the residual of each pair is within tol_abs in
     Frobenius norm.
     """
-    return _verify_relations(rep, basis, None, tol_abs)
+    c, pairs = liealg.structure_constants(basis), itertools.combinations(range(len(basis)), 2)
+    c = {(i, j): {k: x for k, x in enumerate(c[i, j]) if x} for i, j in pairs}
+    return _verify_relations(rep, tuple(basis.labels), c, tol_abs)
 
 
-def _verify_relations(rep: Representation, basis: Basis, c, tol_abs: float = 1e-10) -> bool:
-    """verify_relations with c the structure constants of basis, computed
-    here when None."""
-    if len(rep.held) != len(basis):
+def _verify_relations(rep: Representation, labels: tuple, c: dict, tol_abs: float = 1e-10) -> bool:
+    """verify_relations given the basis labels and its structure constants c
+    as rowcore._constants gives them."""
+    if len(rep.held) != len(labels):
         raise ShapeError("generator count does not match basis size")
-    if rep.labels != tuple(basis.labels):
-        raise DomainError(f"generator labels {rep.labels} are not the basis labels {basis.labels}")
-    if c is None:
-        c = structure_constants(basis)
+    if rep.labels != labels:
+        raise DomainError(f"generator labels {rep.labels} are not the basis labels {labels}")
     exact, (gens, D) = rep.exact, zip(*rep.held)
-    for i, j in itertools.combinations(range(len(gens)), 2):
-        ks = np.flatnonzero(c[i, j]).tolist()
-        E = math.lcm(*(x.denominator for x in c[i, j])) if exact else 1
-        L = math.lcm(D[i] * D[j], *(D[k] * E for k in ks))
+    for (i, j), cij in c.items():
+        E = math.lcm(*(x.denominator for x in cij.values())) if exact else 1
+        L = math.lcm(D[i] * D[j], *(D[k] * E for k in cij))
         acc = _commutator(gens[i], gens[j], L // (D[i] * D[j]))
-        for k in ks:
-            x = c[i, j, k]
+        for k, x in cij.items():
             s = -(L // D[k]) // x.denominator * x.numerator if exact else complex(-x)
             for r, row in enumerate(gens[k]):
                 _axpy(acc[r], s, row)
         res = [x for r in acc for x in r.values()]  # the nonzero entries of the residual
-        if res and (exact or not frobenius_norm(np.array(res, complex)) <= tol_abs):
+        if res and (exact or not matcore.frobenius_norm(res) <= tol_abs):
             return False  # also when a floating residual overflows to inf or nan
     return True
 
@@ -285,7 +279,8 @@ def dual(rep: Representation) -> Representation:
 
 
 def rep_to_json(rep: Representation) -> dict:
-    gens = [_rows_to_json(g, D, rep.dim, rep.exact) for g, D in rep.held]
+    gens = ([_rows_to_json(g, D, rep.dim) for g, D in rep.held] if rep.exact
+            else list(map(matcore.matrix_to_json, rep.generators)))
     return {"algebra": rep.algebra, "labels": list(rep.labels), "dim": rep.dim,
             "generators": gens, **_json_weights(rep)}
 
@@ -332,5 +327,5 @@ def rep_from_json(obj: dict) -> Representation:
             raise DomainError("every weight must be an integer, or a list of integers, of one shape")
         weights = {int(i): tuple(w) if type(w) is list else w for i, w in weights.items()}
     exact = all(type(M) is list for M, _, _ in mats)
-    gens = [(M, D) if type(M) is list else (_sparse_rows(M), 1) for M, D, _ in mats]
+    gens = [(M, D) if type(M) is list else (matcore._sparse_rows(M), 1) for M, D, _ in mats]
     return Representation.from_rows(obj["algebra"], labels, gens, weights, exact)

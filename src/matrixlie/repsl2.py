@@ -17,15 +17,14 @@ u_k = (-1)^k m!/(m-k)! z1^k z2^(m-k).
 from __future__ import annotations
 
 import collections
+import functools
 import math
 from fractions import Fraction
 
-import numpy as np
-
+from . import liealg, matcore  # lazy (see the package): only dense work loads them
 from .errors import DecompositionError, DomainError
-from .liealg import _builtin_constants, sl2_basis_rational
-from .matcore import _axpy, _integer, _nullspace_rows, _rref_rows, rzeros
 from .repcore import Representation, _gelfand_tsetlin, _verify_relations
+from .rowcore import _axpy, _constants, _integer, _nullspace_rows, _rref_rows
 
 __all__ = [
     "sl2_basis_rational",
@@ -35,6 +34,12 @@ __all__ = [
     "sl2_weights",
     "sl2_decompose",
 ]
+
+
+def __getattr__(name):  # liealg, and numpy with it, loads only when this is asked for
+    if name == "sl2_basis_rational":
+        return liealg.sl2_basis_rational
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def sl2_irrep(m: int) -> Representation:
@@ -52,24 +57,23 @@ def sl2_poly_irrep(m: int) -> Representation:
     pi(Y) z1^k z2^(m-k) = -(m-k) z1^(k+1) z2^(m-k-1); that is, the abstract
     generators conjugated by sl2_intertwiner(m)."""
     rep = sl2_irrep(m)
-    t = [int(x) for x in sl2_intertwiner(m).diagonal()]
+    t = [(-1) ** k * math.perm(rep.dim - 1, k) for k in range(rep.dim)]
     gens = [([{j: t[i] * x // (t[j] * D) for j, x in row.items()} for i, row in enumerate(g)], 1)
             for g, D in rep.held]  # integral, as above
     return Representation.from_rows(rep.algebra, rep.labels, gens, rep.weights,
                                     relations_hold=True)
 
 
-def sl2_intertwiner(m: int) -> np.ndarray:
+def sl2_intertwiner(m: int):
     """Diagonal T with T^-1 (poly generator) T = (abstract generator).
 
     T_kk = (-1)^k m!/(m-k)!.
     """
     if (m := _integer(m, 0)) is None:
         raise ValueError("m must be a nonnegative integer")
-    d = m + 1
-    T = rzeros(d, d)
-    for k in range(d):
-        T[k, k] = Fraction((-1) ** k * math.factorial(m), math.factorial(m - k))
+    T = matcore.rzeros(m + 1, m + 1)
+    for k in range(m + 1):
+        T[k, k] = Fraction((-1) ** k * math.perm(m, k))
     return T
 
 
@@ -117,7 +121,7 @@ def sl2_decompose(rep: Representation) -> list:
     if not rep.exact:
         raise DomainError("the generators must be rational matrices")
     trusted = rep.relations_hold and rep.algebra == "sl(2,C)"
-    if not trusted and not _verify_relations(rep, *_builtin_constants(sl2_basis_rational)):
+    if not trusted and not _verify_relations(rep, ("H", "X", "Y"), _sl2_constants()):
         raise DomainError("generators do not satisfy the sl(2) relations")
     H, D = rep.held[rep.labels.index("H")]
     if (weights := _integral_diagonal(H, strict=False, D=D)) is None:
@@ -129,6 +133,13 @@ def sl2_decompose(rep: Representation) -> list:
     if covered != rep.dim:
         raise DecompositionError(f"summand dimensions total {covered}, expected {rep.dim}")
     return found
+
+
+@functools.cache
+def _sl2_constants() -> dict:
+    """The structure constants of sl2_basis_rational by rowcore._constants,
+    computed once per process."""
+    return _constants([[{0: 1}, {1: -1}], [{1: 1}, {}], [{}, {0: 1}]])  # H, X, Y
 
 
 def _kernel_highest_weights(rep: Representation, H) -> list:

@@ -9,16 +9,15 @@ std^(x)m1 (x) dual^(x)m2, serves as the test oracle.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from . import liealg, matcore  # lazy (see the package): only dense work loads them
 from .errors import DomainError
-from .liealg import Basis
-from .matcore import _commutator, _integer, rmat
 from .repcore import Representation, _gelfand_tsetlin, dual
+from .rowcore import _commutator, _integer
 
 __all__ = [
     "sl3_basis",
@@ -42,6 +41,7 @@ MAX_WEIGHT_SUM = 6
 
 
 def _basis_matrices():
+    rmat = matcore.rmat
     H1 = rmat([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
     H2 = rmat([[0, 0, 0], [0, 1, 0], [0, 0, -1]])
     X1 = rmat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
@@ -53,9 +53,9 @@ def _basis_matrices():
     return (H1, H2, X1, X2, X3, Y1, Y2, Y3)
 
 
-def sl3_basis() -> Basis:
+def sl3_basis() -> liealg.Basis:
     """The eight-matrix basis H1, H2, X1..X3, Y1..Y3."""
-    return Basis("sl(3,C)", _LABELS, _basis_matrices())
+    return liealg.Basis("sl(3,C)", _LABELS, _basis_matrices())
 
 
 @dataclass(frozen=True)
@@ -136,33 +136,35 @@ def sl3_highest_weight_irrep(m1: int, m2: int):
 
 # --- Weyl group ------------------------------------------------------------
 
-_WEYL_MATRICES = [
-    rmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
-    rmat([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
-    rmat([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
-    rmat([[0, -1, 0], [-1, 0, 0], [0, 0, -1]]),
-    rmat([[0, 0, -1], [0, -1, 0], [-1, 0, 0]]),
-    rmat([[-1, 0, 0], [0, 0, -1], [0, -1, 0]]),
-]
-_CARTAN = tuple(H.astype(int) for H in _basis_matrices()[:2])  # H1, H2
+@functools.cache
+def _weyl() -> tuple:
+    """(the six signed permutation matrices, integer H1 and H2), built on first use."""
+    return tuple(matcore.rmat(P) for P in (
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+        [[0, -1, 0], [-1, 0, 0], [0, 0, -1]],
+        [[0, 0, -1], [0, -1, 0], [-1, 0, 0]],
+        [[-1, 0, 0], [0, 0, -1], [0, -1, 0]],
+    )), tuple(H.astype(int) for H in _basis_matrices()[:2])
 
 
 @dataclass(frozen=True)
 class WeylElement:
     index: int
-    matrix: np.ndarray
+    matrix: object  # an exact 3x3 numpy array
 
 
 def weyl_elements() -> list:
     """The six signed permutations whose adjoint action permutes weights."""
-    return [WeylElement(i, _WEYL_MATRICES[i]) for i in range(6)]
+    return [WeylElement(i, P) for i, P in enumerate(_weyl()[0])]
 
 
 def weyl_act(w: WeylElement, mu) -> tuple:
     """Action on weights, mu -> mu o Ad(w^-1): coordinate i is mu(P^T H_i P)
     for the matrix P of w, and mu(diag(a, b, c)) = m1 a - m2 c."""
     P = w.matrix.astype(int)
-    diags = (np.diagonal(P.T @ H @ P).tolist() for H in _CARTAN)
+    diags = ((P.T @ H @ P).diagonal().tolist() for H in _weyl()[1])
     return tuple(mu[0] * d[0] - mu[1] * d[2] for d in diags)
 
 

@@ -1,6 +1,8 @@
 import contextlib
+import importlib
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -10,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import matrixlie
 from matrixlie.cli import _build_parser, main
-from matrixlie.repcore import direct_sum, rep_to_json
+from matrixlie.matcore import rmat
+from matrixlie.repcore import Representation, direct_sum, rep_to_json
 from matrixlie.repsl2 import sl2_irrep
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -408,3 +412,75 @@ def test_exact_cli_paths_make_no_fraction(monkeypatch):
             assert main(argv) == 0
         assert made == [], (argv[:2], made[:5])
     assert Fraction(1, 2) and made == [(1, 2)]  # the count works
+
+
+# what `import matrixlie` gave by eager imports before it became lazy, by module
+PACKAGE_NAMES = {
+    "errors": "ClosureError ConvergenceError DecompositionError DomainError"
+              " InconsistentSamplesError LieError OutOfDomainError ShapeError",
+    "matcore": "Tolerance approx_eq cmat frobenius_norm matrix_from_json matrix_to_json"
+               " rational_nullspace rational_rank rmat",
+    "expmlog": "OneParamSample exp_directional_derivative heisenberg_log in_exp_image_sl2r"
+               " lie_product_step mat_exp mat_exp_nilpotent mat_log one_param_generator",
+    "groups": "euclidean_embed is_member metric_g o11_component parse_group"
+              " polar_decompose_sl su2_matrix symplectic_J",
+    "liealg": "Ad_apply Basis ad_matrix algebra_membership_via_exp bracket gl_basis"
+              " in_algebra parse_algebra random_algebra_element structure_constants"
+              " su2_basis u_decompose",
+    "bch": "bch_heisenberg bch_integral bch_series g_operator",
+    "su2so3": "adjoint_to_so3 so3_lift",
+    "repcore": "Representation direct_sum dual rep_from_json rep_to_json tensor_product"
+               " verify_relations",
+    "repsl2": "sl2_decompose sl2_intertwiner sl2_irrep sl2_poly_irrep sl2_weights",
+    "repsl3": "is_higher sl3_antifundamental_rep sl3_basis sl3_dim_formula"
+              " sl3_highest_weight_irrep sl3_roots sl3_standard_rep weyl_act weyl_elements"
+              " weyl_invariance_check",
+}
+
+
+def test_every_package_name_is_its_module_attribute():
+    for module, names in PACKAGE_NAMES.items():
+        mod = importlib.import_module(f"matrixlie.{module}")
+        for name in names.split():
+            assert getattr(matrixlie, name) is getattr(mod, name), name
+    assert sorted(matrixlie.__all__) == sorted(" ".join(PACKAGE_NAMES.values()).split())
+    with pytest.raises(AttributeError):
+        matrixlie.no_such_name
+
+
+def _dense_sl2_rep():
+    """pi(1) conjugated by a unimodular T: pi(H) is neither upper nor lower
+    triangular, so decompose takes the kernel path."""
+    T, Ti = rmat([[2, 1], [1, 1]]), rmat([[1, -1], [-1, 2]])
+    rep = sl2_irrep(1)
+    return Representation(rep.algebra, rep.labels, tuple(Ti @ g @ T for g in rep.generators))
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "sl3", "1", "1"], ["rep", "sl2", "5"], ["rep", "sl3", "3", "3"], ["cg", "5", "5"],
+    ["decompose", "sl2", "@triangular"], ["decompose", "sl2", "@dense"],
+], ids=lambda argv: " ".join(argv))
+def test_exact_commands_load_no_numpy(argv, tmp_path):
+    # in a fresh process, as this one has numpy loaded
+    reps = {"@triangular": direct_sum(sl2_irrep(3), sl2_irrep(2)), "@dense": _dense_sl2_rep()}
+    if argv[-1] in reps:
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(rep_to_json(reps[argv[-1]])))
+        argv = [*argv[:-1], f"@{path}"]
+    probe = ("import sys, matrixlie, matrixlie.cli; rc = matrixlie.cli.main(sys.argv[1:]); "
+             "sys.exit(rc or ('numpy' in sys.modules and 'numpy was loaded'))")
+    r = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    assert r.stdout == out.getvalue()
+
+
+def test_the_cli_sets_one_blas_thread_unless_the_caller_chose(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["dim", "sl3", "1", "1"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1" and os.environ["OMP_NUM_THREADS"] == "2"

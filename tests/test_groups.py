@@ -95,6 +95,22 @@ def test_metric_and_symplectic_matrices():
     assert np.array_equal(g @ g, np.eye(2))
 
 
+@pytest.mark.parametrize("build, args", [
+    (metric_g, (True, 1)), (metric_g, (1, True)), (metric_g, (-1, 1)), (metric_g, (1, -1)),
+    (metric_g, (2.5, 1)), (metric_g, (0, 0)), (metric_g, ("2", 1)),
+    (symplectic_J, (0,)), (symplectic_J, (-1,)), (symplectic_J, (2.5,)), (symplectic_J, (True,)),
+])
+def test_metric_and_symplectic_counts_follow_the_integer_rule(build, args):
+    with pytest.raises(DomainError):
+        build(*args)
+
+
+def test_metric_and_symplectic_take_numpy_integers():
+    assert np.array_equal(metric_g(np.int64(2), 0), np.eye(2))
+    assert np.array_equal(metric_g(0, np.int32(1)), -np.eye(1))
+    assert np.array_equal(symplectic_J(np.int64(1)), symplectic_J(1))
+
+
 def test_euclidean_embed_homomorphism_exact():
     R1 = rmat([[0, -1], [1, 0]])
     R2 = rmat([[Fraction(3, 5), Fraction(-4, 5)], [Fraction(4, 5), Fraction(3, 5)]])

@@ -496,18 +496,24 @@ def test_relations_are_checked_before_the_diagonal_is_read():
 
 
 def test_sl2_constants_are_computed_once(monkeypatch):
-    liealg._builtin_constants.cache_clear()
+    # an unchecked rep is checked against the sl(2) constants of the numpy-free
+    # row kernel, computed once per process; they agree with liealg's, which
+    # structconst reads from its own read-only per-process cache
+    repsl2._sl2_constants.cache_clear()
     calls = []
-    compute = liealg.structure_constants
-    monkeypatch.setattr(liealg, "structure_constants", lambda b: calls.append(b) or compute(b))
+    compute = repsl2._constants
+    monkeypatch.setattr(repsl2, "_constants", lambda *a: calls.append(a) or compute(*a))
     for ms in ([2, 0], [3, 3, 1]):
         rep = _bidiagonal_conjugate(_direct_sum_of(ms), upper=False)
         assert not rep.relations_hold and sl2_decompose(rep) == ms
     assert len(calls) == 1
+    liealg._builtin_constants.cache_clear()
     basis, c = liealg._builtin_constants(sl2_basis_rational)
-    assert len(calls) == 1 and not c.flags.writeable
+    assert liealg._builtin_constants(sl2_basis_rational)[1] is c and not c.flags.writeable
     with pytest.raises(ValueError):
         c[0, 1, 0] = 5
+    assert repsl2._sl2_constants() == {
+        (i, j): {k: x for k, x in enumerate(c[i, j]) if x} for i, j in [(0, 1), (0, 2), (1, 2)]}
 
 
 def test_mutating_public_constants_changes_no_later_result():
