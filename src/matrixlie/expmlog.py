@@ -68,13 +68,16 @@ def _exp_scaled(X: np.ndarray, norm: float) -> np.ndarray:
     # log2(norm) - log2(theta_7), as norm / theta_7 overflows for norm near 1.8e308
     s = math.ceil(math.log2(norm) - math.log2(_THETA7)) if norm > _THETA7 else 0
     A = X * 0.5**s  # exact: s <= 1025, and 0.5**1074 is the least float
-    I = np.eye(X.shape[-1])
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
-    # the coefficients b_0..b_7 of Higham (2005): e^A ~ (V - U)^-1 (V + U)
-    U = A @ (A6 + 1512.0 * A4 + 277200.0 * A2 + 8648640.0 * I)
-    V = 56.0 * A6 + 25200.0 * A4 + 1995840.0 * A2 + 17297280.0 * I
+    # the coefficients b_0..b_7 of Higham (2005): e^A ~ (V - U)^-1 (V + U); b_1 I and b_0 I
+    # go on the diagonals, every (n+1)-th entry of the fresh W and V, as x + 0.0 = x off them
+    W = A6 + 1512.0 * A4 + 277200.0 * A2
+    V = 56.0 * A6 + 25200.0 * A4 + 1995840.0 * A2
+    W.reshape(*W.shape[:-2], -1)[..., :: X.shape[-1] + 1] += 8648640.0
+    V.reshape(*V.shape[:-2], -1)[..., :: X.shape[-1] + 1] += 17297280.0
+    U = A @ W
     E = np.linalg.solve(V - U, V + U)  # solve takes a stack as well
     for _ in range(s):
         E = E @ E
@@ -168,8 +171,8 @@ def mat_log(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         rho = frobenius_norm(B)
     r = rho / (1 + math.sqrt(1 - rho)) ** 2
     t, w = _gauss_legendre(next(m for m in itertools.count(1) if r ** (2 * m) < _EPS / 2))
-    L = np.tensordot(w, np.linalg.solve(I + t[:, None, None] * B, B), axes=1)
-    return (2**k * L).astype(complex)
+    L = w @ np.linalg.solve(I + t[:, None, None] * B, B).reshape(len(w), -1)
+    return (2**k * L).reshape(A.shape).astype(complex)
 
 
 def heisenberg_log(A: np.ndarray) -> np.ndarray:
@@ -194,7 +197,10 @@ def exp_directional_derivative(X, Y, terms: int = 20) -> np.ndarray:
     """
     _count("terms", terms)
     n = X.shape[0]
-    return _exp(np.block([[X, Y], [np.zeros_like(X), X]]))[:n, n:]
+    M = np.zeros((2 * n, 2 * n), dtype=complex)  # the gate made X and Y complex
+    M[:n, :n] = M[n:, n:] = X
+    M[:n, n:] = Y
+    return _exp(M)[:n, n:]
 
 
 @_entry(2)

@@ -229,7 +229,8 @@ def _holds(M: np.ndarray, lid: LieId, tol: Tolerance, group: bool) -> bool:
         raise ShapeError(f"{lid.family} with n={lid.n} needs a {d}x{d} matrix, got {M.shape}")
     if _real(lid) and not (np.abs(M.imag) <= tol.abs).all():
         return False
-    unit = np.eye(d) if group else np.zeros((d, d))
+    if lid.family.lower() == "heis" or spec.affine:  # rows of I (group) or 0 (algebra)
+        unit = np.eye(d) if group else np.zeros((d, d))
     if lid.family.lower() == "heis":
         return all(abs(M[i, j] - unit[i, j]) <= tol.abs for i in range(d) for j in range(i + 1))
     if group and spec.det:
@@ -268,9 +269,12 @@ def is_member(A: np.ndarray, g, tol: Tolerance = DEFAULT_TOL) -> bool:
 def su2_matrix(alpha: complex, beta: complex) -> np.ndarray:
     """[[a, -conj b],[b, conj a]] for |a|^2 + |b|^2 = 1 — the general SU(2) element."""
     v = to_complex([alpha, beta])
+    if v.shape != (2,):
+        raise ShapeError(f"alpha and beta must be numbers, not of shape {v.shape[1:]}")
     if not abs(np.vdot(v, v).real - 1) <= 1e-12:  # also for a nan, an inf or an overflow
         raise DomainError("|alpha|^2 + |beta|^2 must equal 1")
-    return np.array([[alpha, -np.conj(beta)], [beta, np.conj(alpha)]], dtype=complex)
+    a, b = v.tolist()
+    return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
 def euclidean_embed(R: np.ndarray, x) -> np.ndarray:
@@ -307,10 +311,9 @@ def polar_decompose_sl(A: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """
     if np.any(np.abs(A.imag) > tol.abs):
         raise DomainError("matrix must be real")
-    A = A.real
-    if _relative_det(A) <= tol.abs:
+    W, s, Vt = np.linalg.svd(A.real)
+    if _relative_det(s) <= tol.abs:
         raise DomainError("matrix is singular")
-    W, s, Vt = np.linalg.svd(A)
     return (W @ Vt).astype(complex), (Vt.T * s @ Vt).astype(complex)
 
 

@@ -180,7 +180,8 @@ def _floating(re, im) -> np.ndarray:
 @_entry(2)
 def Ad_apply(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Ad A (X) = A X A^-1."""
-    if _relative_det(A) < 1e-13:  # scale-invariant: cI passes for every c != 0
+    # scale-invariant: cI passes for every c != 0
+    if _relative_det(np.linalg.svd(A, compute_uv=False)) < 1e-13:
         raise DomainError("Ad requires an invertible matrix")
     return A @ X @ np.linalg.inv(A)
 

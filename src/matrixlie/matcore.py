@@ -135,12 +135,21 @@ def is_rational(M) -> bool:
 
 
 def to_complex(M: np.ndarray) -> np.ndarray:
-    """A rational (or floating) matrix as a complex floating one; an exact
-    entry beyond the float range raises DomainError."""
+    """A rational (or floating) matrix as a complex floating one; ShapeError
+    for ragged rows, DomainError for an entry that is not a number or an
+    exact entry beyond the float range."""
     try:
         return np.asarray(M, dtype=complex)
     except OverflowError:
         raise DomainError("an exact entry has no finite float value") from None
+    except (TypeError, ValueError):
+        try:
+            ragged = any(map(np.ndim, np.asarray(M, dtype=object).flat))
+        except ValueError:  # some ragged nestings fail even as an object array
+            ragged = True
+        if ragged:
+            raise ShapeError("ragged rows") from None
+        raise DomainError("matrix entries must be numbers") from None
 
 
 def _check_square(*Ms):
@@ -154,16 +163,25 @@ def _check_square(*Ms):
 
 def _finite(M: np.ndarray) -> bool:
     """Whether every entry is finite; a finite sum of squares proves it in one call."""
-    return bool(np.vdot(M, M).real < np.inf) or bool(np.isfinite(M).all())
+    return math.isfinite(np.vdot(M, M).real) or bool(np.isfinite(M).all())
+
+
+def _exact(M) -> np.ndarray | None:
+    """M, an object array of ints (not bools) and Fractions, with each int as a
+    Fraction, so that / stays exact; None for any other M."""
+    if not is_rational(M) or not (kinds := set(map(type, M.flat))) <= {int, Fraction}:
+        return None
+    return np.vectorize(Fraction, otypes=[object])(M) if int in kinds else M
 
 
 def _entry(nmats: int, exact: bool = False):
     """Decorator of a floating entry point whose first nmats parameters are
     matrices, by position or keyword: ShapeError unless nonempty, square
     and of one shape, DomainError for a non-finite entry.  They reach the
-    function as complex arrays; with exact=True they stay exact if all are
-    rational, and else a floating array keeps its dtype and any other (a
-    rational, integer or bool array, or a list) becomes complex.  numpy's
+    function as complex arrays; with exact=True they stay exact, as arrays
+    of Fractions, if all are object arrays of ints (not bools) and Fractions,
+    and else a floating array keeps its dtype and any other (another object,
+    integer or bool array, or a list) becomes complex.  numpy's
     overflow, invalid and divide warnings are silenced while it runs; a
     non-finite floating array in its result, alone or in a tuple, raises DomainError."""
 
@@ -177,10 +195,10 @@ def _entry(nmats: int, exact: bool = False):
                 bound = signature.bind(*args, **kwargs)
                 args, kwargs = bound.args, bound.kwargs
             Ms = args[:nmats]
-            keep = exact and all(map(is_rational, Ms))  # exact input stays exact
-            if not keep:
-                Ms = tuple(M if exact and type(M) is np.ndarray and M.dtype.kind in "fc"
-                           else to_complex(M) for M in Ms)
+            kept = exact and [_exact(M) for M in Ms]  # exact input stays exact
+            keep = exact and all(K is not None for K in kept)
+            Ms = kept if keep else [M if exact and type(M) is np.ndarray and M.dtype.kind in "fc"
+                                    else to_complex(M) for M in Ms]
             _check_square(*Ms)
             if not keep and not all(map(_finite, Ms)):
                 raise DomainError("matrix entries must be finite")
@@ -195,14 +213,16 @@ def _entry(nmats: int, exact: bool = False):
     return decorate
 
 
-def _relative_det(A: np.ndarray) -> float:
-    """|det A| / (||A||_F / sqrt(n))^n, which does not change when A is
-    scaled: 1 for a multiple of a unitary matrix, at most 1 by Hadamard's
-    inequality, and 0 for A = 0; in logarithms, as 1 / ||A||_F can overflow."""
-    norm, n = frobenius_norm(A), A.shape[0]
-    if not norm:
+def _relative_det(s: np.ndarray) -> float:
+    """|det A| / (||A||_F / sqrt(n))^n from the singular values s of A, largest first
+    (|det A| = prod s, ||A||_F = ||s||_2): unchanged when A is scaled, 1 for a multiple
+    of a unitary matrix, at most 1 (AM-GM) and 0 for a singular A; in logarithms of
+    r = s / s_1, as products and squares of singular values can overflow."""
+    s = s.tolist()
+    r = [x / s[0] for x in s] if s[0] else s  # 1 = r_1 >= ... >= r_n
+    if not r[-1]:  # s_n = 0, or r_n underflows and so does the result
         return 0.0
-    return math.exp(np.linalg.slogdet(A)[1] - n * (math.log(norm) - math.log(n) / 2))
+    return math.exp(sum(map(math.log, r)) - len(r) / 2 * math.log(sum(x * x for x in r) / len(r)))
 
 
 def _sparse_rows(M: np.ndarray) -> list[dict]:

@@ -10,8 +10,7 @@ std^(x)m1 (x) dual^(x)m2, serves as the test oracle.
 from __future__ import annotations
 
 import functools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import liealg, matcore  # lazy (see the package): only dense work loads them
@@ -58,10 +57,7 @@ def sl3_basis() -> liealg.Basis:
     return liealg.Basis("sl(3,C)", _LABELS, _basis_matrices())
 
 
-@dataclass(frozen=True)
-class Root:
-    weight: tuple
-    vector_label: str
+Root = namedtuple("Root", "weight vector_label")  # namedtuples: see rowcore.Tolerance
 
 
 def sl3_roots() -> list:
@@ -149,10 +145,7 @@ def _weyl() -> tuple:
     )), tuple(H.astype(int) for H in _basis_matrices()[:2])
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    index: int
-    matrix: object  # an exact 3x3 numpy array
+WeylElement = namedtuple("WeylElement", "index matrix")  # matrix: an exact 3x3 numpy array
 
 
 def weyl_elements() -> list:

@@ -12,28 +12,31 @@ or ``_rows_to_text``, which writes the same object as JSON text.  Also here:
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ClosureError, DomainError, ShapeError
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative tolerance pair used by every floating comparison."""
+# a namedtuple, not a dataclass: exact CLI calls import neither dataclasses nor the inspect it loads
+class Tolerance(collections.namedtuple("Tolerance", "abs rel")):
+    """Absolute/relative tolerance pair used by every floating comparison;
+    immutable, and as a tuple equal to (abs, rel)."""
 
-    abs: float = 1e-9
-    rel: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.abs >= 0 and self.rel >= 0):
+    def __new__(cls, abs: float = 1e-9, rel: float = 1e-9):
+        if not (abs >= 0 and rel >= 0):
             raise ValueError("tolerances must be nonnegative")
-        if not (math.isfinite(self.abs) and math.isfinite(self.rel)):
+        if not (math.isfinite(abs) and math.isfinite(rel)):
             raise ValueError("tolerances must be finite")
+        return super().__new__(cls, abs, rel)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
 
 def _integer(value, least: int) -> int | None:

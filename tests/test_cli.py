@@ -456,17 +456,26 @@ def _dense_sl2_rep():
     return Representation(rep.algebra, rep.labels, tuple(Ti @ g @ T for g in rep.generators))
 
 
-@pytest.mark.parametrize("argv", [
+EXACT_COMMANDS = [
     ["dim", "sl3", "1", "1"], ["rep", "sl2", "5"], ["rep", "sl3", "3", "3"], ["cg", "5", "5"],
     ["decompose", "sl2", "@triangular"], ["decompose", "sl2", "@dense"],
-], ids=lambda argv: " ".join(argv))
+]
+
+
+def _with_rep_files(argv, tmp_path):
+    """argv with a trailing @triangular or @dense replaced by a file holding that rep."""
+    reps = {"@triangular": direct_sum(sl2_irrep(3), sl2_irrep(2)), "@dense": _dense_sl2_rep()}
+    if argv[-1] not in reps:
+        return argv
+    path = tmp_path / f"{argv[-1][1:]}.json"
+    path.write_text(json.dumps(rep_to_json(reps[argv[-1]])))
+    return [*argv[:-1], f"@{path}"]
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=lambda argv: " ".join(argv))
 def test_exact_commands_load_no_numpy(argv, tmp_path):
     # in a fresh process, as this one has numpy loaded
-    reps = {"@triangular": direct_sum(sl2_irrep(3), sl2_irrep(2)), "@dense": _dense_sl2_rep()}
-    if argv[-1] in reps:
-        path = tmp_path / "rep.json"
-        path.write_text(json.dumps(rep_to_json(reps[argv[-1]])))
-        argv = [*argv[:-1], f"@{path}"]
+    argv = _with_rep_files(argv, tmp_path)
     probe = ("import sys, matrixlie, matrixlie.cli; rc = matrixlie.cli.main(sys.argv[1:]); "
              "sys.exit(rc or ('numpy' in sys.modules and 'numpy was loaded'))")
     r = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
@@ -475,6 +484,23 @@ def test_exact_commands_load_no_numpy(argv, tmp_path):
     with contextlib.redirect_stdout(out):
         main(argv)
     assert r.stdout == out.getvalue()
+
+
+def test_exact_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    # all of them in one fresh process; dataclasses imports inspect, a large
+    # import that no exact command needs
+    commands = [_with_rep_files(argv, tmp_path) for argv in EXACT_COMMANDS]
+    probe = ("import contextlib, io, json, sys; before = set(sys.modules); import matrixlie.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [matrixlie.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, sorted(set(sys.modules) - before)]))")
+    r = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    codes, loaded = json.loads(r.stdout)
+    assert codes == [0] * len(commands)
+    assert "matrixlie.rowcore" in loaded  # the snapshot came before matrixlie loaded
+    assert not {"dataclasses", "inspect"} & set(loaded), loaded
 
 
 def test_the_cli_sets_one_blas_thread_unless_the_caller_chose(monkeypatch):

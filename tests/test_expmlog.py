@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -486,3 +487,104 @@ def test_log_at_the_edge_of_the_domain(monkeypatch):
         assert time.perf_counter() - start < 0.5
         assert np.all(np.isfinite(L))
     assert max(nodes) <= 28
+
+
+# --- references for the forms of the floating kernels that fewer numpy calls
+# replaced; the arithmetic is the same, so every output must match bit for bit
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def exp_scaled_eye(X, norm):
+    """Reference for _exp_scaled: the Pade [7/7] terms b_1 I and b_0 I added
+    as np.eye products, for a matrix or a stack."""
+    from matrixlie.expmlog import _THETA7
+
+    s = math.ceil(math.log2(norm) - math.log2(_THETA7)) if norm > _THETA7 else 0
+    A = X * 0.5**s
+    I = np.eye(X.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 + 1512.0 * A4 + 277200.0 * A2 + 8648640.0 * I)
+    V = 56.0 * A6 + 25200.0 * A4 + 1995840.0 * A2 + 17297280.0 * I
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.5, 0.95, 1.0, 10.0, 100.0, 1e3])
+def test_exp_scaled_is_the_eye_formula(norm):
+    from matrixlie.expmlog import _exp_scaled
+
+    rng = np.random.default_rng(2700)
+    for shape in ((1, 1), (2, 2), (3, 3), (6, 6), (1, 4, 4), (5, 3, 3), (9, 2, 2)):
+        for complex_ in (False, True):
+            X = rng.standard_normal(shape)
+            if complex_:
+                X = X + 1j * rng.standard_normal(shape)
+            X *= norm / np.abs(X).sum(axis=-2).max()
+            one = float(np.abs(X).sum(axis=-2).max())  # the largest 1-norm, as callers pass
+            with np.errstate(over="ignore", invalid="ignore"):  # e^X can overflow past 700
+                assert_same_bits(_exp_scaled(X, one), exp_scaled_eye(X, one))
+
+
+def directional_derivative_block(X, Y):
+    """Reference for exp_directional_derivative: e^[[X, Y], [0, X]] built by np.block."""
+    from matrixlie.expmlog import _exp
+    from matrixlie.matcore import to_complex
+
+    X, Y = to_complex(X), to_complex(Y)
+    n = X.shape[0]
+    return _exp(np.block([[X, Y], [np.zeros_like(X), X]]))[:n, n:]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_directional_derivative_is_the_block_formula(n):
+    rng = np.random.default_rng(2710 + n)
+    for norm in (1e-3, 0.3, 2.0, 30.0):
+        for complex_ in (False, True):
+            X, Y = rng.standard_normal((2, n, n))
+            if complex_:
+                X = X + 1j * rng.standard_normal((n, n))
+                Y = Y + 1j * rng.standard_normal((n, n))
+            X *= norm / np.linalg.norm(X)
+            assert_same_bits(exp_directional_derivative(X, Y), directional_derivative_block(X, Y))
+
+
+def log_tensordot(A):
+    """Reference for mat_log: the Gauss-Legendre terms summed by np.tensordot."""
+    import itertools
+
+    from matrixlie.expmlog import _EPS, _gauss_legendre, _sqrtm
+
+    A = np.asarray(A, dtype=complex)
+    if not A.imag.any():
+        A = A.real
+    I = np.eye(len(A))
+    B, k = A - I, 0
+    rho = frobenius_norm(B)
+    while rho > 0.9:
+        A, k = _sqrtm(A), k + 1
+        B = A - I
+        rho = frobenius_norm(B)
+    r = rho / (1 + math.sqrt(1 - rho)) ** 2
+    t, w = _gauss_legendre(next(m for m in itertools.count(1) if r ** (2 * m) < _EPS / 2))
+    L = np.tensordot(w, np.linalg.solve(I + t[:, None, None] * B, B), axes=1)
+    return (2**k * L).astype(complex)
+
+
+@pytest.mark.parametrize("rho", [0.0, 1e-6, 0.1, 0.5, 0.9, 0.95, 0.999])
+def test_log_is_the_tensordot_sum(rho):
+    rng = np.random.default_rng(2720)
+    for n in range(1, 7):
+        for complex_ in (False, True):
+            B = rng.standard_normal((n, n))
+            if complex_:
+                B = B + 1j * rng.standard_normal((n, n))
+            A = np.eye(n) + B * (rho / frobenius_norm(B))
+            assert_same_bits(mat_log(A), log_tensordot(A))

@@ -6,6 +6,7 @@ Every test turns warnings into errors, so a warning fails it.
 """
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from matrixlie.bch import bch_heisenberg, bch_integral, bch_series, g_operator  # noqa: E402
-from matrixlie.errors import DomainError, LieError  # noqa: E402
+from matrixlie.errors import DomainError, LieError, ShapeError  # noqa: E402
 from matrixlie.expmlog import (  # noqa: E402
     OneParamSample,
     exp_directional_derivative,
@@ -161,6 +162,32 @@ def test_exact_entry_points_take_nested_lists(name):
         assert np.array_equal(f(rmat(args[0]), args[1]), want)
 
 
+# Python ints in an object array are exact: they reach the function as Fractions,
+# so that / 2 and / 12 stay exact, also beyond the float range
+INT_OBJECTS = {
+    "bracket": (bracket, lambda b: ([[0, b], [0, 0]], E21)),
+    "bch_series": (bch_series, lambda b: ([[0, b], [0, 0]], E21)),
+    "bch_heisenberg": (bch_heisenberg, lambda b: ([[0, b, 0], [0, 0, 0], [0, 0, 0]], HEIS_Y)),
+    "g_operator": (g_operator, lambda b: ([[1, b], [0, 1]],)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b", [1, 10**400], ids=["1", "10**400"])
+@pytest.mark.parametrize("name", sorted(INT_OBJECTS))
+def test_exact_entry_points_take_object_arrays_of_ints_as_fractions(name, b):
+    f, make = INT_OBJECTS[name]
+    args = make(b)
+    want = f(*map(rmat, args))
+    got = f(*(np.array(a, dtype=object) for a in args))
+    assert got.dtype == object and all(type(x) is Fraction for x in got.flat)
+    assert (got == want).all()
+    if b == 1:  # a float entry among the ints: floating, like a float array
+        mixed = [np.array(a, dtype=object) for a in args]
+        mixed[0][0, 0] = float(mixed[0][0, 0])
+        assert f(*mixed).dtype == complex
+
+
 # integer inputs whose brackets leave int64 (2^62 * 4 = 2^64), which the gate
 # must carry in complex rather than in wrapping integer arithmetic
 BIG_X, BIG_Y = [[0, 2**62], [0, 0]], [[0, 0], [4, 0]]
@@ -193,6 +220,13 @@ def test_exact_entry_points_take_integer_arrays_as_complex(name, dtype):
 )
 def test_su2_matrix_of_a_non_finite_or_overflowing_entry(alpha, beta):
     with pytest.raises(DomainError):
+        su2_matrix(alpha, beta)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, beta", [(np.array([0.6]), np.array([0.8])), ([0.6, 0], [0.8, 0])])
+def test_su2_matrix_of_array_entries_is_a_shape_error(alpha, beta):
+    with pytest.raises(ShapeError):
         su2_matrix(alpha, beta)
 
 
@@ -286,3 +320,23 @@ def test_finite_result_or_typed_error(name, data):
         except LieError:
             return
     assert _finite(out)
+
+
+# --- malformed input: ragged rows and entries that are not numbers
+
+MALFORMED = {"ragged": ([[1.0], [1.0, 2.0]], ShapeError),
+             # ragged at two depths: numpy refuses it even as an object array
+             "ragged deeper": ([[1.0, 2.0], [1.0, [2.0, [3.0]]]], ShapeError),
+             "not numbers": (np.array([["a", "b"], ["c", "d"]]), DomainError)}
+CONVERTING = {**CALLS, "frobenius_norm": (1, lambda M, g: frobenius_norm(M)),
+              "approx_eq": (1, lambda A, g: approx_eq(A, I2))}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@pytest.mark.parametrize("name", sorted(CONVERTING))
+def test_malformed_input_is_a_typed_error(name, kind):
+    count, call = CONVERTING[name]
+    M, error = MALFORMED[kind]
+    with pytest.raises(error):
+        call(*[M] * count, NAMES[2][0])

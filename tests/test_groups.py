@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -467,3 +468,56 @@ def test_membership_with_a_nan_determinant(name):
     # Python's abs of that complex can raise OverflowError, numpy's does not
     A = np.array([[0, 0], [1e-308, -1]], dtype=complex)
     assert not is_member(A, name)
+
+
+def relative_det_slogdet(A):
+    """Reference for polar's singularity rule: |det A| / (||A||_F / sqrt n)^n
+    from slogdet and the Frobenius norm, in logarithms."""
+    norm, n = frobenius_norm(A), A.shape[0]
+    if not norm:
+        return 0.0
+    with np.errstate(divide="ignore"):  # log 0 for an exactly singular A, as in the gate
+        logdet = np.linalg.slogdet(A)[1]
+    return math.exp(logdet - n * (math.log(norm) - math.log(n) / 2))
+
+
+def polar_rejects_as_singular(A, tol):
+    try:
+        polar_decompose_sl(A, tol)
+    except DomainError as e:
+        assert str(e) == "matrix is singular"
+        return True
+    return False
+
+
+def singularity_inputs(rng, n, target):
+    """Real n x n matrices: random, exactly singular, and diagonal ones whose
+    relative determinant is target (1 + u) for small u, where the SVD and the
+    LU factors are exact, so both rules see the same value to rounding."""
+    yield rng.standard_normal((n, n))
+    yield np.zeros((n, n))
+    yield np.outer(rng.standard_normal(n), rng.standard_normal(n))
+    if n > 1:
+        A = rng.standard_normal((n, n))
+        A[-1] = A[0]
+        yield A
+        for u in (-1e-3, -1e-6, -1e-9, -1e-11, 1e-11, 1e-9, 1e-6, 1e-3):
+            x = target * (1 + u)  # solves x / ((n - 1 + x^2) / n)^(n/2) = target (1 + u)
+            for _ in range(4):
+                x = target * (1 + u) * ((n - 1 + x * x) / n) ** (n / 2)
+            yield np.diag(rng.choice([-1.0, 1.0], n) * rng.permutation([1.0] * (n - 1) + [x]))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-10, 1.0, 1e10, 1e150, 1e300])
+@pytest.mark.parametrize("tol_abs", [1e-9, 1e-3])
+def test_polar_singularity_is_the_slogdet_rule(scale, tol_abs):
+    # polar reads |det A| and ||A||_F off the singular values of its SVD; its
+    # decision must be the slogdet rule's except within 1e-12 of tol.abs
+    rng = np.random.default_rng(2730)
+    tol = Tolerance(tol_abs, 1e-9)
+    for n in range(1, 6):
+        for A in singularity_inputs(rng, n, tol_abs):
+            ref = relative_det_slogdet(scale * A)
+            if abs(ref - tol_abs) > 1e-12 * tol_abs:
+                assert polar_rejects_as_singular(scale * A, tol) == (ref <= tol_abs), (n, ref)
+
