@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,8 @@ from .matcore import _count, _entry, _integer, frobenius_norm, is_rational, reye
 
 _commutator = bracket.__wrapped__  # for matrices that an entry point has gated
 _PS_DOUBLINGS = 2  # _g_series sums blocks of s = 2^2 terms; 8 was slower on gl(4)
+_SCRATCH_BYTES = 8 << 20  # node stacks a thread keeps: reuse saved >= 19% of a call below it (README)
+_scratch = threading.local()  # per thread: a buffer that only grows, and the views cut from it
 
 __all__ = ["bch_heisenberg", "bch_series", "g_operator", "bch_integral"]
 
@@ -77,16 +80,17 @@ def _g_coefficients(terms: int, exact: bool) -> np.ndarray:
     return C
 
 
-def _g_series(B, V, terms: int):
+def _g_series(B, V, terms: int, powers=(None,) * _PS_DOUBLINGS):
     """g(I - B) V = V - sum_{m=1..terms} B^m V / (m(m+1)), for a matrix B or
     a stack of them; V = I gives g(I - B), exact for exact B.  Paterson-Stockmeyer
     (1973): one product sums each block of s terms from W[j] = B^j V, j < s,
-    and Horner's rule in B^s joins the blocks; C is built once per terms (`_g_coefficients`)."""
+    and Horner's rule in B^s joins the blocks; C is built once per terms (`_g_coefficients`).
+    B^2 and B^4 go into `powers`, stacks like B that overlap neither B nor V (None: new ones)."""
     C = _g_coefficients(terms, B.dtype == object)
     W, P = np.broadcast_to(V, (1, *B.shape[:-1], V.shape[-1])), B
-    for _ in range(_PS_DOUBLINGS):  # W[j] = B^j V for j < 2^i, and P = B^(2^i)
+    for out in powers:  # W[j] = B^j V for j < 2^i, and P = B^(2^i)
         W = np.concatenate((W, P @ W))
-        P = P @ P
+        P = np.matmul(P, P, out=out)
     S = (C @ W.reshape(len(W), -1)).reshape(-1, *W.shape[1:])  # S[k] = sum_j c_(ks+j) B^j V
     return functools.reduce(lambda G, Sk: Sk + P @ G, S[-2::-1], S[-1])  # Horner in P
 
@@ -108,6 +112,20 @@ def g_operator(M: np.ndarray, terms: int = 30) -> np.ndarray:
     if not Bn.any():  # B^m is exactly zero from m = n on
         terms = min(terms, n - 1)
     return _g_series(B, I, terms)
+
+
+def _node_stacks(shape: tuple, dtype: np.dtype) -> tuple:
+    """bch_integral's uninitialized node stack and the g series' B^2 and B^4, as views of this
+    thread's buffer while the three fit in _SCRATCH_BYTES, so that warm calls fault in no pages."""
+    if (views := getattr(_scratch, "views", {}).get((shape, dtype))) is not None:
+        return views
+    stacks, buffer = (1 + _PS_DOUBLINGS, *shape), getattr(_scratch, "buffer", b"")
+    if (size := math.prod(stacks) * dtype.itemsize) > _SCRATCH_BYTES:  # so that no thread keeps more
+        return tuple(np.empty(stacks, dtype))
+    if size > len(buffer) or len(_scratch.views) >= 16:  # the old views, and so the old buffer, go
+        _scratch.buffer, _scratch.views = np.empty(max(size, len(buffer)), np.uint8), {}
+    views = _scratch.views[shape, dtype] = tuple(_scratch.buffer[:size].view(dtype).reshape(stacks))
+    return views
 
 
 @functools.lru_cache(maxsize=16)
@@ -146,7 +164,7 @@ def bch_integral(
     (`_coords`); Y must lie exactly in its span (DomainError otherwise).
 
     All 2 quad_points + 1 nodes t_k = k h/2 (times, weights and steps kept per
-    quad_points by `_simpson_plan`) fill one preallocated stack: node k is node
+    quad_points by `_simpson_plan`) fill one stack of `_node_stacks`: node k is node
     k - 2^j times e^(2^j (h/2) ad Y), 2^j the top bit of k, so one stacked
     exponential of bit_length(2 quad_points) factors, and one product per
     factor, build them from e^(ad X); I minus them then overwrites them.
@@ -187,7 +205,7 @@ def bch_integral(
     # the factors' largest norm is at most ||ad Y||_1.  One can overflow only
     # when ||ad Y||_1 > 700; node 2^j, at or before every node that uses it,
     # is then inf or nan, and its distance fails the test below
-    B = np.empty((t.size, N, N), EadX.dtype)  # the nodes, then I minus them
+    B, *powers = _node_stacks((t.size, N, N), EadX.dtype)  # the nodes, then I minus them
     B[0], rows = EadX, B.reshape(-1, N)  # node k is rows kN to kN + N - 1
     for j, F in enumerate(_exp_scaled(steps[:, None, None] * adY, steps[-1] * normY)):
         lo, hi = 2**j, min(2 ** (j + 1), t.size)  # node lo + i is node i times F
@@ -196,6 +214,6 @@ def bch_integral(
     out = np.flatnonzero(~(np.einsum("kij,kij->k", R, R) < 1.0))  # squared distances
     if out.size:
         raise _outside(float(t[out[0]]))
-    G = _g_series(B, y[:, None], terms)[:, :, 0]  # g(e^(adX) e^(t adY)) y per node
+    G = _g_series(B, y[:, None], terms, powers)[:, :, 0]  # g(e^(adX) e^(t adY)) y per node
     v = (h / 6) * (w @ G)  # the coordinates of Z - X
     return X + (v.reshape(n, n) if basis is None else np.tensordot(v, elements, axes=1))

@@ -139,7 +139,10 @@ def to_complex(M: np.ndarray) -> np.ndarray:
     for ragged rows, DomainError for an entry that is not a number or an
     exact entry beyond the float range."""
     try:
-        return np.asarray(M, dtype=complex)
+        A = np.asarray(M)
+        if A.dtype.kind in "OSU" and any(issubclass(t, (str, bytes)) for t in set(map(type, A.flat))):
+            raise TypeError  # numpy would parse a string that spells a number
+        return A.astype(complex, copy=False)
     except OverflowError:
         raise DomainError("an exact entry has no finite float value") from None
     except (TypeError, ValueError):

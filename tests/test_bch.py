@@ -1,4 +1,8 @@
+import itertools
 import re
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -629,6 +633,132 @@ def test_g_series_is_exact_on_fractions(terms):
         G = bch._g_series(B, I, terms)
         assert G.dtype == object and all(type(x) is Fraction for x in G.flat)
         assert (G == g_series_loop(B, I, terms)).all()
+
+
+def bits(A):
+    """A's dtype, shape and entries bit for bit: its bytes, or for an object
+    array the type and value of each entry."""
+    return A.dtype, A.shape, A.tobytes() if A.dtype != object else [(type(x), x) for x in A.flat]
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "exact"])
+def test_g_series_and_g_operator_never_write_their_input(kind):
+    # B^2 and B^4 go into the stacks passed as powers, or into new arrays,
+    # never into B; bch_integral passes stacks of its scratch buffer
+    rng = np.random.default_rng(700)
+    if kind == "exact":
+        Bs = [rmat([[Fraction(1, 3), Fraction(-1, 5)], [Fraction(2, 7), Fraction(1, 4)]])]
+    else:
+        Bs = [random_contractions(rng, shape, kind == "complex") for shape in ((3, 3), (9, 4, 4))]
+    for B in Bs:
+        n, before = B.shape[-1], bits(B)
+        V = reye(n) if kind == "exact" else np.eye(n, dtype=B.dtype)
+        want = bch._g_series(B, V, 30)
+        assert bits(B) == before
+        if kind != "exact":
+            powers = tuple(np.full_like(B, np.nan) for _ in range(bch._PS_DOUBLINGS))
+            assert bits(bch._g_series(B, V, 30, powers)) == bits(want)
+            assert bits(B) == before
+        if B.ndim == 2:
+            M = V - B
+            before = bits(M)
+            g_operator(M)
+            assert bits(M) == before
+
+
+# --- the per-thread scratch buffer of bch_integral ----------------------------
+
+
+def test_integral_results_share_no_memory_with_the_scratch_buffer():
+    rng = np.random.default_rng(710)
+    Z = bch_integral(*gl_pair(rng, 3, 0.2), 16)
+    first = bits(Z)
+    assert not np.shares_memory(Z, bch._scratch.buffer)
+    # the same shape with other operands, then a larger shape, then a smaller one
+    for n, q in ((3, 16), (4, 64), (2, 5)):
+        bch_integral(*gl_pair(rng, n, 0.2), q)
+        assert bits(Z) == first
+
+
+def test_integral_in_four_threads_equals_serial_calls():
+    cases = [(*gl_pair(np.random.default_rng(720 + n), n, 0.3 / n**0.5), q)
+             for n, q in itertools.product((2, 3, 4), (16, 64))]
+    want = [bits(bch_integral(X, Y, q)) for X, Y, q in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(bch_integral, X, Y, q) for _ in range(8) for X, Y, q in cases]
+            got = [bits(f.result(timeout=120)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 8
+
+
+def in_a_new_thread(f):
+    """f() run in a thread of its own, whose scratch starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(f).result(timeout=120)
+
+
+def test_integral_above_the_cap_keeps_nothing():
+    # gl(8) at q = 64 needs three real stacks of 129 x 64 x 64 entries, 12 MiB
+    big, small = gl_pair(np.random.default_rng(730), 8, 0.05), gl_pair(np.random.default_rng(731), 2, 0.2)
+    assert 3 * 129 * 64**2 * 8 > bch._SCRATCH_BYTES
+
+    def calls():
+        Z = bch_integral(*big, 64)
+        kept = [getattr(bch._scratch, "buffer", None)]
+        bch_integral(*small, 16)
+        kept.append(bch._scratch.buffer)
+        Z2 = bch_integral(*big, 64)
+        return Z, Z2, kept + [bch._scratch.buffer], dict(bch._scratch.views)
+
+    Z, Z2, (first, buffer, last), views = in_a_new_thread(calls)
+    assert first is None  # a first call above the cap keeps no buffer
+    assert last is buffer and buffer.nbytes <= bch._SCRATCH_BYTES
+    assert all(shape != (129, 64, 64) for shape, dtype in views)
+    assert not np.shares_memory(Z2, buffer) and bits(Z2) == bits(Z)
+
+
+def test_integral_scratch_keeps_the_views_of_at_most_16_shapes():
+    # q falls, so the first buffer holds every later shape and only the
+    # bound on the views can drop them
+    X, Y = gl_pair(np.random.default_rng(740), 2, 0.2)
+    qs = range(40, 0, -1)
+    got, views = in_a_new_thread(lambda: ([bits(bch_integral(X, Y, q)) for q in qs],
+                                          len(bch._scratch.views)))
+    assert views <= 16 and got == [bits(bch_integral(X, Y, q)) for q in qs]
+
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+from matrixlie.bch import bch_integral
+
+X, Y = np.random.default_rng(750).standard_normal((2, 4, 4))
+X, Y = 0.15 * X / np.linalg.norm(X), 0.15 * Y / np.linalg.norm(Y)
+for _ in range(3):
+    bch_integral(X, Y, 64)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    bch_integral(X, Y, 64)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
+def test_warm_integral_calls_fault_in_no_fresh_pages():
+    # without the scratch buffer, 20 warm gl(4), q = 64 calls took 1940 to
+    # 4220 minor faults in a fresh process: the heap top that held the freed
+    # node stacks was trimmed after each call and faulted back in by the
+    # next; with it, 0.  A fresh process, as whether the heap is trimmed
+    # depends on what the process allocated and freed before
+    pytest.importorskip("resource")
+    r = subprocess.run([sys.executable, "-c", FAULT_PROBE], capture_output=True, text=True,
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) <= 10
 
 
 # --- counts: quad_points and terms -------------------------------------------

@@ -223,6 +223,12 @@ def test_su2_matrix_of_a_non_finite_or_overflowing_entry(alpha, beta):
         su2_matrix(alpha, beta)
 
 
+@pytest.mark.parametrize("alpha, beta", [("0.6", 0.8), (0.6, b"0.8"), (np.str_("0.6"), "0.8j")])
+def test_su2_matrix_of_a_string_is_a_domain_error(alpha, beta):
+    with pytest.raises(DomainError, match="matrix entries must be numbers"):
+        su2_matrix(alpha, beta)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("alpha, beta", [(np.array([0.6]), np.array([0.8])), ([0.6, 0], [0.8, 0])])
 def test_su2_matrix_of_array_entries_is_a_shape_error(alpha, beta):
@@ -327,7 +333,12 @@ def test_finite_result_or_typed_error(name, data):
 MALFORMED = {"ragged": ([[1.0], [1.0, 2.0]], ShapeError),
              # ragged at two depths: numpy refuses it even as an object array
              "ragged deeper": ([[1.0, 2.0], [1.0, [2.0, [3.0]]]], ShapeError),
-             "not numbers": (np.array([["a", "b"], ["c", "d"]]), DomainError)}
+             "not numbers": (np.array([["a", "b"], ["c", "d"]]), DomainError),
+             # numpy would parse these strings as the numbers they spell
+             "numeric strings": ([["1", "0"], ["0", "1"]], DomainError),
+             "numeric bytes": (np.array([[b"1", b"0"], [b"0", b"1"]]), DomainError),
+             "a numeric string among exact entries":
+                 (np.array([[1, "0"], [Fraction(0), 1]], dtype=object), DomainError)}
 CONVERTING = {**CALLS, "frobenius_norm": (1, lambda M, g: frobenius_norm(M)),
               "approx_eq": (1, lambda A, g: approx_eq(A, I2))}
 
