@@ -4,16 +4,18 @@ Matrices are passed inline as JSON ({"rows", "cols", "re"[, "im"]} for
 floating, {"rows", "cols", "num", "den"} for exact rational) or as
 @path-to-file.  Results print as strict JSON.  Errors, a non-finite result
 among them, print a machine-readable object {"error": kind, "detail": text}
-and exit 1; usage errors exit 2.
+and exit 1.  Arguments are read by one command table (_COMMANDS) with
+argparse's rules: usage errors go to stderr and exit 2, and -h/--help
+prints help from the table and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 # modules, not names: each loads when a handler first uses it (see the package)
 from . import bch as bchmod
@@ -34,10 +36,13 @@ _BASES = {
 def _load_json(arg: str, decode=None):
     """Decode an inline JSON argument, or the JSON file named by @path (a matrix by default)."""
     decode = decode or matcore.matrix_from_json
-    if arg.startswith("@"):
-        with open(arg[1:]) as f:
-            return decode(json.load(f))
-    return decode(json.loads(arg))
+    try:
+        if arg.startswith("@"):
+            with open(arg[1:]) as f:
+                return decode(json.load(f))
+        return decode(json.loads(arg))
+    except RecursionError:  # json recurses once per level of nesting
+        raise ValueError("the JSON is nested too deeply") from None
 
 
 def _emit(out):
@@ -111,84 +116,151 @@ def _polar(a, tol):
     return {"R": R, "H": H}
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser.  Each command sets `run`, its handler (args, tol) -> a
-    matrix, an exact Representation or a JSON value."""
-    p = argparse.ArgumentParser(prog="matrixlie")
-    p.add_argument("--tol-abs", type=float, default=1e-9)
-    p.add_argument("--tol-rel", type=float, default=1e-9)
-    sub = p.add_subparsers(dest="cmd", required=True)
+_S, _I = (str, None, None, True), (int, None, None, True)  # a required str or int
+_M, _XY, _M12 = {"matrix": _S}, {"x": _S, "y": _S}, {"m1": _I, "m2": _I}
+_BASIS = {"basis": (str, None, tuple(sorted(_BASES)), True)}
+# The command table: each word -> (handler (args, tol) -> a matrix, an exact Representation
+# or a JSON value, or else the table of the next word; positionals; options --name; help
+# line), where a positional or an option maps its name to (type, default, choices, required).
+_COMMANDS = {
+    "exp": (lambda a, tol: expmlog.mat_exp(_load_json(a.matrix), tol), _M, {},
+            "matrix exponential"),
+    "log": (lambda a, tol: expmlog.mat_log(_load_json(a.matrix), tol), _M, {},
+            "matrix logarithm (||A - I|| < 1)"),
+    "heislog": (lambda a, tol: expmlog.heisenberg_log(_load_json(a.matrix)), _M, {},
+                "exact log of a Heisenberg matrix"),
+    "member": (_member, {"group": _S, **_M}, {}, "group membership"),
+    "algebra": (_algebra, {"algebra": _S, **_M}, {}, "Lie-algebra membership"),
+    "bracket": (lambda a, tol: liealg.bracket(_load_json(a.x), _load_json(a.y)), _XY, {},
+                "commutator [X, Y]"),
+    "ad": (_ad, _M, _BASIS, "matrix of ad X in a named basis"),
+    "structconst": (_structconst, {}, _BASIS, "structure constants of a named basis"),
+    "bch": (_bch, _XY, {"form": (str, None, ("heis", "series", "integral"), True),
+                        "order": (int, 3, None, False), "quad-points": (int, 64, None, False),
+                        "terms": (int, 30, None, False)}, "Baker-Campbell-Hausdorff"),
+    "su2so3": (_su2so3, {"direction": (str, None, ("fwd", "lift"), True), **_M}, {},
+               "the double cover SU(2) -> SO(3)"),
+    "rep": ({"sl2": (_rep_sl2, {"m": _I}, {"model": (str, "abstract", ("abstract", "poly"), False)},
+                     "the sl(2) irreducible of dimension m + 1"),
+             "sl3": (_rep_sl3, _M12, {"weights-csv": (str, None, None, False)},
+                     "the sl(3) irreducible of highest weight (m1, m2)")},
+            {}, {}, "irreducible representation construction"),
+    "decompose": ({"sl2": (lambda a, tol: {"summands": repsl2.sl2_decompose(
+        _load_json(a.rep, repcore.rep_from_json))}, {"rep": _S}, {},
+        "of sl(2), given as JSON of rational matrices")}, {}, {}, "decompose a representation"),
+    "cg": (_cg, {"m": _I, "n": _I}, {}, "decompose tensor of two sl2 irreducibles"),
+    "dim": ({"sl3": (lambda a, tol: repsl3.sl3_dim_formula(a.m1, a.m2), _M12, {},
+                     "of the sl(3) irreducible of highest weight (m1, m2)")},
+            {}, {}, "dimension formula"),
+    "polar": (_polar, _M, {}, "polar decomposition A = RH"),
+}
+_ROOT = (_COMMANDS, {}, {"tol-abs": (float, 1e-9, None, False),
+                         "tol-rel": (float, 1e-9, None, False)}, "matrix Lie groups and algebras")
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"  # argparse's negative number, compiled on first use
 
-    def command(parent, name, run, *args, help=None):
-        s = parent.add_parser(name, help=help)
-        for arg in args:
-            s.add_argument(arg)
-        s.set_defaults(run=run)
-        return s
 
-    command(sub, "exp", lambda a, tol: expmlog.mat_exp(_load_json(a.matrix), tol), "matrix",
-            help="matrix exponential")
-    command(sub, "log", lambda a, tol: expmlog.mat_log(_load_json(a.matrix), tol), "matrix",
-            help="matrix logarithm (||A - I|| < 1)")
-    command(sub, "heislog", lambda a, tol: expmlog.heisenberg_log(_load_json(a.matrix)),
-            "matrix", help="exact log of a Heisenberg matrix")
-    command(sub, "member", _member, "group", "matrix", help="group membership")
-    command(sub, "algebra", _algebra, "algebra", "matrix", help="Lie-algebra membership")
-    command(sub, "bracket", lambda a, tol: liealg.bracket(_load_json(a.x), _load_json(a.y)),
-            "x", "y", help="commutator [X, Y]")
-    s = command(sub, "ad", _ad, "matrix", help="matrix of ad X in a named basis")
-    s.add_argument("--basis", required=True, choices=sorted(_BASES))
-    s = command(sub, "structconst", _structconst, help="structure constants of a named basis")
-    s.add_argument("--basis", required=True, choices=sorted(_BASES))
+def _usage(words, node, full=False):
+    """The usage line of the command words read so far; in full, the help from the table."""
+    subs = node[0] if isinstance(node[0], dict) else {}
+    opts = [("--%s %s" if s[3] else "[--%s %s]") % (n, "{%s}" % ",".join(s[2]) if s[2] else
+            n.upper()) for n, s in node[2].items()]
+    rest = ["{%s} ..." % ",".join(subs)] if subs else node[1]
+    lines = [" ".join(["usage: matrixlie", *words, "[-h]", *opts, *rest])]
+    if full:
+        lines += ["", node[3], *(f"  {w:<14}{s[3]}" for w, s in subs.items())]
+        lines += [f"  --{n:<14}" + ("required" if s[3] else f"default {s[1]}")
+                  for n, s in node[2].items()]
+    return "\n".join(lines)
 
-    s = command(sub, "bch", _bch, help="Baker-Campbell-Hausdorff")
-    s.add_argument("--form", required=True, choices=["heis", "series", "integral"])
-    s.add_argument("--order", type=int, default=3)
-    s.add_argument("--quad-points", type=int, default=64)
-    s.add_argument("--terms", type=int, default=30)
-    s.add_argument("x")
-    s.add_argument("y")
 
-    s = command(sub, "su2so3", _su2so3, help="the double cover SU(2) -> SO(3)")
-    s.add_argument("direction", choices=["fwd", "lift"])
-    s.add_argument("matrix")
+def _option(token, options):
+    """How argparse reads a token where `options` are known: None for a positional,
+    (None, None) for an unknown option, else (name, its =value or None).  A prefix of
+    two option names, global ones included, is an error anywhere (no name is a prefix
+    of another)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] == "-":
+        head, eq, value = token.partition("=")
+        hits = {n for n in ("help", *_ROOT[2], *options) if ("--" + n).startswith(head)}
+        if len(hits) > 1:
+            raise ValueError(f"ambiguous option: {head} could match --{', --'.join(sorted(hits))}")
+        if hits & {"help", *options}:
+            return hits.pop(), value if eq else None
+    elif token[1] == "h":  # -hh is -h twice
+        return "help", token[2:].lstrip("h") or None
+    return None if re.match(_NEGATIVE, token) or " " in token else (None, None)
 
-    rep = sub.add_parser("rep", help="irreducible representation construction")
-    rep = rep.add_subparsers(dest="which", required=True)
-    s = command(rep, "sl2", _rep_sl2)
-    s.add_argument("m", type=int)
-    s.add_argument("--model", choices=["abstract", "poly"], default="abstract")
-    s = command(rep, "sl3", _rep_sl3)
-    s.add_argument("m1", type=int)
-    s.add_argument("m2", type=int)
-    s.add_argument("--weights-csv")
 
-    dec = sub.add_parser("decompose", help="decompose a representation")
-    dec = dec.add_subparsers(dest="which", required=True)
-    s = command(dec, "sl2", lambda a, tol: {
-        "summands": repsl2.sl2_decompose(_load_json(a.rep, repcore.rep_from_json))})
-    s.add_argument("rep", help="representation JSON (rational matrices)")
+def _value(name, spec, text):
+    """A positional's or an option's value, converted and checked as argparse does."""
+    try:
+        value = spec[0](text)
+    except ValueError:
+        raise ValueError(f"argument {name}: invalid {spec[0].__name__} value: {text!r}") from None
+    if spec[2] and value not in spec[2]:
+        raise ValueError(f"argument {name}: invalid choice: {text!r}")
+    return value
 
-    s = command(sub, "cg", _cg, help="decompose tensor of two sl2 irreducibles")
-    s.add_argument("m", type=int)
-    s.add_argument("n", type=int)
 
-    dim = sub.add_parser("dim", help="dimension formula")
-    dim = dim.add_subparsers(dest="which", required=True)
-    s = command(dim, "sl3", lambda a, tol: repsl3.sl3_dim_formula(a.m1, a.m2))
-    s.add_argument("m1", type=int)
-    s.add_argument("m2", type=int)
-
-    command(sub, "polar", _polar, "matrix", help="polar decomposition A = RH")
-    return p
+def _parse(argv):
+    """The args of a command line, read by the table in one pass with argparse's rules:
+    --opt value, --opt=value or a unique prefix of --opt; a negative number, a token with
+    a space and every token after "--" are positionals.  -h/--help prints help and exits
+    0; a usage error writes the usage line and why to stderr and exits 2."""
+    words, node, todo, unknown, rest, hit, tokens = [], _ROOT, [], [], False, None, iter(argv)
+    args = {n: s[1] for n, s in _ROOT[2].items()}
+    try:
+        for token in tokens:
+            if token == "--" and not rest:
+                rest = True
+                if hit is not None and not todo and callable(node[0]):
+                    unknown.append(token)  # argparse leaves a "--" that no positional takes
+                continue
+            hit = None if rest else _option(token, node[2])
+            if hit is None and isinstance(node[0], dict):  # the next command word
+                if token not in node[0]:
+                    raise ValueError(f"invalid choice: {token!r} (from {', '.join(node[0])})")
+                words.append(token)
+                node = node[0][token]
+                todo = list(node[1].items())
+                args.update((n, s[1]) for n, s in node[2].items())
+            elif hit is None and todo:
+                name, spec = todo.pop(0)
+                args[name] = _value(name, spec, token)
+            elif hit is None or hit[0] is None:
+                unknown.append(token)
+            elif hit[0] == "help":
+                if hit[1] is not None:
+                    raise ValueError(f"argument -h/--help: ignored explicit argument {hit[1]!r}")
+                for token in iter(tokens.__next__, "--"):  # argparse reads these before acting
+                    _option(token, {})
+                print(_usage(words, node, full=True))
+                raise SystemExit(0)
+            else:
+                name, value = hit
+                if value is None:
+                    value = next(tokens, "--")
+                    if value == "--" or _option(value, node[2]) is not None:
+                        raise ValueError(f"argument --{name}: expected one argument")
+                args[name] = _value("--" + name, node[2][name], value)
+        missing = [n for n, _ in todo] + ["--" + n for n, s in node[2].items()
+                                          if s[3] and args[n] is None]
+        if isinstance(node[0], dict) or missing:
+            raise ValueError(f"missing arguments: {', '.join(missing or ['the command'])}")
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    except ValueError as e:
+        sys.stderr.write(f"{_usage(words, node)}\nmatrixlie: error: {e}\n")
+        raise SystemExit(2) from None
+    return SimpleNamespace(run=node[0], **{n.replace("-", "_"): v for n, v in args.items()})
 
 
 def main(argv=None) -> int:
     # one BLAS thread for small matrices unless the caller chose; numpy is not loaded yet
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         os.environ.setdefault(var, "1")
-    args = _build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         _emit(args.run(args, rowcore.Tolerance(abs=args.tol_abs, rel=args.tol_rel)))
         return 0

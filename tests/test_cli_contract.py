@@ -138,7 +138,7 @@ def test_member_and_algebra_contract(cmd, group, data, matrix):
     name = data.draw(names(group))
     code, stdout = run_main([cmd, name, matrix])
     assert code in (0, 1, 2)
-    if code == 2:  # usage error: argparse reports on stderr
+    if code == 2:  # usage error: reported on stderr, with nothing on stdout
         assert stdout == ""
         return
     out = strict_json(stdout)
