@@ -9,8 +9,6 @@ argparse's rules: usage errors go to stderr and exit 2, and -h/--help
 prints help from the table and exits 0.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import re

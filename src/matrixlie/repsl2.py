@@ -19,7 +19,6 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from fractions import Fraction
 
 from . import liealg, matcore  # lazy (see the package): only dense work loads them
 from .errors import DecompositionError, DomainError
@@ -71,10 +70,8 @@ def sl2_intertwiner(m: int):
     """
     if (m := _integer(m, 0)) is None:
         raise ValueError("m must be a nonnegative integer")
-    T = matcore.rzeros(m + 1, m + 1)
-    for k in range(m + 1):
-        T[k, k] = Fraction((-1) ** k * math.perm(m, k))
-    return T
+    return matcore.rmat([[(-1) ** k * math.perm(m, k) * (j == k) for j in range(m + 1)]
+                         for k in range(m + 1)])
 
 
 def _integral_diagonal(H, strict: bool, D: int = 1):
@@ -156,6 +153,7 @@ def _kernel_highest_weights(rep: Representation, H) -> list:
     weights, integers >= 0, so the scan starts at the lesser of tr K and the
     Gershgorin bound of K.
     """
+    from fractions import Fraction  # imported where one is made (see rowcore._fractions)
     d = rep.dim
     kernel = _nullspace_rows(rep.rows_of("X"), d)
     free = [max(v) for v in kernel]  # the other entries of v_f sit left of f

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from collections import Counter, namedtuple
-from fractions import Fraction
 
 from . import liealg, matcore  # lazy (see the package): only dense work loads them
 from .errors import DomainError
@@ -75,11 +74,8 @@ def sl3_roots() -> list:
 def is_higher(mu1, mu2) -> bool:
     """mu1 >= mu2 in the simple-root order: mu1 - mu2 = a(2,-1) + b(-1,2)
     with a >= 0 and b >= 0 (a, b may be non-integers)."""
-    d1 = mu1[0] - mu2[0]
-    d2 = mu1[1] - mu2[1]
-    a = Fraction(2 * d1 + d2, 3)
-    b = Fraction(d1 + 2 * d2, 3)
-    return a >= 0 and b >= 0
+    d1, d2 = mu1[0] - mu2[0], mu1[1] - mu2[1]
+    return 2 * d1 + d2 >= 0 and d1 + 2 * d2 >= 0  # 3a and 3b
 
 
 def sl3_standard_rep() -> Representation:

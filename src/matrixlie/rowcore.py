@@ -1,7 +1,8 @@
 """The exact row kernel, which imports no numpy; matcore re-exports it.
 
 A sparse row is one dict {column: entry} of nonzero entries.  ``_commutator``
-brackets rows, ``_rref_rows`` eliminates on them, and ``_coords`` and
+brackets rows, ``_residuals_vanish`` decides a relation check on dense
+integer rows, ``_rref_rows`` eliminates on them, and ``_coords`` and
 ``_constants`` solve for coordinates and structure constants.  A
 representation generator is integer rows over one denominator D > 0, made
 by ``_over_lcm`` and ``_integer_rows``, read back by ``_fractions``, and
@@ -17,7 +18,6 @@ import itertools
 import math
 import numbers
 import operator
-from fractions import Fraction
 
 from .errors import ClosureError, DomainError, ShapeError
 
@@ -70,6 +70,7 @@ def _integer_rows(rows: list[dict]) -> tuple:
 
 def _fractions(rows: list[dict], D: int) -> list[dict]:
     """Integer rows over D as new rows of Fraction entries."""
+    from fractions import Fraction  # imported where one is made: exact CLI calls seldom need it
     return [{j: Fraction(x, D) for j, x in row.items()} for row in rows]
 
 
@@ -91,6 +92,35 @@ def _commutator(A: list[dict], B: list[dict], s=1) -> list[dict]:
             for k, a in row.items():
                 _axpy(out[i], t * a, Q[k])
     return out
+
+
+def _residuals_vanish(gens: list, terms: list) -> bool:
+    """Whether every residual R = s [N_i, N_j] + sum_k s_k N_k is 0, for the integer
+    rows N of gens and each term (i, j, s, {k: s_k}), by O(nnz) products a term.
+
+    This is Freivalds' check R v = 0 with the fixed v = (1, 2^w, 2^2w, ...):
+    row r of a generator packs into one integer P(N)_r = sum_c N_rc 2^(wc),
+    and row r of R v is s (sum_m N_i[r,m] P(N_j)_m - sum_m N_j[r,m] P(N_i)_m)
+    + sum_k s_k P(N_k)_r.  The width w makes 2^(w-1) exceed every
+    B = 2 s d max|N_i| max|N_j| + sum_k |s_k| max|N_k| >= |R_rc|.  So R v = 0
+    exactly when R = 0: if c0 is the lowest nonzero column of row r of R, then
+    (R v)_r = 2^(w c0) (R_rc0 + 2^w Q) for an integer Q, which is 0 only if
+    R_rc0 = 0 or |R_rc0| >= 2^w, and neither holds.
+    """
+    d, top = len(gens[0]), [max(map(abs, itertools.chain(*map(dict.values, N))), default=0)
+                            for N in gens]
+    w = max((2 * s * d * top[i] * top[j] + sum(abs(t) * top[k] for k, t in sk.items())
+             for i, j, s, sk in terms), default=0).bit_length() + 1
+    packed = [[sum(x << w * c for c, x in row.items()) for row in N] for N in gens]
+    mul = operator.mul
+    for i, j, s, sk in terms:
+        Pi, Pj, ts = packed[i], packed[j], list(sk.values())
+        z = [sum(map(mul, ts, col)) for col in zip(*(packed[k] for k in sk))] if sk else [0] * d
+        for a, b, y in zip(gens[i], gens[j], z):  # rows r of N_i and N_j, sum_k s_k P(N_k)_r
+            if s * (sum(map(mul, a.values(), map(Pj.__getitem__, a)))
+                    - sum(map(mul, b.values(), map(Pi.__getitem__, b)))) + y:
+                return False
+    return True
 
 
 def _rref_rows(rows: list[dict]):
@@ -128,6 +158,7 @@ def _nullspace_rows(rows: list[dict], cols: int) -> list[dict]:
     (which it consumes).  The vector of free column f is 1 at f, -R_i[f] at
     the pivot column of each reduced row R_i, and 0 at the other free
     columns; the vectors come in the order of their free columns."""
+    from fractions import Fraction
     reduced, pivots = _rref_rows(rows)
     kernel = {f: {f: Fraction(1)} for f in sorted(set(range(cols)) - set(pivots))}
     for p, row in zip(pivots, reduced):
@@ -149,6 +180,7 @@ def _coords(targets: list, elements: list) -> list[dict] | None:
     from the nonzero parts only with one right-hand side per target; one
     _rref_rows solves it, free unknowns at 0.
     """
+    from fractions import Fraction
     d = len(elements)
     eqs = {}  # (i, j, 0 for the real part or 1 for the imaginary) -> {column: Fraction}
     for c, M in enumerate([*elements, *targets]):  # the column of target t is 2d + t
@@ -231,7 +263,7 @@ def _json_entries(obj: dict, key: str, kinds: tuple, n: int) -> list:
 
 def _json_matrix(obj: dict) -> tuple:
     """The checked JSON matrix obj as (matrix, D, column count): an exact one
-    as integer rows over D, read from num/den with no Fraction made, a
+    as integer rows over D, read from the nonzero numerators with no Fraction made, a
     floating one as a dense complex array over 1, by matcore.cmat."""
     if not isinstance(obj, dict):
         raise DomainError(f"a matrix is a JSON object, got {type(obj).__name__}")
@@ -246,11 +278,10 @@ def _json_matrix(obj: dict) -> tuple:
             raise DomainError("a denominator is 0")
         if rows < 1:
             raise ShapeError("a rational matrix needs at least one row")
-        out = [{} for _ in range(rows)]
-        for k, a in enumerate(num):
-            if a:
-                out[k // cols][k % cols] = a, den[k]
-        return *_over_lcm(out), cols
+        out, one = [{} for _ in range(rows)], den.count(1) == n  # one: integer rows over 1
+        for k in itertools.compress(range(n), num):  # the nonzero entries
+            out[k // cols][k % cols] = num[k] if one else (num[k], den[k])
+        return (out, 1, cols) if one else (*_over_lcm(out), cols)
     from .matcore import cmat  # the floating carrier is a numpy array
     re = _json_entries(obj, "re", (int, float), n)
     im = _json_entries(obj, "im", (int, float), n) if "im" in obj else [0.0] * n

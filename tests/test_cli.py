@@ -490,6 +490,24 @@ def test_exact_commands_load_no_numpy(argv, tmp_path):
     assert r.stdout == out.getvalue()
 
 
+def test_cli_import_and_exact_builds_load_no_fractions():
+    # in a fresh process: `import matrixlie, matrixlie.cli` loads no __future__,
+    # and cg, rep and dim load neither fractions nor the decimal it imports.
+    # decompose sl2 keeps both: its sl(2) structure constants are Fractions
+    calls = [["cg", "5", "5"], ["rep", "sl3", "2", "2"], ["rep", "sl2", "3", "--model", "poly"],
+             ["dim", "sl3", "1", "1"]]
+    probe = ("import contextlib, io, json, sys; import matrixlie, matrixlie.cli\n"
+             "imported = '__future__' in sys.modules\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [matrixlie.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([imported, codes,"
+             " sorted({'fractions', 'decimal'} & set(sys.modules))]))")
+    r = subprocess.run([sys.executable, "-c", probe, json.dumps(calls)], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == [False, [0] * len(calls), []]
+
+
 def test_exact_commands_load_neither_dataclasses_nor_inspect(tmp_path):
     # all of them in one fresh process; dataclasses imports inspect, a large
     # import that no exact command needs

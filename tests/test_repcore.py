@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -9,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matrixlie import repcore, rowcore
 from matrixlie.errors import DomainError, ShapeError
 from matrixlie.matcore import _commutator, _fractions, matrix_to_json, to_complex
 from matrixlie.repcore import (
     Representation,
     _gelfand_tsetlin,
+    _verify_relations,
     _rep_text,
     direct_sum,
     dual,
@@ -140,6 +143,164 @@ def test_verify_relations_with_fractional_structure_constants():
         assert verify_relations(Representation(rep.algebra, rep.labels, gens), basis)
         if m:
             assert not verify_relations(rep, basis)
+
+
+# --- the relation check on dense and sparse generators -------------------------
+
+SL2_LABELS = ("H", "X", "Y")
+# [H, X] = 2X, [H, Y] = -2Y, [X, Y] = H
+SL2_CONSTANTS = {(0, 1): {1: Fraction(2)}, (0, 2): {2: Fraction(-2)}, (1, 2): {0: Fraction(1)}}
+
+
+def _product(A, B):
+    """The product of integer matrices held as nested lists."""
+    cols = list(zip(*B))
+    return [[sum(map(operator.mul, a, b)) for b in cols] for a in A]
+
+
+def _relations_by_dense_products(rep, c):
+    """The test oracle for _verify_relations: the integer products N_i N_j and
+    N_j N_i of the held rows as dense nested lists, then, entry by entry, the
+    residual (N_i N_j - N_j N_i) / (D_i D_j) - sum_k c_ijk N_k / D_k as Fractions."""
+    d = rep.dim
+    dense = [([[row.get(col, 0) for col in range(d)] for row in N], D) for N, D in rep.held]
+    for (i, j), cij in c.items():
+        (A, Da), (B, Db) = dense[i], dense[j]
+        AB, BA = _product(A, B), _product(B, A)
+        for r, col in itertools.product(range(d), repeat=2):
+            bracket = Fraction(AB[r][col] - BA[r][col], Da * Db)
+            if bracket != sum(x * Fraction(dense[k][0][r][col], dense[k][1])
+                              for k, x in cij.items()):
+                return False
+    return True
+
+
+def _conjugated(rep, scale, sup):
+    """The held rows of U^-1 S^-1 pi S U for S = diag(scale) and U the unit upper
+    bidiagonal matrix with superdiagonal sup (shorter than d - 1 leaves the
+    rest of U the identity): integer rows over D L, L the lcm of |scale|."""
+    d = rep.dim
+    L = math.lcm(*scale)
+    U = [[int(i == c) + (sup[i] if c == i + 1 and i < len(sup) else 0) for c in range(d)]
+         for i in range(d)]
+    Ui = [[0] * d for _ in range(d)]
+    for c in range(d):
+        for i in range(d - 1, -1, -1):
+            Ui[i][c] = int(i == c) - sum(U[i][l] * Ui[l][c] for l in range(i + 1, d))
+    held = []
+    for N, D in rep.held:
+        M = [[0] * d for _ in range(d)]  # L S^-1 N S, integral
+        for r, row in enumerate(N):
+            for col, x in row.items():
+                M[r][col] = x * scale[col] * (L // scale[r])
+        G = _product(_product(Ui, M), U)
+        held.append(([{col: x for col, x in enumerate(row) if x} for row in G], D * L))
+    return held
+
+
+def _perturbed(held, k, r, col, sign):
+    """held with sign added to integer entry (r, col) of generator k."""
+    N, D = held[k]
+    row = dict(N[r])
+    if x := row.pop(col, 0) + sign:
+        row[col] = x
+    return [*held[:k], ([*N[:r], row, *N[r + 1:]], D), *held[k + 1:]]
+
+
+def test_relation_check_matches_dense_products(monkeypatch):
+    # sl(2) direct sums, kept sparse or made dense (or dense on a leading
+    # block) by a unit bidiagonal conjugation, over denominators D > 1 from a
+    # diagonal one, with negative entries and entries up to 2**64: the check
+    # agrees with the oracle at the default threshold and on each path forced,
+    # the default taking both paths; and adding +-1 to any one integer entry
+    # of a true rep breaks the relations (a rank-one change of X, with H and
+    # Y fixed, would need a lowest-weight vector of weight >= 2, and
+    # [X, Y] = H rules out a change of H), so the check must reject it
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    big = 2**64
+    entries = st.one_of(st.sampled_from([1, -1, 2, -3]), st.integers(-big, big).filter(bool))
+    irreps = st.sampled_from([sl2_irrep, sl2_poly_irrep])
+    seen = set()
+
+    @st.composite
+    def reps(draw):
+        rep = sl2_irrep(draw(st.integers(0, 5)))
+        for _ in range(draw(st.integers(0, 3))):
+            rep = direct_sum(rep, draw(irreps)(draw(st.integers(0, 5))))
+        d = rep.dim
+        scale = draw(st.lists(st.one_of(st.just(1), entries), min_size=d, max_size=d))
+        sup = draw(st.lists(entries, max_size=d - 1))
+        held = _conjugated(rep, scale, sup)
+        k, (r, col) = draw(st.integers(0, 2)), draw(st.tuples(*[st.integers(0, d - 1)] * 2))
+        return held, _perturbed(held, k, r, col, draw(st.sampled_from([1, -1])))
+
+    def check(held, expect):
+        rep = Representation.from_rows("sl(2,C)", SL2_LABELS, held)
+        assert _relations_by_dense_products(rep, SL2_CONSTANTS) is expect
+        for dense_row in (repcore.DENSE_ROW, -1, math.inf):  # as set, always packed, never
+            monkeypatch.setattr(repcore, "DENSE_ROW", dense_row)
+            assert _verify_relations(rep, SL2_LABELS, SL2_CONSTANTS) is expect, dense_row
+        monkeypatch.undo()
+        top = max((abs(x) for N, _ in held for row in N for x in row.values()), default=0)
+        seen.update({("packed", sum(map(len, held[0][0])) > repcore.DENSE_ROW * rep.dim),
+                     ("D > 1", max(D for _, D in held) > 1), ("past 2**64", top > big)})
+
+    @hyp.settings(derandomize=True, max_examples=150, deadline=None)
+    @hyp.given(pair=reps())
+    def both(pair):
+        check(pair[0], True)
+        check(pair[1], False)
+
+    both()
+    assert seen == {(what, b) for what in ("packed", "D > 1", "past 2**64") for b in (True, False)}
+
+
+def _basis_constants(basis):
+    """{(i, j): {k: c_ijk}}, nonzero c_ijk only, as verify_relations reads them."""
+    from matrixlie.liealg import structure_constants
+
+    c = structure_constants(basis)
+    return {(i, j): {k: x for k, x in enumerate(c[i, j]) if x}
+            for i, j in itertools.combinations(range(len(basis)), 2)}
+
+
+def test_packing_width_leaves_no_carry():
+    # a residual row (0, 2^a, -1) packs to 2^w (2^a - 2^w), which a width
+    # w = a would take for 0.  R = N_2 - N_3, whose entries 2^b cancel, has
+    # that row for every a up to the bit length of B = max|N_2| + max|N_3|
+    # less 1; [A, B] (d = 8, q products of 2^b) has it within the
+    # 2 s d max|N_i| max|N_j| part of B
+    zero = [{} for _ in range(8)]
+    for b in range(64):
+        for a in range(1, b + 2):
+            gens = [zero[:3], zero[:3], [{1: 2**a, 2: -1}, {0: 2**b}, {}], [{}, {0: 2**b}, {}]]
+            assert not rowcore._residuals_vanish(gens, [(0, 1, 1, {2: 1, 3: -1})])
+        for q in (1, 2, 4, 8):  # [A, B] is q 2^b at (0, 1) and -1 at (0, 2), else 0
+            A = [dict.fromkeys(range(q), 1), *zero[1:]]
+            B = [{1: 2**b, 2: -1}, *({1: 2**b} for _ in range(q - 1)), *zero[q:]]
+            assert not rowcore._residuals_vanish([A, B], [(0, 1, 1, {})])
+
+
+@pytest.mark.parametrize("m", [(1, 0), (1, 1), (2, 1), (0, 3)])
+def test_verify_relations_on_dense_conjugated_sl3_irreps(m, monkeypatch):
+    # eight generators, structure constants that are not all +-1, and
+    # D > 1; the default takes the packed path from d = 8 on.  Every +-1
+    # change of one entry breaks some sl(2) triple, on either path
+    rep = sl3_highest_weight_irrep(*m)[0]
+    held = _conjugated(rep, [1, -2, 3] * rep.dim, [1, -1, 2] * rep.dim)
+    assert (sum(map(len, held[0][0])) > repcore.DENSE_ROW * rep.dim) is (rep.dim >= 8)
+    basis = sl3_basis()
+    c = _basis_constants(basis)
+    dense = Representation.from_rows("sl(3,C)", basis.labels, held)
+    bad = [Representation.from_rows("sl(3,C)", basis.labels, _perturbed(held, k, r, col, 1))
+           for k, r, col in itertools.product(range(8), (0, rep.dim - 1), (0, rep.dim // 2))]
+    assert _relations_by_dense_products(dense, c)
+    assert not any(_relations_by_dense_products(b, c) for b in bad)
+    for dense_row in (repcore.DENSE_ROW, -1, math.inf):  # as set, always packed, never
+        monkeypatch.setattr(repcore, "DENSE_ROW", dense_row)
+        assert verify_relations(dense, basis)
+        assert not any(verify_relations(b, basis) for b in bad)
 
 
 # --- the sparse-row carrier ---------------------------------------------------
