@@ -20,16 +20,6 @@ from . import bch as bchmod
 from . import expmlog, groups, liealg, matcore, repcore, repsl2, repsl3, rowcore, su2so3
 from .errors import DomainError, LieError
 
-_BASES = {
-    "su2": lambda: liealg.su2_basis(),
-    "so3": lambda: liealg.so3_basis(),
-    "sl2": lambda: liealg.sl2_basis(),
-    "heis": lambda: liealg.heis_basis(),
-    "sl3": lambda: repsl3.sl3_basis(),
-    "gl2": lambda: liealg.gl_basis(2),
-    "gl3": lambda: liealg.gl_basis(3),
-}
-
 
 def _load_json(arg: str, decode=None):
     """Decode an inline JSON argument, or the JSON file named by @path (a matrix by default)."""
@@ -55,23 +45,14 @@ def _emit(out):
     print(text)
 
 
-def _member(a, tol):
-    g = groups.parse_group(a.group)  # a bad name is reported before a bad matrix
-    return {"member": bool(groups.is_member(_load_json(a.matrix), g, tol))}
-
-
-def _algebra(a, tol):
-    alg = liealg.parse_algebra(a.algebra)
-    return {"member": bool(liealg.in_algebra(_load_json(a.matrix), alg, tol))}
-
-
-def _ad(a, tol):
-    return liealg.ad_matrix(_load_json(a.matrix), _BASES[a.basis]())
-
-
 def _structconst(a, tol):
-    basis, c = liealg._builtin_constants(_BASES[a.basis])
-    return {"labels": list(basis.labels), "c": [[list(map(str, r)) for r in p] for p in c]}
+    """The labels and the dense c[i][j][k] of a built-in basis as strings, "0" at each zero."""
+    labels = rowcore._BASES[a.basis][1]
+    c = [[["0"] * len(labels) for _ in labels] for _ in labels]
+    for (i, j), row in rowcore._builtin_constants(a.basis).items():
+        for k, x in row.items():
+            c[i][j][k], c[j][i][k] = str(x), str(-x)
+    return {"labels": list(labels), "c": c}
 
 
 def _bch(a, tol):
@@ -91,11 +72,6 @@ def _su2so3(a, tol):
     return {"lift": U, "negative": Um}
 
 
-def _rep_sl2(a, tol):
-    build = repsl2.sl2_irrep if a.model == "abstract" else repsl2.sl2_poly_irrep
-    return build(a.m)
-
-
 def _rep_sl3(a, tol):
     rep, mult = repsl3.sl3_highest_weight_irrep(a.m1, a.m2)
     if a.weights_csv:
@@ -104,19 +80,10 @@ def _rep_sl3(a, tol):
     return rep
 
 
-def _cg(a, tol):
-    prod = repcore.tensor_product(repsl2.sl2_irrep(a.m), repsl2.sl2_irrep(a.n))
-    return {"summands": repsl2.sl2_decompose(prod)}
-
-
-def _polar(a, tol):
-    R, H = groups.polar_decompose_sl(_load_json(a.matrix), tol)
-    return {"R": R, "H": H}
-
-
 _S, _I = (str, None, None, True), (int, None, None, True)  # a required str or int
 _M, _XY, _M12 = {"matrix": _S}, {"x": _S, "y": _S}, {"m1": _I, "m2": _I}
-_BASIS = {"basis": (str, None, tuple(sorted(_BASES)), True)}
+# the keys of rowcore._BASES, written out: importing this module loads no rowcore
+_BASIS = {"basis": (str, None, ("gl2", "gl3", "heis", "sl2", "sl3", "so3", "su2"), True)}
 # The command table: each word -> (handler (args, tol) -> a matrix, an exact Representation
 # or a JSON value, or else the table of the next word; positionals; options --name; help
 # line), where a positional or an option maps its name to (type, default, choices, required).
@@ -127,18 +94,28 @@ _COMMANDS = {
             "matrix logarithm (||A - I|| < 1)"),
     "heislog": (lambda a, tol: expmlog.heisenberg_log(_load_json(a.matrix)), _M, {},
                 "exact log of a Heisenberg matrix"),
-    "member": (_member, {"group": _S, **_M}, {}, "group membership"),
-    "algebra": (_algebra, {"algebra": _S, **_M}, {}, "Lie-algebra membership"),
+    # keywords in this order: a bad name is reported before a bad matrix
+    "member": (lambda a, tol: {"member": bool(groups.is_member(
+        g=groups.parse_group(a.group), A=_load_json(a.matrix), tol=tol))},
+        {"group": _S, **_M}, {}, "group membership"),
+    "algebra": (lambda a, tol: {"member": bool(liealg.in_algebra(
+        a=liealg.parse_algebra(a.algebra), X=_load_json(a.matrix), tol=tol))},
+        {"algebra": _S, **_M}, {}, "Lie-algebra membership"),
     "bracket": (lambda a, tol: liealg.bracket(_load_json(a.x), _load_json(a.y)), _XY, {},
                 "commutator [X, Y]"),
-    "ad": (_ad, _M, _BASIS, "matrix of ad X in a named basis"),
+    # in the basis its public builder gives: exact for sl3 (sl3_basis), complex128 for the others
+    "ad": (lambda a, tol: liealg.ad_matrix(_load_json(a.matrix), liealg._view(
+        rowcore._BASES[a.basis], exact=a.basis == "sl3")), _M, _BASIS,
+        "matrix of ad X in a named basis"),
     "structconst": (_structconst, {}, _BASIS, "structure constants of a named basis"),
     "bch": (_bch, _XY, {"form": (str, None, ("heis", "series", "integral"), True),
                         "order": (int, 3, None, False), "quad-points": (int, 64, None, False),
                         "terms": (int, 30, None, False)}, "Baker-Campbell-Hausdorff"),
     "su2so3": (_su2so3, {"direction": (str, None, ("fwd", "lift"), True), **_M}, {},
                "the double cover SU(2) -> SO(3)"),
-    "rep": ({"sl2": (_rep_sl2, {"m": _I}, {"model": (str, "abstract", ("abstract", "poly"), False)},
+    "rep": ({"sl2": (lambda a, tol: (repsl2.sl2_irrep if a.model == "abstract"
+                                     else repsl2.sl2_poly_irrep)(a.m), {"m": _I},
+                     {"model": (str, "abstract", ("abstract", "poly"), False)},
                      "the sl(2) irreducible of dimension m + 1"),
              "sl3": (_rep_sl3, _M12, {"weights-csv": (str, None, None, False)},
                      "the sl(3) irreducible of highest weight (m1, m2)")},
@@ -146,11 +123,14 @@ _COMMANDS = {
     "decompose": ({"sl2": (lambda a, tol: {"summands": repsl2.sl2_decompose(
         _load_json(a.rep, repcore.rep_from_json))}, {"rep": _S}, {},
         "of sl(2), given as JSON of rational matrices")}, {}, {}, "decompose a representation"),
-    "cg": (_cg, {"m": _I, "n": _I}, {}, "decompose tensor of two sl2 irreducibles"),
+    "cg": (lambda a, tol: {"summands": repsl2.sl2_decompose(repcore.tensor_product(
+        repsl2.sl2_irrep(a.m), repsl2.sl2_irrep(a.n)))}, {"m": _I, "n": _I}, {},
+        "decompose tensor of two sl2 irreducibles"),
     "dim": ({"sl3": (lambda a, tol: repsl3.sl3_dim_formula(a.m1, a.m2), _M12, {},
                      "of the sl(3) irreducible of highest weight (m1, m2)")},
             {}, {}, "dimension formula"),
-    "polar": (_polar, _M, {}, "polar decomposition A = RH"),
+    "polar": (lambda a, tol: dict(zip("RH", groups.polar_decompose_sl(_load_json(a.matrix), tol))),
+              _M, {}, "polar decomposition A = RH"),
 }
 _ROOT = (_COMMANDS, {}, {"tol-abs": (float, 1e-9, None, False),
                          "tol-rel": (float, 1e-9, None, False)}, "matrix Lie groups and algebras")

@@ -14,7 +14,6 @@ single exact solve.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,7 +33,6 @@ from .matcore import (
     _relative_det,
     _sparse_rows,
     is_rational,
-    rmat,
     rzeros,
     to_complex,
 )
@@ -97,49 +95,45 @@ class Basis:
         return len(self.elements)
 
 
-# su(2): brackets cycle [E1,E2]=E3, [E2,E3]=E1, [E3,E1]=E2
-E1 = np.array([[0.5j, 0], [0, -0.5j]], dtype=complex)
-E2 = np.array([[0, 0.5], [-0.5, 0]], dtype=complex)
-E3 = np.array([[0, 0.5j], [0.5j, 0]], dtype=complex)
-
-# so(3): ad E_i in the basis above equals F_i
-F1 = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=complex)
-F2 = np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=complex)
-F3 = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+def _view(entry: tuple, exact: bool = False) -> Basis:
+    """A basis (algebra, labels, elements as sparse rows) of rowcore's table as new
+    dense matrices: exact (Fraction) entries, or else complex128."""
+    algebra, labels, elements = entry
+    n = len(elements[0])
+    return Basis(algebra, labels, tuple(_dense(rowcore._fractions(M, 1) if exact else M, (n, n),
+                                               exact) for M in elements))
 
 
 def su2_basis() -> Basis:
-    return Basis("su(2)", ("E1", "E2", "E3"), (E1, E2, E3))
+    return _view(rowcore._BASES["su2"])
 
 
 def so3_basis() -> Basis:
-    return Basis("so(3)", ("F1", "F2", "F3"), (F1, F2, F3))
+    return _view(rowcore._BASES["so3"])
 
 
 def sl2_basis_rational() -> Basis:
     """H = diag(1,-1), X = E_12, Y = E_21 — the standard sl(2) triple, exact."""
-    H = rmat([[1, 0], [0, -1]])
-    X = rmat([[0, 1], [0, 0]])
-    Y = rmat([[0, 0], [1, 0]])
-    return Basis("sl(2,C)", ("H", "X", "Y"), (H, X, Y))
+    return _view(rowcore._BASES["sl2"], exact=True)
 
 
 def sl2_basis() -> Basis:
     """The sl(2) triple as complex floating matrices."""
-    b = sl2_basis_rational()
-    return Basis(b.algebra, b.labels, tuple(to_complex(M) for M in b.elements))
+    return _view(rowcore._BASES["sl2"])
 
 
 def gl_basis(n: int) -> Basis:
     """The n^2 elementary matrices E_ij, row-major order; n an integer >= 1."""
-    n = _count("n", n)
-    labels = tuple(f"E{i + 1}{j + 1}" for i in range(n) for j in range(n))
-    return Basis(f"gl({n},C)", labels, tuple(np.eye(n * n, dtype=complex).reshape(-1, n, n)))
+    return _view(rowcore._gl(_count("n", n)))
 
 
 def heis_basis() -> Basis:
     """Generators E12, E23, E13 of the strictly-upper-triangular 3x3 algebra."""
-    return Basis("heis", ("X", "Y", "Z"), tuple(gl_basis(3).elements[k] for k in (1, 5, 2)))
+    return _view(rowcore._BASES["heis"])
+
+
+E1, E2, E3 = su2_basis().elements
+F1, F2, F3 = so3_basis().elements
 
 
 def _coords(targets, elements):
@@ -203,16 +197,6 @@ def structure_constants(basis: Basis) -> np.ndarray:
         for k, x in row.items():
             c[i, j, k], c[j, i, k] = x, -x
     return c
-
-
-@functools.cache
-def _builtin_constants(build) -> tuple:
-    """The basis build() and its structure constants, read-only, computed
-    once per process; build is a built-in basis builder of no arguments."""
-    basis = build()
-    c = structure_constants(basis)
-    c.flags.writeable = False
-    return basis, c
 
 
 @_entry(1)

@@ -17,13 +17,12 @@ u_k = (-1)^k m!/(m-k)! z1^k z2^(m-k).
 from __future__ import annotations
 
 import collections
-import functools
 import math
 
 from . import liealg, matcore  # lazy (see the package): only dense work loads them
 from .errors import DecompositionError, DomainError
 from .repcore import Representation, _gelfand_tsetlin, _verify_relations
-from .rowcore import _axpy, _constants, _integer, _nullspace_rows, _rref_rows
+from .rowcore import _BASES, _axpy, _builtin_constants, _integer, _nullspace_rows, _rref_rows
 
 __all__ = [
     "sl2_basis_rational",
@@ -118,7 +117,7 @@ def sl2_decompose(rep: Representation) -> list:
     if not rep.exact:
         raise DomainError("the generators must be rational matrices")
     trusted = rep.relations_hold and rep.algebra == "sl(2,C)"
-    if not trusted and not _verify_relations(rep, ("H", "X", "Y"), _sl2_constants()):
+    if not trusted and not _verify_relations(rep, _BASES["sl2"][1], _builtin_constants("sl2")):
         raise DomainError("generators do not satisfy the sl(2) relations")
     H, D = rep.held[rep.labels.index("H")]
     if (weights := _integral_diagonal(H, strict=False, D=D)) is None:
@@ -130,13 +129,6 @@ def sl2_decompose(rep: Representation) -> list:
     if covered != rep.dim:
         raise DecompositionError(f"summand dimensions total {covered}, expected {rep.dim}")
     return found
-
-
-@functools.cache
-def _sl2_constants() -> dict:
-    """The structure constants of sl2_basis_rational by rowcore._constants,
-    computed once per process."""
-    return _constants([[{0: 1}, {1: -1}], [{1: 1}, {}], [{}, {0: 1}]])  # H, X, Y
 
 
 def _kernel_highest_weights(rep: Representation, H) -> list:

@@ -15,7 +15,7 @@ from collections import Counter, namedtuple
 from . import liealg, matcore  # lazy (see the package): only dense work loads them
 from .errors import DomainError
 from .repcore import Representation, _gelfand_tsetlin, dual
-from .rowcore import _commutator, _integer
+from .rowcore import _BASES, _commutator, _integer
 
 __all__ = [
     "sl3_basis",
@@ -33,27 +33,13 @@ __all__ = [
     "weight_table_csv",
 ]
 
-_LABELS = ("H1", "H2", "X1", "X2", "X3", "Y1", "Y2", "Y3")
 # the largest m1 + m2 that sl3_highest_weight_irrep builds
 MAX_WEIGHT_SUM = 6
 
 
-def _basis_matrices():
-    rmat = matcore.rmat
-    H1 = rmat([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
-    H2 = rmat([[0, 0, 0], [0, 1, 0], [0, 0, -1]])
-    X1 = rmat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
-    X2 = rmat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    X3 = rmat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    Y1 = rmat([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
-    Y2 = rmat([[0, 0, 0], [0, 0, 0], [0, 1, 0]])
-    Y3 = rmat([[0, 0, 0], [0, 0, 0], [1, 0, 0]])
-    return (H1, H2, X1, X2, X3, Y1, Y2, Y3)
-
-
 def sl3_basis() -> liealg.Basis:
     """The eight-matrix basis H1, H2, X1..X3, Y1..Y3."""
-    return liealg.Basis("sl(3,C)", _LABELS, _basis_matrices())
+    return liealg._view(_BASES["sl3"], exact=True)
 
 
 Root = namedtuple("Root", "weight vector_label")  # namedtuples: see rowcore.Tolerance
@@ -80,12 +66,7 @@ def is_higher(mu1, mu2) -> bool:
 
 def sl3_standard_rep() -> Representation:
     """Generators are the basis matrices themselves; weights (1,0), (-1,1), (0,-1)."""
-    return Representation(
-        "sl(3,C)",
-        _LABELS,
-        _basis_matrices(),
-        {0: (1, 0), 1: (-1, 1), 2: (0, -1)},
-    )
+    return Representation.from_rows(*_BASES["sl3"], {0: (1, 0), 1: (-1, 1), 2: (0, -1)})
 
 
 def sl3_antifundamental_rep() -> Representation:
@@ -121,7 +102,7 @@ def sl3_highest_weight_irrep(m1: int, m2: int):
         raise DomainError(f"m1 + m2 = {m1 + m2} exceeds the cap {MAX_WEIGHT_SUM}")
     (H1, H2), (X1, X2), (Y1, Y2), weights = _gelfand_tsetlin((m1 + m2, m2, 0))
     X3, Y3 = ((_commutator(A, B), Da * Db) for (A, Da), (B, Db) in ((X1, X2), (Y2, Y1)))
-    rep = Representation.from_rows("sl(3,C)", _LABELS, (H1, H2, X1, X2, X3, Y1, Y2, Y3),
+    rep = Representation.from_rows(*_BASES["sl3"][:2], (H1, H2, X1, X2, X3, Y1, Y2, Y3),
                                    dict(enumerate(weights)), relations_hold=True)
     return rep, dict(Counter(weights))
 
@@ -138,7 +119,7 @@ def _weyl() -> tuple:
         [[0, -1, 0], [-1, 0, 0], [0, 0, -1]],
         [[0, 0, -1], [0, -1, 0], [-1, 0, 0]],
         [[-1, 0, 0], [0, 0, -1], [0, -1, 0]],
-    )), tuple(H.astype(int) for H in _basis_matrices()[:2])
+    )), tuple(H.astype(int) for H in sl3_basis().elements[:2])
 
 
 WeylElement = namedtuple("WeylElement", "index matrix")  # matrix: an exact 3x3 numpy array

@@ -8,12 +8,14 @@ representation generator is integer rows over one denominator D > 0, made
 by ``_over_lcm`` and ``_integer_rows``, read back by ``_fractions``, and
 read and written with no Fraction by ``_json_matrix`` and ``_rows_to_json``,
 or ``_rows_to_text``, which writes the same object as JSON text.  Also here:
-``Tolerance`` and the integer rule for counts.
+``Tolerance``, the integer rule for counts, and ``_BASES``, the built-in bases
+as sparse rows, whose structure constants ``_builtin_constants`` gives.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import numbers
@@ -216,6 +218,46 @@ def _constants(elements: list, brackets: list | None = None) -> dict:
         raise DomainError("structure constants are not real rational")
     return {pair: {k: row[t] for k, row in enumerate(coef[:d]) if t in row}
             for t, pair in enumerate(pairs)}
+
+
+def _unit(n: int, i: int, j: int) -> list:
+    """The n x n elementary matrix E_ij as sparse rows."""
+    return [{j: 1} if r == i else {} for r in range(n)]
+
+
+def _gl(n: int) -> tuple:
+    """gl(n) as (algebra, labels, elements): the E_ij, row-major."""
+    ij = [(i, j) for i in range(n) for j in range(n)]
+    return f"gl({n},C)", tuple(f"E{i + 1}{j + 1}" for i, j in ij), [_unit(n, i, j) for i, j in ij]
+
+
+def _sl(n: int) -> tuple:
+    """sl(n) as (algebra, labels, elements): H_k = E_kk - E_k+1,k+1, then the E_ij and then
+    the E_ji, i < j, ordered by j - i and then by i; labels H, X, Y for n = 2, else H1, X1, ..."""
+    ij = sorted(itertools.combinations(range(n), 2), key=lambda p: (p[1] - p[0], p[0]))
+    H = [[{r: 1 if r == k else -1} if r in (k, k + 1) else {} for r in range(n)]
+         for k in range(n - 1)]
+    labels = [s + str(k + 1) * (n > 2) for s, m in (("H", n - 1), ("X", len(ij)), ("Y", len(ij)))
+              for k in range(m)]
+    X, Y = [_unit(n, i, j) for i, j in ij], [_unit(n, j, i) for i, j in ij]
+    return f"sl({n},C)", tuple(labels), H + X + Y
+
+
+# the built-in bases by command-line name, as (algebra, labels, elements as sparse rows)
+_BASES = {
+    "su2": ("su(2)", ("E1", "E2", "E3"),  # [E1, E2] = E3, [E2, E3] = E1, [E3, E1] = E2
+            [[{0: .5j}, {1: -.5j}], [{1: .5}, {0: -.5}], [{1: .5j}, {0: .5j}]]),
+    "so3": ("so(3)", ("F1", "F2", "F3"),  # ad E_k in the su(2) basis is F_k
+            [[{}, {2: -1}, {1: 1}], [{2: 1}, {}, {0: -1}], [{1: -1}, {0: 1}, {}]]),
+    "sl2": _sl(2), "sl3": _sl(3), "gl2": _gl(2), "gl3": _gl(3),
+    "heis": ("heis", ("X", "Y", "Z"), [_unit(3, 0, 1), _unit(3, 1, 2), _unit(3, 0, 2)]),
+}
+
+
+@functools.cache
+def _builtin_constants(name: str) -> dict:
+    """_constants of the built-in basis _BASES[name], computed once per process."""
+    return _constants(_BASES[name][2])
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,8 @@ import pytest
 
 import matrixlie
 from matrixlie import cli
-from matrixlie.cli import (_BASES, _ad, _algebra, _bch, _cg, _load_json, _member, _polar,
-                           _rep_sl2, _rep_sl3, _structconst, _su2so3, expmlog, liealg, main,
-                           repcore, repsl2, repsl3)
+from matrixlie.cli import (_bch, _load_json, _rep_sl3, _structconst, _su2so3, expmlog, liealg,
+                           main, repcore, repsl2, repsl3)
 from matrixlie.matcore import rmat
 from matrixlie.repcore import Representation, direct_sum, rep_to_json
 from matrixlie.repsl2 import sl2_irrep
@@ -70,6 +69,21 @@ def test_member_and_algebra():
     assert json.loads(r.stdout) == {"member": True}
     r = run_cli("algebra", "so(2)", mat_json([[0, -2], [2, 0]]))
     assert json.loads(r.stdout) == {"member": True}
+
+
+@pytest.mark.parametrize("command,name,good", [("member", "SO(9", "SO(2)"),
+                                               ("algebra", "so(9", "so(2)")])
+def test_a_bad_name_is_reported_before_a_bad_matrix(command, name, good):
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(argv)) == 1
+        return json.loads(out.getvalue())
+
+    kind = "group" if command == "member" else "algebra"
+    assert run(command, name, '{"rows":1}') == {
+        "error": "value", "detail": f"cannot parse {kind} name {name!r}"}
+    assert "cannot parse" not in run(command, good, '{"rows":1}')["detail"]
 
 
 def test_log_near_the_edge_of_its_domain():
@@ -460,9 +474,11 @@ def _dense_sl2_rep():
     return Representation(rep.algebra, rep.labels, tuple(Ti @ g @ T for g in rep.generators))
 
 
+BASES = ["gl2", "gl3", "heis", "sl2", "sl3", "so3", "su2"]  # the names of the built-in bases
 EXACT_COMMANDS = [
     ["dim", "sl3", "1", "1"], ["rep", "sl2", "5"], ["rep", "sl3", "3", "3"], ["cg", "5", "5"],
     ["decompose", "sl2", "@triangular"], ["decompose", "sl2", "@dense"],
+    *(["structconst", "--basis", b] for b in BASES),
 ]
 
 
@@ -588,8 +604,9 @@ def test_no_cli_call_imports_argparse_or_gettext():
     assert json.loads(r.stdout) == [[0, 0, 2, 0], []]
 
 
-# The argparse tree the CLI had before its command table, verbatim: the
-# reference that the table parser must match.
+# The argparse tree the CLI had before its command table, verbatim but for the
+# handlers its table holds as lambdas, named through the table, and the basis
+# names, written out: the reference that the table parser must match.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser.  Each command sets `run`, its handler (args, tol) -> a
@@ -612,14 +629,15 @@ def _build_parser() -> argparse.ArgumentParser:
             help="matrix logarithm (||A - I|| < 1)")
     command(sub, "heislog", lambda a, tol: expmlog.heisenberg_log(_load_json(a.matrix)),
             "matrix", help="exact log of a Heisenberg matrix")
-    command(sub, "member", _member, "group", "matrix", help="group membership")
-    command(sub, "algebra", _algebra, "algebra", "matrix", help="Lie-algebra membership")
+    command(sub, "member", cli._COMMANDS["member"][0], "group", "matrix", help="group membership")
+    command(sub, "algebra", cli._COMMANDS["algebra"][0], "algebra", "matrix",
+            help="Lie-algebra membership")
     command(sub, "bracket", lambda a, tol: liealg.bracket(_load_json(a.x), _load_json(a.y)),
             "x", "y", help="commutator [X, Y]")
-    s = command(sub, "ad", _ad, "matrix", help="matrix of ad X in a named basis")
-    s.add_argument("--basis", required=True, choices=sorted(_BASES))
+    s = command(sub, "ad", cli._COMMANDS["ad"][0], "matrix", help="matrix of ad X in a named basis")
+    s.add_argument("--basis", required=True, choices=BASES)
     s = command(sub, "structconst", _structconst, help="structure constants of a named basis")
-    s.add_argument("--basis", required=True, choices=sorted(_BASES))
+    s.add_argument("--basis", required=True, choices=BASES)
 
     s = command(sub, "bch", _bch, help="Baker-Campbell-Hausdorff")
     s.add_argument("--form", required=True, choices=["heis", "series", "integral"])
@@ -635,7 +653,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("rep", help="irreducible representation construction")
     rep = rep.add_subparsers(dest="which", required=True)
-    s = command(rep, "sl2", _rep_sl2)
+    s = command(rep, "sl2", cli._COMMANDS["rep"][0]["sl2"][0])
     s.add_argument("m", type=int)
     s.add_argument("--model", choices=["abstract", "poly"], default="abstract")
     s = command(rep, "sl3", _rep_sl3)
@@ -649,7 +667,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "summands": repsl2.sl2_decompose(_load_json(a.rep, repcore.rep_from_json))})
     s.add_argument("rep", help="representation JSON (rational matrices)")
 
-    s = command(sub, "cg", _cg, help="decompose tensor of two sl2 irreducibles")
+    s = command(sub, "cg", cli._COMMANDS["cg"][0], help="decompose tensor of two sl2 irreducibles")
     s.add_argument("m", type=int)
     s.add_argument("n", type=int)
 
@@ -659,7 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("m1", type=int)
     s.add_argument("m2", type=int)
 
-    command(sub, "polar", _polar, "matrix", help="polar decomposition A = RH")
+    command(sub, "polar", cli._COMMANDS["polar"][0], "matrix", help="polar decomposition A = RH")
     return p
 
 
@@ -698,9 +716,7 @@ def _table(argv):
 
 def test_the_table_holds_the_named_handlers_under_their_words():
     # the other handlers are lambdas, there and in the reference
-    named = {_member: "member", _algebra: "algebra", _ad: "ad", _structconst: "structconst",
-             _bch: "bch", _su2so3: "su2so3", _rep_sl2: "rep sl2", _rep_sl3: "rep sl3", _cg: "cg",
-             _polar: "polar"}
+    named = {_structconst: "structconst", _bch: "bch", _su2so3: "su2so3", _rep_sl3: "rep sl3"}
     assert {h: WORDS[h] for h in named} == named and len(WORDS) == 16
 
 

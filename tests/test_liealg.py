@@ -7,7 +7,8 @@ import pytest
 
 from matrixlie.errors import ClosureError, DomainError, ShapeError
 from matrixlie.expmlog import mat_exp
-from matrixlie.cli import _BASES
+from matrixlie import rowcore
+from matrixlie.cli import _BASIS
 from matrixlie.liealg import (
     Ad_apply,
     Basis,
@@ -22,6 +23,7 @@ from matrixlie.liealg import (
     bracket,
     gl_basis,
     heis_basis,
+    so3_basis,
     in_algebra,
     parse_algebra,
     random_algebra_element,
@@ -41,6 +43,10 @@ from matrixlie.matcore import (
     to_complex,
 )
 from matrixlie.repsl3 import sl3_basis
+
+# the public builder of each basis that the CLI names
+BASES = {"su2": su2_basis, "so3": so3_basis, "sl2": sl2_basis, "heis": heis_basis,
+         "sl3": sl3_basis, "gl2": lambda: gl_basis(2), "gl3": lambda: gl_basis(3)}
 
 TIGHT = Tolerance(abs=1e-15, rel=0.0)
 
@@ -247,9 +253,13 @@ def test_ad_complex_coefficients_in_a_complex_basis():
     assert np.allclose(ad_matrix(X, su2_basis()), a * F1 + b * F2 + c * F3, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("name", sorted(_BASES))
+def test_the_cli_names_the_bases_of_the_row_kernel_table():
+    assert sorted(BASES) == sorted(rowcore._BASES) == list(_BASIS["basis"][2])
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
 def test_structure_constants_match_float_coordinates(name):
-    basis = _BASES[name]()
+    basis = BASES[name]()
     els = [np.asarray(to_complex(b) if is_rational(b) else b) for b in basis.elements]
     A = np.column_stack([b.ravel() for b in els])
     c = structure_constants(basis)
@@ -281,15 +291,15 @@ def _assert_fraction_equal(c, want):
     assert (c == want).all()
 
 
-@pytest.mark.parametrize("name", sorted(_BASES))
+@pytest.mark.parametrize("name", sorted(BASES))
 def test_structure_constants_are_pinned(name):
-    basis = _BASES[name]()
+    basis = BASES[name]()
     _assert_fraction_equal(structure_constants(basis), _pinned(name, len(basis)))
 
 
-@pytest.mark.parametrize("name", sorted(_BASES))
+@pytest.mark.parametrize("name", sorted(BASES))
 def test_structure_constants_do_not_change_under_conjugation(name):
-    basis = _BASES[name]()
+    basis = BASES[name]()
     n, want = basis.elements[0].shape[0], _pinned(name, len(basis))
     # floating: a dense integer T of determinant 1, so that T^-1 B T is exact in floats
     T = np.array([[min(i, j) + 1 for j in range(n)] for i in range(n)], dtype=float)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from matrixlie import cli, liealg, repsl2
+from matrixlie import cli, liealg, repsl2, rowcore
 from matrixlie.errors import DomainError, ShapeError
 from matrixlie.matcore import (
     rational_inverse,
@@ -497,22 +497,19 @@ def test_relations_are_checked_before_the_diagonal_is_read():
 
 def test_sl2_constants_are_computed_once(monkeypatch):
     # an unchecked rep is checked against the sl(2) constants of the numpy-free
-    # row kernel, computed once per process; they agree with liealg's, which
-    # structconst reads from its own read-only per-process cache
-    repsl2._sl2_constants.cache_clear()
+    # row kernel, computed once per process in the one cache of the built-in
+    # bases, which structconst reads too; they agree with liealg's
+    rowcore._builtin_constants.cache_clear()
     calls = []
-    compute = repsl2._constants
-    monkeypatch.setattr(repsl2, "_constants", lambda *a: calls.append(a) or compute(*a))
+    compute = rowcore._constants
+    monkeypatch.setattr(rowcore, "_constants", lambda *a: calls.append(a) or compute(*a))
     for ms in ([2, 0], [3, 3, 1]):
         rep = _bidiagonal_conjugate(_direct_sum_of(ms), upper=False)
         assert not rep.relations_hold and sl2_decompose(rep) == ms
     assert len(calls) == 1
-    liealg._builtin_constants.cache_clear()
-    basis, c = liealg._builtin_constants(sl2_basis_rational)
-    assert liealg._builtin_constants(sl2_basis_rational)[1] is c and not c.flags.writeable
-    with pytest.raises(ValueError):
-        c[0, 1, 0] = 5
-    assert repsl2._sl2_constants() == {
+    assert _cli("structconst", "--basis", "sl2")[0] == 0 and len(calls) == 1
+    c = liealg.structure_constants(sl2_basis_rational())
+    assert rowcore._builtin_constants("sl2") == {
         (i, j): {k: x for k, x in enumerate(c[i, j]) if x} for i, j in [(0, 1), (0, 2), (1, 2)]}
 
 
