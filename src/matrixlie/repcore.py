@@ -15,8 +15,8 @@ homomorphism property; the tensor index is row-major, i1 * d2 + i2.
 ``relations_hold`` records that the generators are known to satisfy the
 bracket relations of their algebra, so a consumer such as sl2_decompose
 may skip verify_relations.  Only the irreducible builders set it
-(sl2_irrep, sl2_poly_irrep, sl3_highest_weight_irrep), and direct_sum,
-tensor_product and dual keep it when all their inputs have it.
+(sl2_irrep, sl2_poly_irrep, sl3_highest_weight_irrep), and _construct,
+under direct_sum, tensor_product and dual, keeps it if all inputs have it.
 Representation(...), from_rows by default and rep_from_json leave it
 unset, so a hand-built or JSON representation is always checked.  The
 flag is sound because the held rows are never changed: do not mutate
@@ -104,7 +104,10 @@ class Representation:
     @property
     def rows(self) -> tuple:
         """The generators as new sparse rows of Fraction (exact) or complex entries."""
-        return tuple(_fractions(g, D) if self.exact else list(map(dict, g)) for g, D in self.held)
+        return tuple(map(self._rows, self.held))
+
+    def _rows(self, held: tuple) -> list:
+        return _fractions(*held) if self.exact else list(map(dict, held[0]))
 
     @property
     def dim(self) -> int:
@@ -115,7 +118,8 @@ class Representation:
         return tuple(matcore._dense(g, (self.dim, self.dim), self.exact) for g in self.rows)
 
     def rows_of(self, label: str) -> list:
-        return self.rows[self.labels.index(label)]
+        """rows[i] for the generator i of this label, the others not converted."""
+        return self._rows(self.held[self.labels.index(label)])
 
     def generator(self, label: str):
         return matcore._dense(self.rows_of(label), (self.dim, self.dim), self.exact)
@@ -217,27 +221,31 @@ def _weight_map(f, *ws):
     return tuple(map(f, *ws)) if isinstance(ws[0], tuple) else f(*ws)
 
 
-def _compatible(r1: Representation, r2: Representation) -> tuple:
-    """(exact, held pairs of r1, held pairs of r2), floating for both unless both are exact."""
-    if r1.algebra != r2.algebra or r1.labels != r2.labels:
+def _construct(reps: tuple, generator, weight) -> Representation:
+    """The rep on generator(*the held pairs k of reps, flattened) for each k, the one rule of
+    direct_sum, tensor_product and dual: the reps share algebra and labels; exact if all are,
+    else all read floating; weight(*their weights) if all have weights; relations_hold if all do."""
+    if any((r.algebra, r.labels) != (reps[0].algebra, reps[0].labels) for r in reps):
         raise DomainError("representations are of different algebras")
-    exact = r1.exact and r2.exact
-    return exact, *(r.held if exact else _floating(r.held) for r in (r1, r2))
+    exact, weights = all(r.exact for r in reps), [r.weights for r in reps]
+    held = [r.held if r.exact == exact else _floating(r.held) for r in reps]
+    return Representation.from_rows(
+        reps[0].algebra, reps[0].labels, [generator(*itertools.chain(*g)) for g in zip(*held)],
+        None if None in weights else weight(*weights), exact, all(r.relations_hold for r in reps))
+
+
+def _block_sum(A, Da: int, B, Db: int) -> tuple:
+    """(Sparse rows, D) of the block-diagonal sum of A/Da and B/Db, with D = lcm(Da, Db)."""
+    D = math.lcm(Da, Db)
+    return ([{j: x * (D // Da) for j, x in row.items()} for row in A]
+            + [{len(A) + j: x * (D // Db) for j, x in row.items()} for row in B], D)
 
 
 def direct_sum(r1: Representation, r2: Representation) -> Representation:
     """Block-diagonal sum; weight annotations concatenate."""
-    exact, g1, g2 = _compatible(r1, r2)
     d1 = r1.dim
-    gens = [([{j: x * (D // Da) for j, x in row.items()} for row in A]
-             + [{d1 + j: x * (D // Db) for j, x in row.items()} for row in B], D)
-            for (A, Da), (B, Db) in zip(g1, g2) for D in [math.lcm(Da, Db)]]
-    weights = None
-    if r1.weights is not None and r2.weights is not None:
-        weights = dict(r1.weights)
-        weights.update({d1 + i: w for i, w in r2.weights.items()})
-    return Representation.from_rows(r1.algebra, r1.labels, gens, weights, exact,
-                                    r1.relations_hold and r2.relations_hold)
+    return _construct((r1, r2), _block_sum,
+                      lambda W1, W2: {**W1, **{d1 + i: w for i, w in W2.items()}})
 
 
 def _kron_sum(A, Da: int, B, Db: int) -> tuple:
@@ -258,36 +266,24 @@ def _kron_sum(A, Da: int, B, Db: int) -> tuple:
 
 def tensor_product(r1: Representation, r2: Representation) -> Representation:
     """Generators pi1(b) (x) I + I (x) pi2(b); weights add factorwise."""
-    exact, g1, g2 = _compatible(r1, r2)
     d2 = r2.dim
-    gens = [_kron_sum(*a, *b) for a, b in zip(g1, g2)]
-    weights = None
-    if r1.weights is not None and r2.weights is not None:
-        weights = {
-            i1 * d2 + i2: _weight_map(operator.add, w1, w2)
-            for i1, w1 in r1.weights.items()
-            for i2, w2 in r2.weights.items()
-        }
-    return Representation.from_rows(r1.algebra, r1.labels, gens, weights, exact,
-                                    r1.relations_hold and r2.relations_hold)
+    return _construct((r1, r2), _kron_sum, lambda W1, W2: {
+        i1 * d2 + i2: _weight_map(operator.add, w1, w2)
+        for i1, w1 in W1.items() for i2, w2 in W2.items()})
 
 
-def _negated_transpose(rows):
+def _negated_transpose(rows, D: int) -> tuple:
     out = [{} for _ in rows]
     for i, row in enumerate(rows):
         for j, x in row.items():
             out[j][i] = -x
-    return out
+    return out, D
 
 
 def dual(rep: Representation) -> Representation:
     """Generators -(pi(b))^T; weights negate.  dual(dual(r)) == r."""
-    gens = [(_negated_transpose(g), D) for g, D in rep.held]
-    weights = None
-    if rep.weights is not None:
-        weights = {i: _weight_map(operator.neg, w) for i, w in rep.weights.items()}
-    return Representation.from_rows(rep.algebra, rep.labels, gens, weights, rep.exact,
-                                    rep.relations_hold)
+    return _construct((rep,), _negated_transpose,
+                      lambda W: {i: _weight_map(operator.neg, w) for i, w in W.items()})
 
 
 def rep_to_json(rep: Representation) -> dict:
@@ -340,4 +336,6 @@ def rep_from_json(obj: dict) -> Representation:
         weights = {int(i): tuple(w) if type(w) is list else w for i, w in weights.items()}
     exact = all(type(M) is list for M, _, _ in mats)
     gens = [(M, D) if type(M) is list else (matcore._sparse_rows(M), 1) for M, D, _ in mats]
+    if not isinstance(obj["algebra"], str):
+        raise DomainError('"algebra" must be a string')
     return Representation.from_rows(obj["algebra"], labels, gens, weights, exact)

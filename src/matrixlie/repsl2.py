@@ -88,15 +88,22 @@ def _integral_diagonal(H, strict: bool, D: int = 1):
         raise DomainError(why)
 
 
-def sl2_weights(rep: Representation) -> list:
-    """Sorted multiset of integer H-eigenvalues of a rational rep: its weights
-    if rep.relations_hold vouches for them, else the diagonal of a triangular pi(H)."""
+def _weights(rep: Representation, strict: bool) -> list | None:
+    """The integer H-eigenvalues of a rational rep, unsorted: its weights if relations_hold
+    vouches for them on an sl(2,C) rep, else the integral diagonal of a triangular pi(H)."""
     if not rep.exact:
         raise DomainError("the generators must be rational matrices")
-    if rep.weights is not None and rep.relations_hold:
-        return sorted(rep.weights.values(), reverse=True)
+    if rep.relations_hold and rep.algebra == "sl(2,C)" and rep.weights is not None:
+        return list(rep.weights.values())
+    if "H" not in rep.labels:
+        raise DomainError(f"no generator is labeled H, among {rep.labels}")
     H, D = rep.held[rep.labels.index("H")]
-    return sorted(_integral_diagonal(H, strict=True, D=D), reverse=True)
+    return _integral_diagonal(H, strict, D)
+
+
+def sl2_weights(rep: Representation) -> list:
+    """Sorted multiset of integer H-eigenvalues of a rational rep, by _weights."""
+    return sorted(_weights(rep, strict=True), reverse=True)
 
 
 def sl2_decompose(rep: Representation) -> list:
@@ -104,23 +111,20 @@ def sl2_decompose(rep: Representation) -> list:
 
     A rep is determined up to isomorphism by its H-weight multiplicities, so
     the number of summands V_m is mult(m) - mult(m+2): the Weyl character
-    formula read as an alternating sum.  The weights are read off the
-    diagonal of pi(H) when pi(H) is triangular, all upper or all lower, and
-    that diagonal integral; rep.weights, as from JSON, is never trusted.  Any
-    other rep falls back to _kernel_highest_weights.
+    formula read as an alternating sum.  _weights reads the weights: a
+    flagged rep's own, else the diagonal of pi(H) when pi(H) is triangular,
+    all upper or all lower, and that diagonal integral; JSON weights are
+    never trusted.  Any other rep falls back to _kernel_highest_weights.
 
     Either rule holds only for a true sl(2) rep, so the sl(2) relations are
-    checked first, unless rep.relations_hold says that its generators
-    satisfy them by construction; a hand-built or JSON rep that fails them
-    raises DomainError.
+    checked first, unless rep.relations_hold vouches for an sl(2,C) rep; a
+    hand-built or JSON rep that fails them raises DomainError, and so does
+    a floating rep that passes them.
     """
-    if not rep.exact:
-        raise DomainError("the generators must be rational matrices")
     trusted = rep.relations_hold and rep.algebra == "sl(2,C)"
-    if not trusted and not _verify_relations(rep, _BASES["sl2"][1], _builtin_constants("sl2")):
+    if not (trusted or _verify_relations(rep, _BASES["sl2"][1], _builtin_constants("sl2"))):
         raise DomainError("generators do not satisfy the sl(2) relations")
-    H, D = rep.held[rep.labels.index("H")]
-    if (weights := _integral_diagonal(H, strict=False, D=D)) is None:
+    if (weights := _weights(rep, strict=False)) is None:
         found = _kernel_highest_weights(rep, rep.rows_of("H"))
     else:
         mult = collections.Counter(weights)

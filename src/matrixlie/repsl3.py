@@ -45,16 +45,15 @@ def sl3_basis() -> liealg.Basis:
 Root = namedtuple("Root", "weight vector_label")  # namedtuples: see rowcore.Tolerance
 
 
+# the weight (H1[i][i], H2[i][i]) of each standard basis vector e_i, read off the basis table
+_WEIGHTS = tuple(tuple(H[i].get(i, 0) for H in _BASES["sl3"][2][:2]) for i in range(3))
+
+
 def sl3_roots() -> list:
-    """The six roots, paired with their root vectors."""
-    return [
-        Root((2, -1), "X1"),
-        Root((-1, 2), "X2"),
-        Root((1, 1), "X3"),
-        Root((-2, 1), "Y1"),
-        Root((1, -2), "Y2"),
-        Root((-1, -1), "Y3"),
-    ]
+    """The six roots, paired with their root vectors: E_ij has root weight(e_i) - weight(e_j)."""
+    _, labels, elements = _BASES["sl3"]
+    return [Root(tuple(a - b for a, b in zip(_WEIGHTS[i], _WEIGHTS[j])), label)
+            for label, E in zip(labels[2:], elements[2:]) for i, row in enumerate(E) for j in row]
 
 
 def is_higher(mu1, mu2) -> bool:
@@ -66,7 +65,7 @@ def is_higher(mu1, mu2) -> bool:
 
 def sl3_standard_rep() -> Representation:
     """Generators are the basis matrices themselves; weights (1,0), (-1,1), (0,-1)."""
-    return Representation.from_rows(*_BASES["sl3"], {0: (1, 0), 1: (-1, 1), 2: (0, -1)})
+    return Representation.from_rows(*_BASES["sl3"], dict(enumerate(_WEIGHTS)))
 
 
 def sl3_antifundamental_rep() -> Representation:
@@ -111,15 +110,13 @@ def sl3_highest_weight_irrep(m1: int, m2: int):
 
 @functools.cache
 def _weyl() -> tuple:
-    """(the six signed permutation matrices, integer H1 and H2), built on first use."""
-    return tuple(matcore.rmat(P) for P in (
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
-        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
-        [[0, -1, 0], [-1, 0, 0], [0, 0, -1]],
-        [[0, 0, -1], [0, -1, 0], [-1, 0, 0]],
-        [[-1, 0, 0], [0, 0, -1], [0, -1, 0]],
-    )), tuple(H.astype(int) for H in sl3_basis().elements[:2])
+    """The six signed permutation matrices sgn(p) P_p, P_p[i][p(i)] = 1, built on
+    first use: the rotations p(i) = i - k (mod 3), k = 0, 1, 2, of sign 1, then
+    each rotation followed by the transposition of 0 and 1, of sign -1."""
+    rotations = [[(i - k) % 3 for i in range(3)] for k in range(3)]
+    perms = [(1, p) for p in rotations] + [(-1, [(1 - x) % 3 for x in p]) for p in rotations]
+    return tuple(matcore.rmat([[s * (p[i] == j) for j in range(3)] for i in range(3)])
+                 for s, p in perms)
 
 
 WeylElement = namedtuple("WeylElement", "index matrix")  # matrix: an exact 3x3 numpy array
@@ -127,15 +124,15 @@ WeylElement = namedtuple("WeylElement", "index matrix")  # matrix: an exact 3x3 
 
 def weyl_elements() -> list:
     """The six signed permutations whose adjoint action permutes weights."""
-    return [WeylElement(i, P) for i, P in enumerate(_weyl()[0])]
+    return [WeylElement(i, P) for i, P in enumerate(_weyl())]
 
 
 def weyl_act(w: WeylElement, mu) -> tuple:
-    """Action on weights, mu -> mu o Ad(w^-1): coordinate i is mu(P^T H_i P)
-    for the matrix P of w, and mu(diag(a, b, c)) = m1 a - m2 c."""
-    P = w.matrix.astype(int)
-    diags = ((P.T @ H @ P).diagonal().tolist() for H in _weyl()[1])
-    return tuple(mu[0] * d[0] - mu[1] * d[2] for d in diags)
+    """Action on weights, mu -> mu o Ad(w^-1): coordinate n is mu(P^T H_n P), for P the matrix
+    of w, and mu(diag(a, b, c)) = m1 a - m2 c.  P^T H_n P is diagonal, its entry j the
+    diagonal entry of H_n at the row of P's nonzero in column j."""
+    a, c = (_WEIGHTS[next(r for r in range(3) if w.matrix[r][j])] for j in (0, 2))
+    return tuple(mu[0] * x - mu[1] * z for x, z in zip(a, c))
 
 
 def weyl_invariance_check(mult: dict) -> bool:

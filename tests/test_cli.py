@@ -258,6 +258,8 @@ MALFORMED_REPS = {
     "no_generators": ({"generators": [], "labels": []}, "shape"),
     "weights_list": ({"weights": [2, 0, -2]}, "domain"),
     "floating": ({"generators": [_floating_json(g) for g in (H, X, Y)]}, "domain"),
+    "algebra_not_a_string": ({"algebra": 1}, "domain"),
+    "algebra_not_a_string_null": ({"algebra": None}, "domain"),
 }
 
 

@@ -26,7 +26,12 @@ from matrixlie.repcore import (
     verify_relations,
 )
 from matrixlie.repsl2 import sl2_basis_rational, sl2_irrep, sl2_poly_irrep
-from matrixlie.repsl3 import sl3_basis, sl3_highest_weight_irrep, sl3_standard_rep
+from matrixlie.repsl3 import (
+    sl3_antifundamental_rep,
+    sl3_basis,
+    sl3_highest_weight_irrep,
+    sl3_standard_rep,
+)
 
 
 def diag_of(M):
@@ -711,3 +716,68 @@ def test_tensor_product_rows_are_the_kron_sum():
             for G, A, B in zip(t.generators, a.generators, b.generators):
                 want = np.kron(A, np.eye(len(B), dtype=int)) + np.kron(np.eye(len(A), dtype=int), B)
                 assert (G == want).all()
+
+
+# --- one construction rule: trusted weights are the Cartan diagonal ------------
+
+
+def _cartan_diagonal(rep):
+    """Entry i of the diagonal of pi(H), or of (pi(H1), pi(H2)) as a pair, for each i."""
+    cartan = [rep.rows_of(label) for label in rep.labels if label[0] == "H"]
+    diag = [tuple(H[i].get(i, 0) for H in cartan) for i in range(rep.dim)]
+    return [d[0] if len(d) == 1 else d for d in diag]
+
+
+def _weighted_reps():
+    """The weighted builders: sl2_irrep(0..6), sl2_poly_irrep, the sl(3) irreducibles
+    with m1 + m2 <= 4, and the standard and antifundamental reps; then their duals,
+    and the sums and products of pairs of them (for sl(3), pairs with a small factor)."""
+    sl2 = [sl2_irrep(m) for m in range(7)] + [sl2_poly_irrep(m) for m in (0, 1, 3, 5)]
+    sl3 = [sl3_highest_weight_irrep(m1, s - m1)[0] for s in range(5) for m1 in range(s + 1)]
+    small = [sl3_standard_rep(), sl3_antifundamental_rep(), sl3_highest_weight_irrep(1, 1)[0]]
+    pairs = [*itertools.combinations_with_replacement(sl2, 2),
+             *itertools.product(sl3 + small, small)]
+    reps = sl2 + sl3 + small
+    reps += [dual(r) for r in reps]
+    for r1, r2 in pairs:
+        reps += [direct_sum(r1, r2), tensor_product(r1, r2), dual(tensor_product(r1, dual(r2)))]
+    return reps
+
+
+def test_weights_are_the_diagonal_of_the_cartan_generators():
+    # what lets sl2_decompose count a trusted rep from its weights, not from pi(H)
+    reps = _weighted_reps()
+    assert sum(r.relations_hold for r in reps) > len(reps) // 2
+    for rep in reps:
+        assert rep.weights is not None and len(rep.weights) == rep.dim
+        assert [rep.weights[i] for i in range(rep.dim)] == _cartan_diagonal(rep), rep.dim
+
+
+def test_constructions_keep_weights_only_when_every_input_has_them():
+    a, b = sl2_irrep(2), sl2_irrep(1)
+    bare = Representation.from_rows(b.algebra, b.labels, b.held, relations_hold=True)
+    for rep in (direct_sum(a, bare), direct_sum(bare, a), tensor_product(a, bare), dual(bare)):
+        assert rep.weights is None and rep.relations_hold
+    with pytest.raises(DomainError):
+        tensor_product(a, sl3_standard_rep())
+
+
+def test_rows_of_converts_only_the_generator_asked_for(monkeypatch):
+    exact = sl3_highest_weight_irrep(2, 1)[0]
+    for rep in (exact, floating(exact), floating(tensor_product(sl2_irrep(2), sl2_irrep(1)))):
+        rows = rep.rows
+        for i, label in enumerate(rep.labels):
+            assert rep.rows_of(label) == rows[i]
+            assert np.array_equal(rep.generator(label), rep.generators[i])
+    calls = []
+    convert = repcore._fractions
+    monkeypatch.setattr(repcore, "_fractions", lambda *a: calls.append(a) or convert(*a))
+    exact.rows_of("X2")
+    exact.generator("Y3")
+    assert calls == [exact.held[3], exact.held[7]]
+
+
+@pytest.mark.parametrize("algebra", [1, None, ["x"], {"name": "sl(2,C)"}, True])
+def test_rep_json_with_a_non_string_algebra_is_a_domain_error(algebra):
+    with pytest.raises(DomainError, match="algebra"):
+        rep_from_json({**SL2_2, "algebra": algebra})

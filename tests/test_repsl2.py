@@ -35,7 +35,12 @@ from matrixlie.repsl2 import (
     sl2_poly_irrep,
     sl2_weights,
 )
-from matrixlie.repsl3 import sl3_basis, sl3_highest_weight_irrep
+from matrixlie.repsl3 import (
+    sl3_antifundamental_rep,
+    sl3_basis,
+    sl3_highest_weight_irrep,
+    sl3_standard_rep,
+)
 
 
 def weight_counting_oracle(weights):
@@ -549,3 +554,27 @@ def test_sl2_weights_of_a_weighted_json_rep_with_a_non_triangular_h_raise():
     with pytest.raises(DomainError, match="triangular"):
         sl2_weights(rep_from_json(obj))
     assert sl2_decompose(rep_from_json(obj)) == [3, 1]
+
+
+@pytest.mark.parametrize("build", [
+    sl3_standard_rep, sl3_antifundamental_rep,
+    *(lambda m=m: sl3_highest_weight_irrep(*m)[0] for m in [(1, 0), (1, 1), (2, 0)]),
+], ids=["standard", "antifundamental", "irrep_1_0", "irrep_1_1", "irrep_2_0"])
+def test_sl2_weights_of_a_rep_of_another_algebra_is_a_domain_error(build):
+    # flagged or not, an sl(3) rep has no generator H, and its weights are not sl(2)'s
+    with pytest.raises(DomainError, match="labeled H"):
+        sl2_weights(build())
+
+
+def test_a_vouched_rep_is_counted_from_its_weights(monkeypatch):
+    calls = []
+    diagonal = repsl2._integral_diagonal
+    monkeypatch.setattr(repsl2, "_integral_diagonal", lambda *a: calls.append(a) or diagonal(*a))
+    rep = tensor_product(sl2_irrep(4), dual(sl2_poly_irrep(3)))
+    assert sl2_decompose(rep) == [7, 5, 3, 1]
+    assert sl2_weights(rep) == sorted(rep.weights.values(), reverse=True)
+    assert calls == []
+    unflagged = rep_from_json(rep_to_json(rep))
+    assert sl2_decompose(unflagged) == [7, 5, 3, 1]
+    assert sl2_weights(unflagged) == sl2_weights(rep)
+    assert len(calls) == 2
