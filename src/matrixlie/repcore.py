@@ -18,9 +18,9 @@ may skip verify_relations.  Only the irreducible builders set it
 (sl2_irrep, sl2_poly_irrep, sl3_highest_weight_irrep), and _construct,
 under direct_sum, tensor_product and dual, keeps it if all inputs have it.
 Representation(...), from_rows by default and rep_from_json leave it
-unset, so a hand-built or JSON representation is always checked.  The
-flag is sound because the held rows are never changed: do not mutate
-``held`` of a representation after construction.
+unset, so a hand-built or JSON representation is always checked.  Trusted
+constructions (see from_rows) and sl2_irrep build their rows on the first
+read of ``held``; the flag is sound as held rows never change: do not mutate them.
 """
 
 from __future__ import annotations
@@ -60,11 +60,13 @@ DENSE_ROW = 3
 
 
 def _check_shapes(labels, shapes):
-    """ShapeError unless there is one nonempty square generator per label, all of one size."""
+    """ShapeError unless one nonempty square generator per label, all of one size; labels differ."""
     if not shapes:
         raise ShapeError("a representation needs at least one generator")
     if len(labels) != len(shapes):
         raise ShapeError("label count does not match generator count")
+    if any(labels.index(x) != i for i, x in enumerate(labels)):  # labels may be unhashable JSON
+        raise DomainError(f"generator labels {list(labels)} repeat")
     n = max(shapes[0], default=0)
     if not n or any(s != (n, n) for s in shapes):
         raise ShapeError("generators must be nonempty square matrices of one size")
@@ -87,19 +89,29 @@ class Representation:
 
     @classmethod
     def from_rows(cls, algebra: str, labels, rows, weights=None, exact=True, relations_hold=False):
-        """A representation on generators given as sparse rows (a list, of
-        Fraction entries if exact) or as (rows, D) pairs (a tuple), as held.
-        Pass relations_hold=True only for generators that satisfy the
-        relations by construction."""
+        """A representation on generators given as sparse rows (a list, of Fraction entries if
+        exact) or (rows, D) pairs (a tuple), as held, or a callable returning them: called on
+        the first read of held if relations_hold and weights are given, else at once.  Pass
+        relations_hold=True only for generators that satisfy the relations by construction."""
         rep = cls.__new__(cls)
         rep._hold(algebra, labels, rows, weights, exact, relations_hold)
         return rep
 
     def _hold(self, algebra, labels, rows, weights, exact, relations_hold):
-        held = [g if type(g) is tuple else _integer_rows(g) if exact else (g, 1) for g in rows]
-        self.held = tuple(held if exact else _floating(held))
         self.algebra, self.labels, self.weights = algebra, tuple(labels), weights
         self.exact, self.relations_hold = exact, relations_hold
+        self._held = rows if callable(rows) else lambda: rows
+        if not (relations_hold and weights is not None):
+            self._held = self.held  # untrusted rows are built at once
+
+    @property
+    def held(self) -> tuple:
+        """The generators as (rows, D) pairs, built on the first read if deferred."""
+        if callable(self._held):
+            held = [g if type(g) is tuple else _integer_rows(g) if self.exact else (g, 1)
+                    for g in self._held()]
+            self._held = tuple(held if self.exact else _floating(held))
+        return self._held
 
     @property
     def rows(self) -> tuple:
@@ -111,7 +123,7 @@ class Representation:
 
     @property
     def dim(self) -> int:
-        return len(self.held[0][0])
+        return len(self.weights) if callable(self._held) else len(self._held[0][0])
 
     @property
     def generators(self) -> tuple:
@@ -176,14 +188,14 @@ def _verify_relations(rep: Representation, labels: tuple, c: dict, tol_abs: floa
 
 def _gelfand_tsetlin(top):
     """The gl(n) irreducible with highest weight top (nonincreasing integers)
-    on its Gelfand-Tsetlin basis: (integer rows, D) pairs H, X, Y of E_kk -
-    E_k+1,k+1, E_k,k+1 and E_k+1,k for k = 1..n-1, and the H_k eigenvalues of
-    each basis vector.  Vector j is the j-th pattern, its rows n..1 read as one
-    tuple in descending order, so the top pattern comes first.  By Molev
-    (arXiv:math/0211289, Thm 2.3), with l_ki = lam_ki - i + 1, E_k,k+1 and
-    E_k+1,k take a pattern to sum_i c_i (pattern with lam_ki +- 1), a pattern
-    that breaks betweenness being 0, where c_i is -prod_j (l_ki - l_k+1,j)
-    or prod_j (l_ki - l_k-1,j), over prod_j!=i (l_ki - l_kj).
+    on its Gelfand-Tsetlin basis: the H_k eigenvalues of each basis vector and
+    the matrix pass, a callable that builds (integer rows, D) pairs H, X, Y of
+    E_kk - E_k+1,k+1, E_k,k+1 and E_k+1,k for k = 1..n-1.  Vector j is the j-th
+    pattern, its rows n..1 read as one tuple in descending order, so the top
+    pattern comes first.  By Molev (arXiv:math/0211289, Thm 2.3), with l_ki =
+    lam_ki - i + 1, E_k,k+1 and E_k+1,k take a pattern to sum_i c_i (pattern
+    with lam_ki +- 1), a pattern that breaks betweenness being 0, where c_i is
+    -prod_j (l_ki - l_k+1,j) or prod_j (l_ki - l_k-1,j), over prod_j!=i (l_ki - l_kj).
     """
     n = len(top)
     start = [(n * (n + 1) - k * (k + 1)) // 2 for k in range(n + 1)]  # where row k begins
@@ -193,27 +205,29 @@ def _gelfand_tsetlin(top):
         a = start[k + 1]  # l_k+1,i >= l_ki > l_k+1,i+1
         patterns = [p + row for p in patterns for row in itertools.product(
             *(range(p[a + i], p[a + i + 1], -1) for i in range(k)))]
-    index = {p: j for j, p in enumerate(patterns)}
-    H, X, Y = ([[{} for _ in patterns] for _ in range(n - 1)] for _ in range(3))
-    weights = []
-    for j, p in enumerate(patterns):
-        s = [sum(p[r]) for r in rows]  # E_kk has eigenvalue s[k] - s[k-1] + k - 1
-        weights.append(w := tuple([2 * s[k] - s[k - 1] - s[k + 1] - 1 for k in range(1, n)]))
-        for k in range(1, n):
-            if w[k - 1]:
-                H[k - 1][j][j] = w[k - 1]
-            for c in range(start[k], start[k] + k):  # i is j with l_kc + 1: X[i][j], Y[j][i]
-                if (i := index.get(p[:c] + (p[c] + 1,) + p[c + 1:])) is not None:
-                    l, xn, xd, yn, yd = p[c], -1, 1, 1, 1
-                    for t in p[rows[k + 1]]:
-                        xn *= l - t
-                    for t in p[rows[k - 1]]:
-                        yn *= l + 1 - t
-                    for t in p[rows[k]]:
-                        if t != l:
-                            xd, yd = xd * (l - t), yd * (l + 1 - t)
-                    X[k - 1][i][j], Y[k - 1][j][i] = (xn, xd), (yn, yd)
-    return [(g, 1) for g in H], *([_over_lcm(g) for g in G] for G in (X, Y)), weights
+    sums = ([sum(p[r]) for r in rows] for p in patterns)  # E_kk: eigenvalue s[k] - s[k-1] + k - 1
+    weights = [tuple([2 * s[k] - s[k - 1] - s[k + 1] - 1 for k in range(1, n)]) for s in sums]
+
+    def matrices():
+        index = {p: j for j, p in enumerate(patterns)}
+        H, X, Y = ([[{} for _ in patterns] for _ in range(n - 1)] for _ in range(3))
+        for j, (p, w) in enumerate(zip(patterns, weights)):
+            for k in range(1, n):
+                if w[k - 1]:
+                    H[k - 1][j][j] = w[k - 1]
+                for c in range(start[k], start[k] + k):  # i is j with l_kc + 1: X[i][j], Y[j][i]
+                    if (i := index.get(p[:c] + (p[c] + 1,) + p[c + 1:])) is not None:
+                        l, xn, xd, yn, yd = p[c], -1, 1, 1, 1
+                        for t in p[rows[k + 1]]:
+                            xn *= l - t
+                        for t in p[rows[k - 1]]:
+                            yn *= l + 1 - t
+                        for t in p[rows[k]]:
+                            if t != l:
+                                xd, yd = xd * (l - t), yd * (l + 1 - t)
+                        X[k - 1][i][j], Y[k - 1][j][i] = (xn, xd), (yn, yd)
+        return [(g, 1) for g in H], *([_over_lcm(g) for g in G] for G in (X, Y))
+    return weights, matrices
 
 
 def _weight_map(f, *ws):
@@ -228,9 +242,9 @@ def _construct(reps: tuple, generator, weight) -> Representation:
     if any((r.algebra, r.labels) != (reps[0].algebra, reps[0].labels) for r in reps):
         raise DomainError("representations are of different algebras")
     exact, weights = all(r.exact for r in reps), [r.weights for r in reps]
-    held = [r.held if r.exact == exact else _floating(r.held) for r in reps]
     return Representation.from_rows(
-        reps[0].algebra, reps[0].labels, [generator(*itertools.chain(*g)) for g in zip(*held)],
+        reps[0].algebra, reps[0].labels, lambda: [generator(*itertools.chain(*g)) for g in zip(*(
+            r.held if r.exact == exact else _floating(r.held) for r in reps))],
         None if None in weights else weight(*weights), exact, all(r.relations_hold for r in reps))
 
 

@@ -41,11 +41,11 @@ def __getattr__(name):  # liealg, and numpy with it, loads only when this is ask
 
 
 def sl2_irrep(m: int) -> Representation:
-    """The (m+1)-dimensional irreducible representation, abstract basis."""
+    """The (m+1)-dimensional irreducible representation, abstract basis; rows built when read."""
     if (m := _integer(m, 0)) is None:
         raise ValueError("m must be a nonnegative integer")
-    (H,), (X,), (Y,), weights = _gelfand_tsetlin((m, 0))
-    return Representation.from_rows("sl(2,C)", ("H", "X", "Y"), (H, X, Y),
+    weights, matrices = _gelfand_tsetlin((m, 0))
+    return Representation.from_rows("sl(2,C)", ("H", "X", "Y"), lambda: [G[0] for G in matrices()],
                                     {k: w for k, (w,) in enumerate(weights)}, relations_hold=True)
 
 
@@ -55,7 +55,7 @@ def sl2_poly_irrep(m: int) -> Representation:
     pi(Y) z1^k z2^(m-k) = -(m-k) z1^(k+1) z2^(m-k-1); that is, the abstract
     generators conjugated by sl2_intertwiner(m)."""
     rep = sl2_irrep(m)
-    t = [(-1) ** k * math.perm(rep.dim - 1, k) for k in range(rep.dim)]
+    t = _intertwiner_diagonal(rep)
     gens = [([{j: t[i] * x // (t[j] * D) for j, x in row.items()} for i, row in enumerate(g)], 1)
             for g, D in rep.held]  # integral, as above
     return Representation.from_rows(rep.algebra, rep.labels, gens, rep.weights,
@@ -63,14 +63,14 @@ def sl2_poly_irrep(m: int) -> Representation:
 
 
 def sl2_intertwiner(m: int):
-    """Diagonal T with T^-1 (poly generator) T = (abstract generator).
+    """Diagonal T with T^-1 (poly generator) T = (abstract generator), by _intertwiner_diagonal."""
+    t = _intertwiner_diagonal(sl2_irrep(m))  # sl2_irrep checks m
+    return matcore.rmat([[x * (j == k) for j in range(len(t))] for k, x in enumerate(t)])
 
-    T_kk = (-1)^k m!/(m-k)!.
-    """
-    if (m := _integer(m, 0)) is None:
-        raise ValueError("m must be a nonnegative integer")
-    return matcore.rmat([[(-1) ** k * math.perm(m, k) * (j == k) for j in range(m + 1)]
-                         for k in range(m + 1)])
+
+def _intertwiner_diagonal(rep: Representation) -> list:
+    """T_kk = (-1)^k m!/(m-k)!, k = 0..m, of the intertwiner on rep = sl2_irrep(m)."""
+    return [(-1) ** k * math.perm(rep.dim - 1, k) for k in range(rep.dim)]
 
 
 def _integral_diagonal(H, strict: bool, D: int = 1):

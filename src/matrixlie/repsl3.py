@@ -99,7 +99,8 @@ def sl3_highest_weight_irrep(m1: int, m2: int):
     m1, m2 = _highest_weight(m1, m2)
     if m1 + m2 > MAX_WEIGHT_SUM:
         raise DomainError(f"m1 + m2 = {m1 + m2} exceeds the cap {MAX_WEIGHT_SUM}")
-    (H1, H2), (X1, X2), (Y1, Y2), weights = _gelfand_tsetlin((m1 + m2, m2, 0))
+    weights, matrices = _gelfand_tsetlin((m1 + m2, m2, 0))
+    (H1, H2), (X1, X2), (Y1, Y2) = matrices()
     X3, Y3 = ((_commutator(A, B), Da * Db) for (A, Da), (B, Db) in ((X1, X2), (Y2, Y1)))
     rep = Representation.from_rows(*_BASES["sl3"][:2], (H1, H2, X1, X2, X3, Y1, Y2, Y3),
                                    dict(enumerate(weights)), relations_hold=True)

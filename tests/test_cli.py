@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import functools
+import hashlib
 import importlib
 import io
 import json
@@ -117,6 +118,37 @@ def test_usage_error_exit_2():
 def test_cg():
     r = run_cli("cg", "2", "1")
     assert json.loads(r.stdout) == {"summands": [3, 1]}
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def test_cg_builds_no_matrices(monkeypatch):
+    # cg counts the product's weights: neither factor's matrices nor the product's are built
+    calls, kron, gelfand_tsetlin = [], repcore._kron_sum, repsl2._gelfand_tsetlin
+
+    def spied(top):
+        weights, matrices = gelfand_tsetlin(top)
+        return weights, lambda: calls.append("matrices") or matrices()
+    monkeypatch.setattr(repcore, "_kron_sum", lambda *a: calls.append("kron") or kron(*a))
+    monkeypatch.setattr(repsl2, "_gelfand_tsetlin", spied)
+    for m, n in ((0, 0), (3, 2), (5, 5), (40, 37)):
+        got = json.loads(_stdout(["cg", str(m), str(n)]))
+        assert got == {"summands": list(range(m + n, m - n - 1, -2))}
+    assert calls == []
+    # rep sl2 prints its rows and decompose sl2 reads a product's JSON: both build them, and
+    # print what the pinned digests and cg print
+    golden = json.loads((GOLDEN / "cli_exact.json").read_text())
+    for m, model in ((3, "abstract"), (4, "poly")):
+        text = _stdout(["rep", "sl2", str(m), "--model", model])
+        assert hashlib.sha256(text.encode()).hexdigest() == golden[f"rep sl2 {m} {model}"]["sha256"]
+    product = json.dumps(rep_to_json(repcore.tensor_product(sl2_irrep(3), sl2_irrep(2))))
+    assert _stdout(["decompose", "sl2", product]) == _stdout(["cg", "3", "2"])
+    assert {"kron", "matrices"} <= set(calls)
 
 
 def test_bch_series_commuting():
@@ -260,6 +292,7 @@ MALFORMED_REPS = {
     "floating": ({"generators": [_floating_json(g) for g in (H, X, Y)]}, "domain"),
     "algebra_not_a_string": ({"algebra": 1}, "domain"),
     "algebra_not_a_string_null": ({"algebra": None}, "domain"),
+    "repeated_labels": ({"labels": ["H", "H", "Y"]}, "domain"),
 }
 
 

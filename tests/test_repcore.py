@@ -352,6 +352,16 @@ def test_constructor_shape_errors():
             Representation("sl(2,C)", labels, gens)
 
 
+def test_repeated_labels_are_a_domain_error():
+    # else rows_of and sl2_weights read the first generator of a label and never the other
+    rep = sl2_irrep(2)
+    for labels in (("H", "H", "Y"), ("H", "X", "H"), ("Y", "Y", "Y")):
+        with pytest.raises(DomainError, match="repeat"):
+            Representation(rep.algebra, labels, rep.generators, rep.weights)
+        with pytest.raises(DomainError, match="repeat"):
+            rep_from_json({**rep_to_json(rep), "labels": list(labels)})
+
+
 @pytest.mark.parametrize("m", range(6))
 def test_verify_relations_floating_sl2(m):
     assert verify_relations(floating(sl2_irrep(m)), sl2_basis_rational())
@@ -530,6 +540,8 @@ MALFORMED_JSON = {
     "label_mismatch": ({"labels": ["H", "X"]}, ShapeError),
     "no_generators": ({"labels": [], "generators": []}, ShapeError),
     "labels_not_a_list": ({"labels": "HXY"}, DomainError),
+    "labels_repeated": ({"labels": ["H", "H", "Y"]}, DomainError),
+    "labels_repeated_unhashable": ({"labels": [["H"], "X", ["H"]]}, DomainError),
     "generators_not_a_list": ({"generators": {"H": H2, "X": X2, "Y": Y2}}, DomainError),
     "weights_missing_an_index": ({"weights": {"0": 2, "2": -2}}, ShapeError),
     "weights_beyond_the_basis": ({"weights": {"0": 2, "1": 0, "2": -2, "7": 5}}, ShapeError),
@@ -654,9 +666,10 @@ TOPS4 = [(a, b, c, 0) for a in range(4) for b in range(a + 1) for c in range(b +
 
 
 def _gelfand_tsetlin_fractions(top):
-    """_gelfand_tsetlin(top) with each (integer rows, D) pair read as Fraction rows."""
-    *gens, weights = _gelfand_tsetlin(top)
-    return (*([_fractions(g, D) for g, D in G] for G in gens), weights)
+    """H, X, Y of _gelfand_tsetlin(top)'s matrix pass, each (integer rows, D) pair read as
+    Fraction rows, and its weights."""
+    weights, matrices = _gelfand_tsetlin(top)
+    return (*([_fractions(g, D) for g, D in G] for G in matrices()), weights)
 
 
 def _scaled(rows, s):
@@ -693,7 +706,7 @@ def test_gelfand_tsetlin_sl4_satisfies_the_chevalley_relations(top):
 
 @pytest.mark.parametrize("top", TOPS4)
 def test_gelfand_tsetlin_sl4_weights_are_weyl_invariant(top):
-    mult = Counter(_gelfand_tsetlin(top)[3])
+    mult = Counter(_gelfand_tsetlin(top)[0])
     for k in range(3):  # the simple reflection s_k(w) = w - w_k a_k
         reflected = Counter(tuple(x - w[k] * a for x, a in zip(w, CARTAN4[k]))
                             for w in mult.elements())
@@ -751,6 +764,30 @@ def test_weights_are_the_diagonal_of_the_cartan_generators():
     for rep in reps:
         assert rep.weights is not None and len(rep.weights) == rep.dim
         assert [rep.weights[i] for i in range(rep.dim)] == _cartan_diagonal(rep), rep.dim
+
+
+def _built(rep) -> bool:
+    """Whether rep's rows are built: a trusted rep holds a callable until held is read."""
+    return not callable(rep.__dict__["_held"])
+
+
+def test_deferred_rows_equal_eagerly_built_ones(monkeypatch):
+    lazy = _weighted_reps()
+    deferred = [r for r in lazy if not _built(r)]
+    assert len(deferred) > len(lazy) // 2
+    with monkeypatch.context() as m:  # every from_rows builds its rows at once
+        build = Representation.from_rows.__func__
+        m.setattr(Representation, "from_rows",
+                  classmethod(lambda cls, *a, **k: (r := build(cls, *a, **k)).held and r))
+        eager = _weighted_reps()
+    assert all(map(_built, eager))
+    for r, e in zip(lazy, eager):  # read before any rows are built
+        assert (r.dim, r.weights, r.relations_hold) == (e.dim, e.weights, e.relations_hold)
+    assert not any(map(_built, deferred))
+    for r, e in zip(lazy, eager):
+        assert r.held == e.held and r.rows == e.rows
+        assert rep_to_json(r) == rep_to_json(e) and _rep_text(r) == _rep_text(e)
+        assert _built(r) and r.held is r.held  # built once, then kept
 
 
 def test_constructions_keep_weights_only_when_every_input_has_them():
