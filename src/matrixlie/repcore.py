@@ -65,7 +65,7 @@ def _check_shapes(labels, shapes):
         raise ShapeError("a representation needs at least one generator")
     if len(labels) != len(shapes):
         raise ShapeError("label count does not match generator count")
-    if any(labels.index(x) != i for i, x in enumerate(labels)):  # labels may be unhashable JSON
+    if len(set(map(repr, labels))) < len(labels):  # repr: JSON labels may be unhashable
         raise DomainError(f"generator labels {list(labels)} repeat")
     n = max(shapes[0], default=0)
     if not n or any(s != (n, n) for s in shapes):
