@@ -33,13 +33,17 @@ def _load_json(arg: str, decode=None):
         raise ValueError("the JSON is nested too deeply") from None
 
 
+# one encoder for every result: json.dumps with these options builds one on every call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                            default=lambda M: matcore.matrix_to_json(M))
+
+
 def _emit(out):
     """Print a handler's value as strict JSON, a Representation by _rep_text and
     a matrix as matrix_to_json; a non-finite float is a DomainError."""
     try:
-        text = repcore._rep_text(out) if isinstance(out, repcore.Representation) else json.dumps(
-            out, sort_keys=True, separators=(",", ":"), allow_nan=False,
-            default=lambda M: matcore.matrix_to_json(M))
+        text = (repcore._rep_text(out) if isinstance(out, repcore.Representation)
+                else _ENCODER.encode(out))
     except ValueError:  # json refuses inf and nan
         raise DomainError("the result has a non-finite entry") from None
     print(text)

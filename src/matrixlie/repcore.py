@@ -8,7 +8,10 @@ integer rows over a positive integer if the representation is exact,
 complex rows over 1 if it is floating.  Builders, constructions, the
 relation check and JSON output work on them with no Fraction made and no
 dense d x d scan; ``rows`` reads them as Fractions, and the exact relation
-check packs rows into integers on dense generators (DENSE_ROW).  Direct sum
+check packs rows into integers on dense generators (DENSE_ROW).  The
+irreducibles come from one builder, _gelfand_tsetlin: a pattern pass that
+carries the row sums, and a matrix pass that puts each generator over its
+least common denominator in the same loop that makes its entries.  Direct sum
 and tensor product, over the lcm of the denominators, and dual preserve the
 homomorphism property; the tensor index is row-major, i1 * d2 + i2.
 
@@ -38,7 +41,6 @@ from .rowcore import (
     _fractions,
     _integer_rows,
     _json_matrix,
-    _over_lcm,
     _residuals_vanish,
     _rows_to_json,
     _rows_to_text,
@@ -57,6 +59,9 @@ __all__ = [
 # the exact relation check packs rows (rowcore._residuals_vanish) if the first generator has more
 # than DENSE_ROW nonzeros a row: on sl(2) reps, 1.2-2.3x faster above 3.3, 2x slower below 1
 DENSE_ROW = 3
+
+# json.dumps(obj, sort_keys=True, separators=(",", ":")) builds an encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _check_shapes(labels, shapes):
@@ -200,21 +205,23 @@ def _gelfand_tsetlin(top):
     n = len(top)
     start = [(n * (n + 1) - k * (k + 1)) // 2 for k in range(n + 1)]  # where row k begins
     rows = [slice(start[k], start[k] + k) for k in range(n + 1)]
-    patterns = [tuple(x - i for i, x in enumerate(top))]  # held as the l_ki
+    top = tuple(x - i for i, x in enumerate(top))  # a pattern is held as the l_ki
+    patterns = [(top, (sum(top), 0))]  # with the sums s_k, ..., s_n of its rows, and s_0 = 0
     for k in range(n - 1, 0, -1):
         a = start[k + 1]  # l_k+1,i >= l_ki > l_k+1,i+1
-        patterns = [p + row for p in patterns for row in itertools.product(
+        patterns = [(p + row, (sum(row),) + s) for p, s in patterns for row in itertools.product(
             *(range(p[a + i], p[a + i + 1], -1) for i in range(k)))]
-    sums = ([sum(p[r]) for r in rows] for p in patterns)  # E_kk: eigenvalue s[k] - s[k-1] + k - 1
-    weights = [tuple([2 * s[k] - s[k - 1] - s[k + 1] - 1 for k in range(1, n)]) for s in sums]
+    # E_kk has eigenvalue s_k - s_k-1 + k - 1; s[k - 1] is s_k, and s[-1] is s_0
+    weights = [tuple([2 * s[k - 1] - s[k - 2] - s[k] - 1 for k in range(1, n)]) for _, s in patterns]
+    patterns = [p for p, _ in patterns]
 
     def matrices():
         index = {p: j for j, p in enumerate(patterns)}
-        H, X, Y = ([[{} for _ in patterns] for _ in range(n - 1)] for _ in range(3))
-        for j, (p, w) in enumerate(zip(patterns, weights)):
+        H = [[{j: w[k]} if w[k] else {} for j, w in enumerate(weights)] for k in range(n - 1)]
+        X, Y = ([[{} for _ in patterns] for _ in range(n - 1)] for _ in range(2))
+        DX, DY = [1] * (n - 1), [1] * (n - 1)  # the lcm so far of the X_k and Y_k denominators
+        for j, p in enumerate(patterns):
             for k in range(1, n):
-                if w[k - 1]:
-                    H[k - 1][j][j] = w[k - 1]
                 for c in range(start[k], start[k] + k):  # i is j with l_kc + 1: X[i][j], Y[j][i]
                     if (i := index.get(p[:c] + (p[c] + 1,) + p[c + 1:])) is not None:
                         l, xn, xd, yn, yd = p[c], -1, 1, 1, 1
@@ -225,27 +232,46 @@ def _gelfand_tsetlin(top):
                         for t in p[rows[k]]:
                             if t != l:
                                 xd, yd = xd * (l - t), yd * (l + 1 - t)
-                        X[k - 1][i][j], Y[k - 1][j][i] = (xn, xd), (yn, yd)
-        return [(g, 1) for g in H], *([_over_lcm(g) for g in G] for G in (X, Y))
+                        DX[k - 1] = _put_over_lcm(X[k - 1], DX[k - 1], i, j, xn, xd)
+                        DY[k - 1] = _put_over_lcm(Y[k - 1], DY[k - 1], j, i, yn, yd)
+        return [(g, 1) for g in H], list(zip(X, DX)), list(zip(Y, DY))
     return weights, matrices
 
 
-def _weight_map(f, *ws):
-    """f applied to weights: entrywise to tuples, directly to integers."""
-    return tuple(map(f, *ws)) if isinstance(ws[0], tuple) else f(*ws)
+def _put_over_lcm(rows: list[dict], D: int, i: int, j: int, a: int, b: int) -> int:
+    """Put a / b (b != 0, any signs) at rows[i][j] of integer rows over D > 0, the lcm of
+    their denominators, and return the new lcm: if it grows, the rows are rescaled."""
+    x, r = divmod(a * D, b)
+    if r:  # the lcm grows by |b| / gcd(a D, b), the reduced denominator of a D / b
+        e = abs(b) // math.gcd(a * D, b)
+        for row in rows:
+            for c in row:
+                row[c] *= e
+        D, x = D * e, a * D * e // b
+    rows[i][j] = x
+    return D
 
 
-def _construct(reps: tuple, generator, weight) -> Representation:
+def _construct(reps: tuple, generator, weight, op=None) -> Representation:
     """The rep on generator(*the held pairs k of reps, flattened) for each k, the one rule of
     direct_sum, tensor_product and dual: the reps share algebra and labels; exact if all are,
-    else all read floating; weight(*their weights) if all have weights; relations_hold if all do."""
+    else all read floating; relations_hold if all do; and if all have weights, of one shape
+    (else DomainError), weight(f, *their weights), f being op on integer weights and op
+    entrywise on tuples."""
     if any((r.algebra, r.labels) != (reps[0].algebra, reps[0].labels) for r in reps):
         raise DomainError("representations are of different algebras")
     exact, weights = all(r.exact for r in reps), [r.weights for r in reps]
+    if None in weights:
+        weights = None
+    else:
+        shapes = {len(w) if isinstance(w, tuple) else None for W in weights for w in W.values()}
+        if len(shapes) > 1:
+            raise DomainError("the representations' weights differ in shape")
+        weights = weight(op if None in shapes else lambda *w: tuple(map(op, *w)), *weights)
     return Representation.from_rows(
         reps[0].algebra, reps[0].labels, lambda: [generator(*itertools.chain(*g)) for g in zip(*(
             r.held if r.exact == exact else _floating(r.held) for r in reps))],
-        None if None in weights else weight(*weights), exact, all(r.relations_hold for r in reps))
+        weights, exact, all(r.relations_hold for r in reps))
 
 
 def _block_sum(A, Da: int, B, Db: int) -> tuple:
@@ -259,7 +285,7 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
     """Block-diagonal sum; weight annotations concatenate."""
     d1 = r1.dim
     return _construct((r1, r2), _block_sum,
-                      lambda W1, W2: {**W1, **{d1 + i: w for i, w in W2.items()}})
+                      lambda _, W1, W2: {**W1, **{d1 + i: w for i, w in W2.items()}})
 
 
 def _kron_sum(A, Da: int, B, Db: int) -> tuple:
@@ -281,9 +307,8 @@ def _kron_sum(A, Da: int, B, Db: int) -> tuple:
 def tensor_product(r1: Representation, r2: Representation) -> Representation:
     """Generators pi1(b) (x) I + I (x) pi2(b); weights add factorwise."""
     d2 = r2.dim
-    return _construct((r1, r2), _kron_sum, lambda W1, W2: {
-        i1 * d2 + i2: _weight_map(operator.add, w1, w2)
-        for i1, w1 in W1.items() for i2, w2 in W2.items()})
+    return _construct((r1, r2), _kron_sum, lambda add, W1, W2: {
+        i1 * d2 + i2: add(w1, w2) for i1, w1 in W1.items() for i2, w2 in W2.items()}, operator.add)
 
 
 def _negated_transpose(rows, D: int) -> tuple:
@@ -297,7 +322,7 @@ def _negated_transpose(rows, D: int) -> tuple:
 def dual(rep: Representation) -> Representation:
     """Generators -(pi(b))^T; weights negate.  dual(dual(r)) == r."""
     return _construct((rep,), _negated_transpose,
-                      lambda W: {i: _weight_map(operator.neg, w) for i, w in W.items()})
+                      lambda neg, W: {i: neg(w) for i, w in W.items()}, operator.neg)
 
 
 def rep_to_json(rep: Representation) -> dict:
@@ -317,7 +342,7 @@ def _rep_text(rep: Representation) -> str:
     """json.dumps(rep_to_json(rep), sort_keys=True, separators=(",", ":")) of
     an exact rep, byte for byte, with its generators written from the held
     rows by _rows_to_text; "generators" sorts between "dim" and "labels"."""
-    head, tail = (json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in (
+    head, tail = (_ENCODER.encode(obj) for obj in (
         {"algebra": rep.algebra, "dim": rep.dim},
         {"labels": list(rep.labels), **_json_weights(rep)}))
     gens = ",".join(_rows_to_text(g, D, rep.dim) for g, D in rep.held)

@@ -7,7 +7,10 @@ integer rows, ``_rref_rows`` eliminates on them, and ``_coords`` and
 representation generator is integer rows over one denominator D > 0, made
 by ``_over_lcm`` and ``_integer_rows``, read back by ``_fractions``, and
 read and written with no Fraction by ``_json_matrix`` and ``_rows_to_json``,
-or ``_rows_to_text``, which writes the same object as JSON text.  Also here:
+or ``_rows_to_text``, which writes the same object as JSON text.  Both
+writers take the entries in lowest terms from ``_lowest_terms``;
+``_rows_to_text`` splices each entry's text into runs of "0," and "1,", so
+its Python work is per stored entry, not per cell.  Also here:
 ``Tolerance``, the integer rule for counts, and ``_BASES``, the built-in bases
 as sparse rows, whose structure constants ``_builtin_constants`` gives.
 """
@@ -87,12 +90,17 @@ def _axpy(y: dict, a, x: dict):
 
 
 def _commutator(A: list[dict], B: list[dict], s=1) -> list[dict]:
-    """Sparse rows of s (AB - BA)."""
+    """Sparse rows of s (AB - BA), entries that cancel dropped as _axpy drops them."""
     out = [{} for _ in A]
     for P, Q, t in ((A, B, s), (B, A, -s)):
-        for i, row in enumerate(P):
+        for row, acc in zip(P, out):
             for k, a in row.items():
-                _axpy(out[i], t * a, Q[k])
+                ta = t * a
+                for j, v in Q[k].items():
+                    if x := acc.get(j, 0) + ta * v:
+                        acc[j] = x
+                    else:
+                        acc.pop(j, None)  # a floating product can underflow to 0
     return out
 
 
@@ -268,28 +276,47 @@ def _builtin_constants(name: str) -> dict:
 # All entry lists are row-major.
 
 
-def _lowest_terms(rows: list[dict], D: int, cols: int, kind=int) -> tuple:
-    """The row-major num and den lists of integer rows over D as kind (int, or
-    str for JSON text): each entry in lowest terms by one gcd, a zero as 0/1."""
-    num, den = [kind(0)] * (len(rows) * cols), [kind(1)] * (len(rows) * cols)
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            g = math.gcd(x, D)
-            num[i * cols + j], den[i * cols + j] = kind(x // g), kind(D // g)
-    return num, den
+def _lowest_terms(rows: list[dict], D: int, cols: int) -> tuple:
+    """The stored entries of integer rows over D in lowest terms, by one gcd each and none
+    if D = 1: (numerators, denominators), each a list of (row-major index, value) pairs in
+    ascending index order, the denominators only where they are not 1."""
+    num = sorted([(i * cols + j, x) for i, row in enumerate(rows) for j, x in row.items()])
+    if D == 1:
+        return num, []
+    g = [math.gcd(x, D) for _, x in num]
+    return [(k, x // h) for (k, x), h in zip(num, g)], [(k, D // h) for (k, _), h in zip(num, g)
+                                                        if h != D]
 
 
 def _rows_to_json(rows: list[dict], D: int, cols: int) -> dict:
     """The JSON object of the exact matrix with these integer rows over D."""
-    num, den = _lowest_terms(rows, D, cols)
+    n = len(rows) * cols
+    num, den = [0] * n, [1] * n
+    for entries, out in zip(_lowest_terms(rows, D, cols), (num, den)):
+        for k, x in entries:
+            out[k] = x
     return {"rows": len(rows), "cols": cols, "num": num, "den": den}
 
 
+def _splice(entries: list, n: int, fill: str) -> str:
+    """The text of a JSON list of n cells, the (index, value) entries, in ascending index
+    order, spliced into runs of fill: one filler cell with its comma, "0," or "1,"."""
+    parts, a = [], 0  # a: the cells written so far
+    for k, x in entries:
+        parts.append(f"{fill * (k - a)}{x},")
+        a = k + 1
+    parts.append(fill * (n - a))
+    return "".join(parts)[:-1]
+
+
 def _rows_to_text(rows: list[dict], D: int, cols: int) -> str:
-    """_rows_to_json of exact rows as the text json.dumps writes with sorted
-    keys and no spaces: str only at the nonzero entries, one join per list."""
-    num, den = map(",".join, _lowest_terms(rows, D, cols, str))
-    return f'{{"cols":{cols},"den":[{den}],"num":[{num}],"rows":{len(rows)}}}'
+    """_rows_to_json of exact rows as the text json.dumps writes with sorted keys and no
+    spaces, by O(nnz) Python work: the entries in lowest terms spliced into the all-0 num
+    and all-1 den lists, whose runs "0," * r and "1," * r are made in C."""
+    num, den = _lowest_terms(rows, D, cols)
+    n = len(rows) * cols
+    return (f'{{"cols":{cols},"den":[{_splice(den, n, "1,")}],"num":[{_splice(num, n, "0,")}],'
+            f'"rows":{len(rows)}}}')
 
 
 def _json_entries(obj: dict, key: str, kinds: tuple, n: int) -> list:

@@ -817,3 +817,113 @@ def test_rows_of_converts_only_the_generator_asked_for(monkeypatch):
 def test_rep_json_with_a_non_string_algebra_is_a_domain_error(algebra):
     with pytest.raises(DomainError, match="algebra"):
         rep_from_json({**SL2_2, "algebra": algebra})
+
+
+# --- the Gelfand-Tsetlin builder against the rules it replaced: the weights as
+# slice sums of every row, and the matrices as (num, den) pair rows put over their
+# lcm by rowcore._over_lcm; the (rows, D) pairs must match exactly, so that D
+# stays the least common denominator
+
+def _gelfand_tsetlin_oracle(top):
+    """(weights, H, X, Y) of the sl(n) irreducible with highest weight top, by the slice-sum
+    weight rule and _over_lcm of (num, den) pair rows."""
+    n = len(top)
+    start = [(n * (n + 1) - k * (k + 1)) // 2 for k in range(n + 1)]
+    rows = [slice(start[k], start[k] + k) for k in range(n + 1)]
+    patterns = [tuple(x - i for i, x in enumerate(top))]
+    for k in range(n - 1, 0, -1):
+        a = start[k + 1]
+        patterns = [p + row for p in patterns for row in itertools.product(
+            *(range(p[a + i], p[a + i + 1], -1) for i in range(k)))]
+    sums = ([sum(p[r]) for r in rows] for p in patterns)
+    weights = [tuple(2 * s[k] - s[k - 1] - s[k + 1] - 1 for k in range(1, n)) for s in sums]
+    index = {p: j for j, p in enumerate(patterns)}
+    H, X, Y = ([[{} for _ in patterns] for _ in range(n - 1)] for _ in range(3))
+    for j, (p, w) in enumerate(zip(patterns, weights)):
+        for k in range(1, n):
+            if w[k - 1]:
+                H[k - 1][j][j] = w[k - 1]
+            for c in range(start[k], start[k] + k):
+                if (i := index.get(p[:c] + (p[c] + 1,) + p[c + 1:])) is not None:
+                    l = p[c]
+                    others = [t for t in p[rows[k]] if t != l]
+                    X[k - 1][i][j] = (-math.prod(l - t for t in p[rows[k + 1]]),
+                                      math.prod(l - t for t in others))
+                    Y[k - 1][j][i] = (math.prod(l + 1 - t for t in p[rows[k - 1]]),
+                                      math.prod(l + 1 - t for t in others))
+    return (weights, [(g, 1) for g in H], [rowcore._over_lcm(g) for g in X],
+            [rowcore._over_lcm(g) for g in Y])
+
+
+GT_TOPS = ([(m, 0) for m in range(13)]
+           + [(m1 + m2, m2, 0) for m1 in range(7) for m2 in range(7 - m1)] + TOPS4)
+
+
+@pytest.mark.parametrize("top", GT_TOPS)
+def test_gelfand_tsetlin_matches_the_slice_sum_and_over_lcm_rules(top):
+    weights, matrices = _gelfand_tsetlin(top)
+    H, X, Y = matrices()
+    assert (weights, H, X, Y) == _gelfand_tsetlin_oracle(top)
+    assert all(type(D) is int and D > 0 for _, D in X + Y)
+
+
+def test_put_over_lcm_rescales_when_the_denominator_grows():
+    rows, D = [{}, {}], 1
+    for i, j, a, b in [(0, 0, 3, 1), (0, 1, 1, -2), (1, 0, 4, 6), (1, 1, -6, 9)]:
+        D = repcore._put_over_lcm(rows, D, i, j, a, b)
+    # 3, -1/2, 2/3 and -2/3 over their lcm 6, though 6 and 9 are not reduced
+    assert (rows, D) == ([{0: 18, 1: -3}, {0: 4, 1: -4}], 6)
+    assert (rows, D) == rowcore._over_lcm([{0: (3, 1), 1: (1, -2)}, {0: (4, 6), 1: (-6, 9)}])
+
+
+# --- constructions refuse weights of different shapes
+
+def _sl2_irrep_with_tuple_weights(m):
+    obj = rep_to_json(sl2_irrep(m))
+    obj["weights"] = {i: [w] for i, w in obj["weights"].items()}
+    return rep_from_json(obj)
+
+
+def test_constructions_refuse_weights_of_different_shapes():
+    b = _sl2_irrep_with_tuple_weights(1)
+    assert b.weights == {0: (1,), 1: (-1,)}
+    short = rep_to_json(sl3_standard_rep())  # weights of length 1 where sl(3)'s have length 2
+    short["weights"] = {"0": [1], "1": [-1], "2": [0]}
+    short = rep_from_json(short)
+    for build in (lambda: tensor_product(b, sl2_irrep(1)),
+                  lambda: tensor_product(sl2_irrep(1), b),
+                  lambda: direct_sum(b, sl2_irrep(1)),
+                  lambda: direct_sum(sl3_standard_rep(), short)):
+        with pytest.raises(DomainError, match="shape"):
+            build()
+    # tuple weights of one length combine entrywise
+    assert tensor_product(b, b).weights == {0: (2,), 1: (0,), 2: (0,), 3: (-2,)}
+    assert dual(b).weights == {0: (-1,), 1: (1,)}
+
+
+# --- the splicing JSON writer against json.dumps of the JSON object
+
+def _dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("rows, D, cols", [
+    ([{0: -12, 2: 345}, {1: -6789}], 1, 3),  # D = 1, negative multi-digit entries
+    ([{0: 0, 1: 4}, {1: 0}], 6, 2),  # stored zeros (a from_rows (rows, D) pair can hold one)
+    ([{0: 6, 1: 5}, {0: -12, 1: -7}], 6, 2),  # gcd(x, D) = D and gcd(x, D) = 1
+    ([{0: 1}, {}, {2: -3}], 4, 3),  # a nonzero in the first cell and in the last cell
+    ([{0: 7}], 2, 1), ([{}], 5, 1), ([{0: -2}], 1, 1),  # 1 x 1
+    ([{}, {}], 3, 2), ([], 1, 0), ([{}], 1, 0),  # all empty
+    ([{3: 2, 0: -1, 2: 5}, {1: 9, 0: 3}], 10, 4),  # columns inserted out of order
+])
+def test_rows_to_text_is_the_json_dumps_of_rows_to_json(rows, D, cols):
+    assert rowcore._rows_to_text(rows, D, cols) == _dumps(rowcore._rows_to_json(rows, D, cols))
+
+
+def test_rows_to_text_of_v40_is_the_json_dumps_of_rows_to_json():
+    rep = sl2_irrep(40)
+    assert rep.dim == 41
+    for rows, D in rep.held:
+        text = rowcore._rows_to_text(rows, D, rep.dim)
+        assert text == _dumps(rowcore._rows_to_json(rows, D, rep.dim))
+        assert json.loads(text)["num"] == [rows[i].get(j, 0) for i in range(41) for j in range(41)]
