@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, OutOfDomainError
 from .expmlog import _exp, _exp_scaled
-from .liealg import Basis, _coords, _floating, ad_matrix, bracket
+from .liealg import Basis, _coords, ad_matrix, bracket
 from .matcore import _count, _entry, _integer, frobenius_norm, is_rational, reye
 
 _commutator = bracket.__wrapped__  # for matrices that an entry point has gated
@@ -187,10 +187,9 @@ def bch_integral(
         y = S[1].ravel()
     else:
         adX, adY = ad_matrix(X, basis), ad_matrix(Y, basis)  # complex, as X and Y are
-        coords = _coords([Y], basis.elements)
-        if coords is None:
+        if (y := _coords([Y], basis.elements)) is None:  # complex, as Y is
             raise DomainError("Y does not lie in the span of the basis")
-        y = _floating(*coords)[:, 0]
+        y = y[:, 0]
         elements = np.asarray(basis.elements, dtype=complex)
         if not (adX.imag.any() or adY.imag.any() or y.imag.any()):  # a real algebra
             adX, adY, y = adX.real, adY.real, y.real

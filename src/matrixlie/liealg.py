@@ -3,13 +3,13 @@
 Algebras are named by lowercase strings mirroring the group names:
 "su(2)", "sl(3,C)", "so(3,1)", "sp(1,R)", "heis", "e(3)", "p(3,1)".
 
-ad and structure constants are always materialized in an explicit basis
-and solved exactly: floating entries are dyadic rationals, so converting
-them to fractions and running exact Gaussian elimination gives exact
-coordinates whenever the bracket truly lies in the span.  One elimination
-serves each basis: every bracket wanted from it (all d columns of ad X,
-all i<j pairs of the structure constants) is one right-hand side of a
-single exact solve.
+ad and structure constants are solved exactly in an explicit basis: floating entries are
+dyadic rationals, so exact elimination gives exact coordinates whenever the bracket lies in the
+span.  Every bracket wanted of a basis (the d columns of ad X, the i<j pairs of the structure
+constants) is one right-hand side of one solve.  ``_coords`` decides the carrier once: exact if
+every target is rational and every coordinate real, else complex.  ``_constants`` is the one
+choice of brackets, exact on sparse rows or by ``bracket``, and its dict feeds both
+structure_constants and repcore.verify_relations.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from .groups import LieId, _holds, _of_kind, _parse, _project, _satisfies, parse
 from .matcore import (
     DEFAULT_TOL,
     Tolerance,
-    _check_square,
     _count,
     _dense,
     _entry,
+    _gate,
     _relative_det,
     _sparse_rows,
     is_rational,
@@ -137,38 +137,29 @@ F1, F2, F3 = so3_basis().elements
 
 
 def _coords(targets, elements):
-    """rowcore._coords of dense matrices or sparse rows, as object arrays of
-    Fractions (re, im), column t holding the real and imaginary parts of the
-    coefficients of targets[t]; None if some target lies outside the span."""
+    """The coordinates in span(elements) of targets[t] as column t, by one exact elimination
+    (rowcore._coords), the one carrier rule: Fractions if every target is rational and every
+    coordinate real, else complex128 (DomainError if one has no finite float value); None if
+    some target lies outside the span."""
     d = len(elements)
-    coef = rowcore._coords(*([M if type(M) is list else _sparse_rows(M) for M in Ms]
-                             for Ms in (targets, elements)))
+    coef = rowcore._coords(*([_sparse_rows(M) for M in Ms] for Ms in (targets, elements)))
     if coef is None:
         return None
-    coef = _dense(coef, (2 * d, len(targets)))
-    return coef[:d], coef[d:]
+    if all(map(is_rational, targets)) and not any(coef[d:]):
+        return _dense(coef[:d], (d, len(targets)))
+    coef = to_complex(_dense(coef, (2 * d, len(targets))))
+    return coef[:d] + 1j * coef[d:]
 
 
 def ad_matrix(X, basis: Basis):
     """The matrix of ad X = [X, .] in the given basis.
 
-    Column j holds the exact coordinates of [X, basis_j]; a bracket
+    Column j holds the coordinates of [X, basis_j], by _coords; a bracket
     outside the span raises ClosureError.
     """
-    brackets = [bracket(X, b) for b in basis.elements]  # exact if X and b are
-    coords = _coords(brackets, basis.elements)
-    if coords is None:
+    if (coords := _coords([bracket(X, b) for b in basis.elements], basis.elements)) is None:
         raise ClosureError("bracket leaves the span of the basis")
-    re, im = coords
-    if all(map(is_rational, brackets)) and not im.any():
-        return re
-    return _floating(re, im)
-
-
-def _floating(re, im) -> np.ndarray:
-    """The complex coordinates re + i im of _coords; DomainError if one has
-    no finite float value."""
-    return to_complex(re) + 1j * to_complex(im)
+    return coords
 
 
 @_entry(2)
@@ -180,6 +171,16 @@ def Ad_apply(A: np.ndarray, X: np.ndarray) -> np.ndarray:
     return A @ X @ np.linalg.inv(A)
 
 
+def _constants(elements) -> dict:
+    """rowcore._constants of the elements, gated first as `bracket` gates them: the one
+    choice of bracketing an exact basis on sparse rows and any other by `bracket`."""
+    if elements:  # the empty basis of the zero algebra has nothing to gate
+        _gate(elements, exact=True)
+    brackets = None if all(map(is_rational, elements)) else [
+        _sparse_rows(bracket(A, B)) for A, B in itertools.combinations(elements, 2)]
+    return rowcore._constants([_sparse_rows(B) for B in elements], brackets)
+
+
 def structure_constants(basis: Basis) -> np.ndarray:
     """Exact rationals c[i][j][k] with [X_i, X_j] = sum_k c_ijk X_k.
 
@@ -187,13 +188,9 @@ def structure_constants(basis: Basis) -> np.ndarray:
     ClosureError if a bracket leaves the span, DomainError if any
     coefficient is not real.
     """
-    els, d = basis.elements, len(basis)
-    if exact := d > 1 and all(map(is_rational, els)):  # bracketed on sparse rows
-        _check_square(*els)
-    brackets = None if exact else [_sparse_rows(bracket(A, B))
-                                   for A, B in itertools.combinations(els, 2)]
+    d = len(basis)
     c = rzeros(d * d, d).reshape(d, d, d)
-    for (i, j), row in rowcore._constants([_sparse_rows(B) for B in els], brackets).items():
+    for (i, j), row in _constants(basis.elements).items():
         for k, x in row.items():
             c[i, j, k], c[j, i, k] = x, -x
     return c

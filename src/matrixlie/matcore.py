@@ -177,14 +177,25 @@ def _exact(M) -> np.ndarray | None:
     return np.vectorize(Fraction, otypes=[object])(M) if int in kinds else M
 
 
+def _gate(Ms, exact: bool = False) -> list:
+    """The matrices Ms as a floating entry point takes them: ShapeError unless nonempty, square
+    and of one shape, DomainError for a non-finite entry.  They come back as complex arrays;
+    with exact=True they stay exact, as arrays of Fractions, if all are object arrays of ints
+    (not bools) and Fractions, and else a floating array keeps its dtype and any other
+    (another object, integer or bool array, or a list) becomes complex."""
+    kept = exact and [_exact(M) for M in Ms]  # exact input stays exact
+    keep = exact and all(K is not None for K in kept)
+    Ms = kept if keep else [M if exact and type(M) is np.ndarray and M.dtype.kind in "fc"
+                            else to_complex(M) for M in Ms]
+    _check_square(*Ms)
+    if not keep and not all(map(_finite, Ms)):
+        raise DomainError("matrix entries must be finite")
+    return Ms
+
+
 def _entry(nmats: int, exact: bool = False):
     """Decorator of a floating entry point whose first nmats parameters are
-    matrices, by position or keyword: ShapeError unless nonempty, square
-    and of one shape, DomainError for a non-finite entry.  They reach the
-    function as complex arrays; with exact=True they stay exact, as arrays
-    of Fractions, if all are object arrays of ints (not bools) and Fractions,
-    and else a floating array keeps its dtype and any other (another object,
-    integer or bool array, or a list) becomes complex.  numpy's
+    matrices, by position or keyword, which reach it through _gate.  numpy's
     overflow, invalid and divide warnings are silenced while it runs; a
     non-finite floating array in its result, alone or in a tuple, raises DomainError."""
 
@@ -197,15 +208,7 @@ def _entry(nmats: int, exact: bool = False):
             if len(args) < nmats:  # a matrix passed by keyword; a missing one is a TypeError
                 bound = signature.bind(*args, **kwargs)
                 args, kwargs = bound.args, bound.kwargs
-            Ms = args[:nmats]
-            kept = exact and [_exact(M) for M in Ms]  # exact input stays exact
-            keep = exact and all(K is not None for K in kept)
-            Ms = kept if keep else [M if exact and type(M) is np.ndarray and M.dtype.kind in "fc"
-                                    else to_complex(M) for M in Ms]
-            _check_square(*Ms)
-            if not keep and not all(map(_finite, Ms)):
-                raise DomainError("matrix entries must be finite")
-            out = quiet(*Ms, *args[nmats:], **kwargs)
+            out = quiet(*_gate(args[:nmats], exact), *args[nmats:], **kwargs)
             for R in out if type(out) is tuple else (out,):
                 if type(R) is np.ndarray and R.dtype.kind in "fc" and not _finite(R):
                     raise DomainError("the result has a non-finite entry")

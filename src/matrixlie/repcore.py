@@ -64,8 +64,9 @@ DENSE_ROW = 3
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _check_shapes(labels, shapes):
-    """ShapeError unless one nonempty square generator per label, all of one size; labels differ."""
+def _check_shapes(labels, shapes, weights=None, key=int):
+    """ShapeError unless one nonempty square generator per label, all of one size, and weights,
+    if given, a dict keyed by the basis indices i as key(i); DomainError if labels repeat."""
     if not shapes:
         raise ShapeError("a representation needs at least one generator")
     if len(labels) != len(shapes):
@@ -75,6 +76,9 @@ def _check_shapes(labels, shapes):
     n = max(shapes[0], default=0)
     if not n or any(s != (n, n) for s in shapes):
         raise ShapeError("generators must be nonempty square matrices of one size")
+    if weights is not None and (not isinstance(weights, dict)
+                                or weights.keys() != set(map(key, range(n)))):
+        raise ShapeError('the "weights" keys must be the basis indices 0..dim-1')
 
 
 class Representation:
@@ -88,7 +92,7 @@ class Representation:
         import numpy as np
 
         gens = tuple(np.asarray(g) for g in generators)
-        _check_shapes(labels, [g.shape for g in gens])
+        _check_shapes(labels, [g.shape for g in gens], weights)
         exact = all(map(matcore.is_rational, gens))
         self._hold(algebra, labels, [matcore._sparse_rows(g) for g in gens], weights, exact, False)
 
@@ -97,9 +101,12 @@ class Representation:
         """A representation on generators given as sparse rows (a list, of Fraction entries if
         exact) or (rows, D) pairs (a tuple), as held, or a callable returning them: called on
         the first read of held if relations_hold and weights are given, else at once.  Pass
-        relations_hold=True only for generators that satisfy the relations by construction."""
-        rep = cls.__new__(cls)
-        rep._hold(algebra, labels, rows, weights, exact, relations_hold)
+        relations_hold=True only for generators that satisfy the relations by construction;
+        else the rows and weights are checked as Representation(...) checks its arguments."""
+        rep = cls.__new__(cls)._hold(algebra, labels, rows, weights, exact, relations_hold)
+        if not relations_hold:  # a column outside range(len(N)) makes N not square
+            _check_shapes(labels, [(len(N), len(N) if all(c in range(len(N)) for r in N for c in r)
+                                    else 0) for N, _ in rep.held], weights)
         return rep
 
     def _hold(self, algebra, labels, rows, weights, exact, relations_hold):
@@ -108,6 +115,7 @@ class Representation:
         self._held = rows if callable(rows) else lambda: rows
         if not (relations_hold and weights is not None):
             self._held = self.held  # untrusted rows are built at once
+        return self
 
     @property
     def held(self) -> tuple:
@@ -159,9 +167,7 @@ def verify_relations(rep: Representation, basis, tol_abs: float = 1e-10) -> bool
     A floating one passes when the residual of each pair is within tol_abs
     in Frobenius norm.
     """
-    c, pairs = liealg.structure_constants(basis), itertools.combinations(range(len(basis)), 2)
-    c = {(i, j): {k: x for k, x in enumerate(c[i, j]) if x} for i, j in pairs}
-    return _verify_relations(rep, tuple(basis.labels), c, tol_abs)
+    return _verify_relations(rep, tuple(basis.labels), liealg._constants(basis.elements), tol_abs)
 
 
 def _verify_relations(rep: Representation, labels: tuple, c: dict, tol_abs: float = 1e-10) -> bool:
@@ -355,8 +361,10 @@ def rep_from_json(obj: dict) -> Representation:
     labels, gens, weights = obj["labels"], obj["generators"], obj.get("weights")
     if not isinstance(labels, list) or not isinstance(gens, list):
         raise DomainError('"labels" and "generators" must be lists')
+    if weights is not None and not isinstance(weights, dict):
+        raise DomainError('"weights" must be an object of basis index -> weight')
     mats = [_json_matrix(g) for g in gens]  # exact: integer rows over D; floating: dense over 1
-    _check_shapes(labels, [(len(M), cols) for M, _, cols in mats])
+    _check_shapes(labels, [(len(M), cols) for M, _, cols in mats], weights, str)
     n = mats[0][2]
     dim = obj.get("dim", n)
     if type(dim) is not int:  # bool is not int
@@ -364,10 +372,6 @@ def rep_from_json(obj: dict) -> Representation:
     if dim != n:
         raise ShapeError(f'"dim" is {dim}, but the generators are {n}x{n}')
     if weights is not None:
-        if not isinstance(weights, dict):
-            raise DomainError('"weights" must be an object of basis index -> weight')
-        if set(weights) != {str(i) for i in range(n)}:
-            raise ShapeError('the "weights" keys must be the basis indices 0..dim-1')
         shapes = {len(w) if type(w) is list else None for w in weights.values()}
         entries = (x for w in weights.values() for x in (w if type(w) is list else [w]))
         if len(shapes) > 1 or not all(type(x) is int for x in entries):  # bool is not int
@@ -377,4 +381,5 @@ def rep_from_json(obj: dict) -> Representation:
     gens = [(M, D) if type(M) is list else (matcore._sparse_rows(M), 1) for M, D, _ in mats]
     if not isinstance(obj["algebra"], str):
         raise DomainError('"algebra" must be a string')
-    return Representation.from_rows(obj["algebra"], labels, gens, weights, exact)
+    return Representation.__new__(Representation)._hold(  # checked above, unlike from_rows
+        obj["algebra"], labels, gens, weights, exact, False)

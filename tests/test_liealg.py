@@ -362,3 +362,37 @@ def test_Ad_accepts_the_identity_in_high_dimension():
     # (||A||_F / sqrt n)^n, which is 1 for every multiple of a unitary matrix
     X = np.arange(900.0).reshape(30, 30)
     assert np.array_equal(Ad_apply(np.eye(30), X), X)
+
+
+@pytest.mark.parametrize("name", [*BASES, "sl2_rational"])
+def test_ad_matrix_is_the_transposed_structure_constants(name):
+    # column j of ad b_i holds the coordinates of [b_i, b_j], which are c_ij.
+    basis = sl2_basis_rational() if name == "sl2_rational" else BASES[name]()
+    c = structure_constants(basis)
+    for i, b in enumerate(basis.elements):
+        ad = ad_matrix(b, basis)
+        assert ad.dtype == (object if name in ("sl2_rational", "sl3") else np.complex128)
+        assert ad.shape == (len(basis),) * 2 and (ad == c[i].T).all(), (name, i)
+
+
+@pytest.mark.parametrize("element, error", [
+    (rmat([[1, 2, 3], [4, 5, 6]]), ShapeError),
+    (np.array([[np.nan]]), DomainError),
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), DomainError),
+])
+def test_a_one_element_basis_is_gated(element, error):
+    # a basis of one element has no bracket to gate it, yet is checked as d >= 2 checks
+    from matrixlie.repcore import verify_relations
+    from matrixlie.repsl2 import sl2_irrep
+
+    basis = Basis("x", ("a",), (element,))
+    with pytest.raises(error):
+        structure_constants(basis)
+    with pytest.raises(error):
+        verify_relations(sl2_irrep(1), basis)
+
+
+def test_a_one_element_basis_has_no_structure_constants():
+    for element in (rmat([[1, 2], [3, 4]]), np.array([[1.0, 2.0], [0.0, 1j]])):
+        c = structure_constants(Basis("x", ("a",), (element,)))
+        assert c.shape == (1, 1, 1) and c[0, 0, 0] == 0

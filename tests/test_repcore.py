@@ -927,3 +927,54 @@ def test_rows_to_text_of_v40_is_the_json_dumps_of_rows_to_json():
         text = rowcore._rows_to_text(rows, D, rep.dim)
         assert text == _dumps(rowcore._rows_to_json(rows, D, rep.dim))
         assert json.loads(text)["num"] == [rows[i].get(j, 0) for i in range(41) for j in range(41)]
+
+
+def _refusals():
+    """(from_rows arguments, error) of malformed representations of sl2_irrep(1)."""
+    r = sl2_irrep(1)
+    rows = list(r.rows)
+    return [
+        (("sl(2,C)", (), []), ShapeError),  # no generator
+        (("sl(2,C)", ("H", "H", "Y"), rows), DomainError),  # a repeated label
+        (("sl(2,C)", ("H", "X"), rows), ShapeError),  # a label short
+        ((r.algebra, r.labels, [rows[0], rows[1], rows[2][:1]]), ShapeError),  # a row short
+        ((r.algebra, r.labels, [rows[0], rows[1], [{}, {2: Fraction(1)}]]), ShapeError),  # a column
+        ((r.algebra, r.labels, [[{}] * 0] * 3), ShapeError),  # empty generators
+        ((r.algebra, r.labels, rows, {0: 1}), ShapeError),  # weights short of the basis
+        ((r.algebra, r.labels, rows, {0: 1, 1: -1, 2: 0}), ShapeError),  # weights beyond it
+        ((r.algebra, r.labels, rows, {"0": 1, "1": -1}), ShapeError),  # keys not indices
+        ((r.algebra, r.labels, rows, [1, -1]), ShapeError),  # weights with no keys
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_refusals())))
+def test_untrusted_from_rows_refuses_what_the_constructor_refuses(case):
+    args, error = _refusals()[case]
+    with pytest.raises(error):
+        Representation.from_rows(*args)
+    dense = [repcore.matcore._dense(N, (len(N), max([len(N), *(c + 1 for r in N for c in r)])))
+             for N in args[2]]  # the same generators as arrays, each as wide as it reaches
+    with pytest.raises(error):
+        Representation(*args[:2], dense, *args[3:])
+
+
+def test_weights_must_cover_the_basis():
+    # a partial weights dict gave a tensor product of dim 4 and two weights, whose JSON
+    # rep_from_json refused
+    r = sl2_irrep(1)
+    with pytest.raises(ShapeError, match="basis indices"):
+        Representation(r.algebra, r.labels, r.generators, {0: 1})
+    with pytest.raises(ShapeError, match="basis indices"):
+        Representation.from_rows(r.algebra, r.labels, r.rows, {0: 1})
+    with pytest.raises(ShapeError, match="basis indices"):
+        rep_from_json({**rep_to_json(r), "weights": {"0": 1}})
+    full = Representation(r.algebra, r.labels, r.generators, {0: 1, 1: -1})
+    assert tensor_product(full, r).dim == 4 and tensor_product(full, full).weights == {
+        0: 2, 1: 0, 2: 0, 3: -2}
+
+
+def test_rep_from_json_checks_shapes_once(monkeypatch):
+    calls, check = [], repcore._check_shapes
+    monkeypatch.setattr(repcore, "_check_shapes", lambda *a: calls.append(a) or check(*a))
+    rep = rep_from_json(rep_to_json(sl2_irrep(3)))
+    assert len(calls) == 1 and rep.dim == 4 and verify_relations(rep, sl2_basis_rational())
