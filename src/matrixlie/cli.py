@@ -127,9 +127,8 @@ _COMMANDS = {
     "decompose": ({"sl2": (lambda a, tol: {"summands": repsl2.sl2_decompose(
         _load_json(a.rep, repcore.rep_from_json))}, {"rep": _S}, {},
         "of sl(2), given as JSON of rational matrices")}, {}, {}, "decompose a representation"),
-    "cg": (lambda a, tol: {"summands": repsl2.sl2_decompose(repcore.tensor_product(
-        repsl2.sl2_irrep(a.m), repsl2.sl2_irrep(a.n)))}, {"m": _I, "n": _I}, {},
-        "decompose tensor of two sl2 irreducibles"),
+    "cg": (lambda a, tol: {"summands": repsl2._cg(a.m, a.n)}, {"m": _I, "n": _I}, {},
+           "decompose tensor of two sl2 irreducibles"),
     "dim": ({"sl3": (lambda a, tol: repsl3.sl3_dim_formula(a.m1, a.m2), _M12, {},
                      "of the sl(3) irreducible of highest weight (m1, m2)")},
             {}, {}, "dimension formula"),

@@ -21,9 +21,8 @@ may skip verify_relations.  Only the irreducible builders set it
 (sl2_irrep, sl2_poly_irrep, sl3_highest_weight_irrep), and _construct,
 under direct_sum, tensor_product and dual, keeps it if all inputs have it.
 Representation(...), from_rows by default and rep_from_json leave it
-unset, so a hand-built or JSON representation is always checked.  Trusted
-constructions (see from_rows) and sl2_irrep build their rows on the first
-read of ``held``; the flag is sound as held rows never change: do not mutate them.
+unset, so a hand-built or JSON representation is always checked.  The flag
+is sound as held rows never change: do not mutate them.
 """
 
 from __future__ import annotations
@@ -98,11 +97,9 @@ class Representation:
 
     @classmethod
     def from_rows(cls, algebra: str, labels, rows, weights=None, exact=True, relations_hold=False):
-        """A representation on generators given as sparse rows (a list, of Fraction entries if
-        exact) or (rows, D) pairs (a tuple), as held, or a callable returning them: called on
-        the first read of held if relations_hold and weights are given, else at once.  Pass
-        relations_hold=True only for generators that satisfy the relations by construction;
-        else the rows and weights are checked as Representation(...) checks its arguments."""
+        """A representation on sparse rows (a list, of Fraction entries if exact) or (rows, D)
+        pairs (a tuple), as held.  Pass relations_hold=True only for generators that satisfy the
+        relations by construction; else they are checked as Representation(...) checks its own."""
         rep = cls.__new__(cls)._hold(algebra, labels, rows, weights, exact, relations_hold)
         if not relations_hold:  # a column outside range(len(N)) makes N not square
             _check_shapes(labels, [(len(N), len(N) if all(c in range(len(N)) for r in N for c in r)
@@ -112,19 +109,13 @@ class Representation:
     def _hold(self, algebra, labels, rows, weights, exact, relations_hold):
         self.algebra, self.labels, self.weights = algebra, tuple(labels), weights
         self.exact, self.relations_hold = exact, relations_hold
-        self._held = rows if callable(rows) else lambda: rows
-        if not (relations_hold and weights is not None):
-            self._held = self.held  # untrusted rows are built at once
+        try:
+            held = [g if type(g) is tuple else _integer_rows(g) if exact else (g, 1) for g in rows]
+        except AttributeError:  # a row that is no dict, or an entry with no as_integer_ratio
+            raise DomainError("rows of exact=True must be dicts of rational entries") from None
+        self.held = tuple(held if exact else _floating(held))
+        self.dim = len(held[0][0]) if held else 0  # 0 with no generator: from_rows refuses it
         return self
-
-    @property
-    def held(self) -> tuple:
-        """The generators as (rows, D) pairs, built on the first read if deferred."""
-        if callable(self._held):
-            held = [g if type(g) is tuple else _integer_rows(g) if self.exact else (g, 1)
-                    for g in self._held()]
-            self._held = tuple(held if self.exact else _floating(held))
-        return self._held
 
     @property
     def rows(self) -> tuple:
@@ -133,10 +124,6 @@ class Representation:
 
     def _rows(self, held: tuple) -> list:
         return _fractions(*held) if self.exact else list(map(dict, held[0]))
-
-    @property
-    def dim(self) -> int:
-        return len(self.weights) if callable(self._held) else len(self._held[0][0])
 
     @property
     def generators(self) -> tuple:
@@ -275,7 +262,7 @@ def _construct(reps: tuple, generator, weight, op=None) -> Representation:
             raise DomainError("the representations' weights differ in shape")
         weights = weight(op if None in shapes else lambda *w: tuple(map(op, *w)), *weights)
     return Representation.from_rows(
-        reps[0].algebra, reps[0].labels, lambda: [generator(*itertools.chain(*g)) for g in zip(*(
+        reps[0].algebra, reps[0].labels, [generator(*itertools.chain(*g)) for g in zip(*(
             r.held if r.exact == exact else _floating(r.held) for r in reps))],
         weights, exact, all(r.relations_hold for r in reps))
 

@@ -41,12 +41,19 @@ def __getattr__(name):  # liealg, and numpy with it, loads only when this is ask
 
 
 def sl2_irrep(m: int) -> Representation:
-    """The (m+1)-dimensional irreducible representation, abstract basis; rows built when read."""
+    """The (m+1)-dimensional irreducible representation, abstract basis."""
     if (m := _integer(m, 0)) is None:
         raise ValueError("m must be a nonnegative integer")
     weights, matrices = _gelfand_tsetlin((m, 0))
-    return Representation.from_rows("sl(2,C)", ("H", "X", "Y"), lambda: [G[0] for G in matrices()],
+    return Representation.from_rows("sl(2,C)", ("H", "X", "Y"), [G[0] for G in matrices()],
                                     {k: w for k, (w,) in enumerate(weights)}, relations_hold=True)
+
+
+def _cg(m: int, n: int) -> list:
+    """V_m (x) V_n's highest weights by _summands on the smaller factor's weights alone."""
+    if None in (m := _integer(m, 0), n := _integer(n, 0)):
+        raise ValueError("m and n must be nonnegative integers")
+    return _summands(max(m, n), [w for w, in _gelfand_tsetlin((min(m, n), 0))[0]])
 
 
 def sl2_poly_irrep(m: int) -> Representation:
@@ -110,8 +117,8 @@ def sl2_decompose(rep: Representation) -> list:
     """Multiset of highest weights m of the irreducible summands, descending.
 
     A rep is determined up to isomorphism by its H-weight multiplicities, so
-    the number of summands V_m is mult(m) - mult(m+2): the Weyl character
-    formula read as an alternating sum.  _weights reads the weights: a
+    _summands counts the summands from its weights with top weight 0, the
+    Weyl character formula read as an alternating sum.  _weights reads them: a
     flagged rep's own, else the diagonal of pi(H) when pi(H) is triangular,
     all upper or all lower, and that diagonal integral; JSON weights are
     never trusted.  Any other rep falls back to _kernel_highest_weights.
@@ -127,12 +134,19 @@ def sl2_decompose(rep: Representation) -> list:
     if (weights := _weights(rep, strict=False)) is None:
         found = _kernel_highest_weights(rep, rep.rows_of("H"))
     else:
-        mult = collections.Counter(weights)
-        found = [m for m in range(max(weights), -1, -1) for _ in range(mult[m] - mult[m + 2])]
+        found = _summands(0, weights)
     covered = sum(found) + len(found)
     if covered != rep.dim:
         raise DecompositionError(f"summand dimensions total {covered}, expected {rep.dim}")
     return found
+
+
+def _summands(top: int, weights) -> list:
+    """The highest weights of V_top (x) V, descending, V of these weights, by Brauer-Klimyk:
+    with v = top + w + 1, weight w adds V_(v-1) if v > 0 and takes V_(-v-1) away if v < 0."""
+    count = collections.Counter(v - 1 for w in weights if (v := top + w + 1) > 0)
+    count.subtract(-v - 1 for w in weights if (v := top + w + 1) < 0)
+    return [m for m in sorted(count, reverse=True) for _ in range(count[m])]
 
 
 def _kernel_highest_weights(rep: Representation, H) -> list:

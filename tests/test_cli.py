@@ -118,6 +118,12 @@ def test_usage_error_exit_2():
 def test_cg():
     r = run_cli("cg", "2", "1")
     assert json.loads(r.stdout) == {"summands": [3, 1]}
+    for argv in (["cg", "-1", "2"], ["cg", "2", "-1"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 1
+        assert json.loads(out.getvalue()) == {
+            "error": "value", "detail": "m and n must be nonnegative integers"}
 
 
 def _stdout(argv):
@@ -128,17 +134,20 @@ def _stdout(argv):
 
 
 def test_cg_builds_no_matrices(monkeypatch):
-    # cg counts the product's weights: neither factor's matrices nor the product's are built
+    # cg reads the smaller factor's weights: no matrix and no Representation is built
     calls, kron, gelfand_tsetlin = [], repcore._kron_sum, repsl2._gelfand_tsetlin
+    hold = repcore.Representation._hold
 
     def spied(top):
         weights, matrices = gelfand_tsetlin(top)
         return weights, lambda: calls.append("matrices") or matrices()
     monkeypatch.setattr(repcore, "_kron_sum", lambda *a: calls.append("kron") or kron(*a))
     monkeypatch.setattr(repsl2, "_gelfand_tsetlin", spied)
-    for m, n in ((0, 0), (3, 2), (5, 5), (40, 37)):
+    monkeypatch.setattr(repcore.Representation, "_hold",
+                        lambda *a: calls.append("hold") or hold(*a))
+    for m, n in ((0, 0), (3, 2), (2, 3), (5, 5), (40, 37), (1200, 7), (1000, 999)):
         got = json.loads(_stdout(["cg", str(m), str(n)]))
-        assert got == {"summands": list(range(m + n, m - n - 1, -2))}
+        assert got == {"summands": list(range(m + n, abs(m - n) - 1, -2))}
     assert calls == []
     # rep sl2 prints its rows and decompose sl2 reads a product's JSON: both build them, and
     # print what the pinned digests and cg print
@@ -148,7 +157,7 @@ def test_cg_builds_no_matrices(monkeypatch):
         assert hashlib.sha256(text.encode()).hexdigest() == golden[f"rep sl2 {m} {model}"]["sha256"]
     product = json.dumps(rep_to_json(repcore.tensor_product(sl2_irrep(3), sl2_irrep(2))))
     assert _stdout(["decompose", "sl2", product]) == _stdout(["cg", "3", "2"])
-    assert {"kron", "matrices"} <= set(calls)
+    assert {"kron", "matrices", "hold"} <= set(calls)
 
 
 def test_bch_series_commuting():

@@ -765,30 +765,6 @@ def test_weights_are_the_diagonal_of_the_cartan_generators():
         assert [rep.weights[i] for i in range(rep.dim)] == _cartan_diagonal(rep), rep.dim
 
 
-def _built(rep) -> bool:
-    """Whether rep's rows are built: a trusted rep holds a callable until held is read."""
-    return not callable(rep.__dict__["_held"])
-
-
-def test_deferred_rows_equal_eagerly_built_ones(monkeypatch):
-    lazy = _weighted_reps()
-    deferred = [r for r in lazy if not _built(r)]
-    assert len(deferred) > len(lazy) // 2
-    with monkeypatch.context() as m:  # every from_rows builds its rows at once
-        build = Representation.from_rows.__func__
-        m.setattr(Representation, "from_rows",
-                  classmethod(lambda cls, *a, **k: (r := build(cls, *a, **k)).held and r))
-        eager = _weighted_reps()
-    assert all(map(_built, eager))
-    for r, e in zip(lazy, eager):  # read before any rows are built
-        assert (r.dim, r.weights, r.relations_hold) == (e.dim, e.weights, e.relations_hold)
-    assert not any(map(_built, deferred))
-    for r, e in zip(lazy, eager):
-        assert r.held == e.held and r.rows == e.rows
-        assert rep_to_json(r) == rep_to_json(e) and _rep_text(r) == _rep_text(e)
-        assert _built(r) and r.held is r.held  # built once, then kept
-
-
 def test_constructions_keep_weights_only_when_every_input_has_them():
     a, b = sl2_irrep(2), sl2_irrep(1)
     bare = Representation.from_rows(b.algebra, b.labels, b.held, relations_hold=True)
@@ -971,6 +947,15 @@ def test_weights_must_cover_the_basis():
     full = Representation(r.algebra, r.labels, r.generators, {0: 1, 1: -1})
     assert tensor_product(full, r).dim == 4 and tensor_product(full, full).weights == {
         0: 2, 1: 0, 2: 0, 3: -2}
+
+
+def test_exact_rows_of_complex_entries_are_a_domain_error():
+    # the default exact=True raised a bare AttributeError from the row kernel
+    r = sl2_irrep(1)
+    with pytest.raises(DomainError, match="exact=True"):
+        Representation.from_rows(r.algebra, r.labels, [[{0: 1j}, {}]] * 3)
+    rep = Representation.from_rows(r.algebra, r.labels, [[{0: 1j}, {}]] * 3, exact=False)
+    assert not rep.exact and rep.dim == 2 and rep.rows_of("X") == [{0: 1j}, {}]
 
 
 def test_rep_from_json_checks_shapes_once(monkeypatch):

@@ -374,7 +374,7 @@ def test_cg_does_not_check_but_decompose_of_json_does(monkeypatch):
 
 
 def test_cg_and_decompose_of_the_same_product_agree():
-    # cg trusts its tensor product; the same product as JSON is unflagged
+    # cg reads the smaller factor's weights; the product as JSON is unflagged
     # and checked, and both print the Clebsch-Gordan rule
     for m in range(13):
         for n in range(m + 1):
@@ -383,6 +383,18 @@ def test_cg_and_decompose_of_the_same_product_agree():
             text = json.dumps(rep_to_json(tensor_product(sl2_irrep(m), sl2_irrep(n))))
             assert _cli("cg", str(m), str(n)) == (0, want)
             assert _cli("decompose", "sl2", text) == (0, want), (m, n)
+
+
+def test_summands_from_either_top_weight_agree():
+    # Brauer-Klimyk: V_m (x) V_n from V_m's top weight and V_n's weights, a weight w with
+    # m + w + 1 < 0 cancelling a summand when m < n, equals the count of the product's weights
+    for m in range(10):
+        for n in range(10):
+            product = tensor_product(sl2_irrep(m), sl2_irrep(n))
+            want = list(range(m + n, abs(m - n) - 1, -2))
+            assert repsl2._summands(m, list(sl2_irrep(n).weights.values())) == want, (m, n)
+            assert repsl2._summands(0, list(product.weights.values())) == want
+    assert repsl2._summands(1, [3, 1, -1, -3]) == [4, 2]  # V_0 added at w = -1, taken at w = -3
 
 
 # --- the character rule n_m = mult(m) - mult(m+2) and the K-matrix path
