@@ -248,7 +248,10 @@ def main(argv=None) -> int:
     except LieError as e:
         print(json.dumps({"error": e.kind, "detail": str(e)}))
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as e:
+    except BrokenPipeError:  # the reader closed stdout: write nothing more, not even at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ValueError, KeyError, OSError) as e:
         print(json.dumps({"error": "value", "detail": str(e)}))
         return 1
 

@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .matcore import (
     approx_eq,
     frobenius_norm,
     is_rational,
-    rdot,
     reye,
     to_complex,
 )
@@ -111,9 +109,9 @@ def mat_exp(X: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return _exp(X)
 
 
+@_entry(1, exact=True)
 def mat_exp_nilpotent(X: np.ndarray) -> np.ndarray:
     """Exact e^X for a nilpotent rational X (the series terminates)."""
-    _check_square(X)
     if not is_rational(X):
         raise DomainError("mat_exp_nilpotent requires an exact rational matrix")
     n = X.shape[0]
@@ -122,7 +120,7 @@ def mat_exp_nilpotent(X: np.ndarray) -> np.ndarray:
     E = reye(n)
     term = reye(n)
     for m in range(1, n):
-        term = rdot(term, X) / Fraction(m)
+        term = term @ X / m
         E = E + term
     return E
 
@@ -175,6 +173,7 @@ def mat_log(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return (2**k * L).reshape(A.shape).astype(complex)
 
 
+@_entry(1, exact=True)
 def heisenberg_log(A: np.ndarray) -> np.ndarray:
     """Exact log of a 3x3 unit upper triangular rational matrix.
 
@@ -186,7 +185,7 @@ def heisenberg_log(A: np.ndarray) -> np.ndarray:
     N = A - reye(3)
     if np.tril(N).any():
         raise DomainError("matrix is not unit upper triangular")
-    return N - rdot(N, N) / Fraction(2)
+    return N - N @ N / 2
 
 
 @_entry(2)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .matcore import (DEFAULT_TOL, Tolerance, _check_square, _close, _count, _entry, _finite,
-                      _integer, _relative_det, is_rational, rmat, to_complex)
+from .matcore import (DEFAULT_TOL, Tolerance, _close, _count, _entry, _gate, _integer,
+                      _relative_det, to_complex)
 
 __all__ = [
     "GroupId",
@@ -281,23 +281,16 @@ def euclidean_embed(R: np.ndarray, x) -> np.ndarray:
     """Embed a rigid motion {x, R} as the (n+1)x(n+1) block matrix [[R, x],[0, 1]].
 
     This is a homomorphism: embed(R1,x1) @ embed(R2,x2) = embed(R1 R2, x1 + R1 x2).
-    The result is exact when R and x are both rational, and complex otherwise.
+    The block matrix is read by _gate(..., exact=True), so it is exact when R and x are both
+    exact, and complex otherwise.
     """
-    R = np.asarray(R)
-    x = np.asarray(x).reshape(-1)
-    _check_square(R)
-    n = len(R)
-    if x.shape != (n,):
+    R, x = np.asarray(R, dtype=object), np.asarray(x, dtype=object).reshape(-1)
+    n = len(x)  # ragged R or x is an array of lists, refused below or by _gate
+    if not n or R.shape != (n, n):
         raise ShapeError(f"need n x n rotation and length-n vector, got {R.shape}, {x.shape}")
-    exact = is_rational(R) and is_rational(x)
-    if not exact:
-        R, x = to_complex(R), to_complex(x)
-        if not (_finite(R) and _finite(x)):
-            raise DomainError("R and x must have finite entries")
-    E = np.eye(n + 1, dtype=object if exact else complex)
-    E[:n, :n] = R
-    E[:n, n] = x
-    return rmat(E) if exact else E
+    E = np.eye(n + 1, dtype=object)
+    E[:n, :n], E[:n, n] = R, x
+    return _gate([E], exact=True)[0]
 
 
 @_entry(1)

@@ -174,8 +174,7 @@ def Ad_apply(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _constants(elements) -> dict:
     """rowcore._constants of the elements, gated first as `bracket` gates them: the one
     choice of bracketing an exact basis on sparse rows and any other by `bracket`."""
-    if elements:  # the empty basis of the zero algebra has nothing to gate
-        _gate(elements, exact=True)
+    elements = _gate(elements, exact=True) if elements else ()  # the zero algebra's basis is ()
     brackets = None if all(map(is_rational, elements)) else [
         _sparse_rows(bracket(A, B)) for A, B in itertools.combinations(elements, 2)]
     return rowcore._constants([_sparse_rows(B) for B in elements], brackets)

@@ -5,8 +5,10 @@ ones are ``numpy`` arrays of ``complex128``, exact rational ones are
 ``numpy`` object arrays of ``fractions.Fraction`` (never rounded, always
 in lowest terms).  ``_sparse_rows`` and ``_dense`` convert them to and from
 the sparse rows of the exact row kernel, ``rowcore``, which imports no
-numpy; its names are re-exported here.  Also here: norms, the floating
-entry-point gate, exact rank/nullspace/solve and the JSON interchange format.
+numpy; its names are re-exported here.  ``is_rational`` is the one test of
+exactness, and two readers take matrices by it: ``rmat`` for the rectangular
+exact algebra and ``_gate`` for square entry points.  Also here: norms, exact
+rank/nullspace/solve and the JSON interchange format.
 """
 
 from __future__ import annotations
@@ -97,17 +99,16 @@ def _close(A: np.ndarray, B: np.ndarray, tol: Tolerance) -> bool:
 
 
 def rmat(rows) -> np.ndarray:
-    """Build an exact rational matrix (object array of Fraction)."""
-    data = [[Fraction(x) for x in row] for row in rows]
-    if not data:
-        raise ShapeError("a rational matrix needs at least one row")
-    A = np.empty((len(data), len(data[0])), dtype=object)
-    for i, row in enumerate(data):
-        if len(row) != A.shape[1]:
-            raise ShapeError("ragged rows")
-        for j, x in enumerate(row):
-            A[i, j] = x
-    return A
+    """rows, nested lists or any 2-d array, as a new exact matrix of Fractions: the one reader of
+    the rectangular exact algebra (rdot, rational_*).  ShapeError for ragged or empty rows,
+    DomainError for an entry that Fraction cannot read (inf, NaN, complex, a non-number)."""
+    A = np.asarray(rows, dtype=object)  # ragged rows make an array of lists, not 2-d
+    if A.ndim != 2 or not A.size:
+        raise ShapeError(f"a rational matrix needs nonempty rows of one length, got {A.shape}")
+    try:
+        return np.vectorize(Fraction, otypes=[object])(A)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("an entry has no exact rational value") from None
 
 
 def rzeros(rows: int, cols: int) -> np.ndarray:
@@ -124,14 +125,18 @@ def reye(n: int) -> np.ndarray:
 
 
 def rdot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact matrix product of rational matrices."""
+    """Exact matrix product of rational matrices, each read by rmat."""
+    A, B = rmat(A), rmat(B)
     if A.shape[1] != B.shape[0]:
         raise ShapeError(f"cannot multiply {A.shape} by {B.shape}")
     return np.dot(A, B)
 
 
 def is_rational(M) -> bool:
-    return isinstance(M, np.ndarray) and M.dtype == object
+    """Whether M is an exact matrix: an object array whose entries are all ints (not bools) or
+    Fractions.  The one test of exactness; rmat and _gate read matrices by it."""
+    return (isinstance(M, np.ndarray) and M.dtype == object
+            and set(map(type, M.flat)) <= {int, Fraction})
 
 
 def to_complex(M: np.ndarray) -> np.ndarray:
@@ -158,7 +163,7 @@ def to_complex(M: np.ndarray) -> np.ndarray:
 def _check_square(*Ms):
     """Raise ShapeError unless the arrays, of any dtype, are nonempty,
     square and of one shape."""
-    shape = Ms[0].shape
+    shape = Ms[0].shape if Ms else ()
     if len(shape) != 2 or shape[0] != shape[1] or not shape[0] or len({M.shape for M in Ms}) > 1:
         shapes = ", ".join(str(M.shape) for M in Ms)
         raise ShapeError(f"need nonempty square matrices of one shape, got {shapes}")
@@ -169,24 +174,15 @@ def _finite(M: np.ndarray) -> bool:
     return math.isfinite(np.vdot(M, M).real) or bool(np.isfinite(M).all())
 
 
-def _exact(M) -> np.ndarray | None:
-    """M, an object array of ints (not bools) and Fractions, with each int as a
-    Fraction, so that / stays exact; None for any other M."""
-    if not is_rational(M) or not (kinds := set(map(type, M.flat))) <= {int, Fraction}:
-        return None
-    return np.vectorize(Fraction, otypes=[object])(M) if int in kinds else M
-
-
 def _gate(Ms, exact: bool = False) -> list:
-    """The matrices Ms as a floating entry point takes them: ShapeError unless nonempty, square
-    and of one shape, DomainError for a non-finite entry.  They come back as complex arrays;
-    with exact=True they stay exact, as arrays of Fractions, if all are object arrays of ints
-    (not bools) and Fractions, and else a floating array keeps its dtype and any other
-    (another object, integer or bool array, or a list) becomes complex."""
-    kept = exact and [_exact(M) for M in Ms]  # exact input stays exact
-    keep = exact and all(K is not None for K in kept)
-    Ms = kept if keep else [M if exact and type(M) is np.ndarray and M.dtype.kind in "fc"
-                            else to_complex(M) for M in Ms]
+    """The matrices Ms as a square entry point reads them, the one reader there: ShapeError
+    unless nonempty, square and of one shape, DomainError for a non-finite entry.  They come
+    back as complex arrays; with exact=True they stay exact, read by rmat as arrays of
+    Fractions, if all are exact (is_rational), and else a floating array keeps its dtype and
+    any other becomes complex."""
+    keep = exact and all(map(is_rational, Ms))  # rmat makes each int a Fraction, so / stays exact
+    Ms = [rmat(M) if keep else M if exact and type(M) is np.ndarray and M.dtype.kind in "fc"
+          else to_complex(M) for M in Ms]
     _check_square(*Ms)
     if not keep and not all(map(_finite, Ms)):
         raise DomainError("matrix entries must be finite")
@@ -259,13 +255,13 @@ def rational_rref(M: np.ndarray):
     Returns (R, pivots) where pivots[i] is the column of the leading 1 in
     row i of R.
     """
-    rows, pivots = _rref_rows(_sparse_rows(M))
+    rows, pivots = _rref_rows(_sparse_rows(M := rmat(M)))
     return _dense(rows, M.shape), pivots
 
 
 def rational_rank(M: np.ndarray) -> int:
     """Exact rank of a rational matrix."""
-    return len(_rref_rows(_sparse_rows(M))[1])
+    return len(_rref_rows(_sparse_rows(rmat(M)))[1])
 
 
 def rational_nullspace(M: np.ndarray) -> list[np.ndarray]:
@@ -274,7 +270,7 @@ def rational_nullspace(M: np.ndarray) -> list[np.ndarray]:
     len(result) == cols - rational_rank(M), and M @ v == 0 exactly for
     every returned v.
     """
-    cols = M.shape[1]
+    cols = (M := rmat(M)).shape[1]
     return [_dense([v], (1, cols)).T for v in _nullspace_rows(_sparse_rows(M), cols)]
 
 
@@ -284,6 +280,9 @@ def rational_solve(A: np.ndarray, b: np.ndarray):
     When the solution is underdetermined an arbitrary particular solution
     (free variables set to zero) is returned.
     """
+    A, b = rmat(A), rmat(b)
+    if len(A) != len(b):
+        raise ShapeError(f"cannot solve {A.shape} against {b.shape}")
     cols = A.shape[1]
     R, pivots = rational_rref(np.hstack([A, b]))
     if any(p >= cols for p in pivots):
@@ -295,11 +294,9 @@ def rational_solve(A: np.ndarray, b: np.ndarray):
 
 
 def rational_inverse(A: np.ndarray) -> np.ndarray:
-    """Exact inverse of a square rational matrix."""
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ShapeError("inverse requires a square matrix")
-    x = rational_solve(A, reye(n))  # None exactly when A is singular
+    """Exact inverse of a square rational matrix, read by rmat and then _gate."""
+    [A] = _gate([rmat(A)], exact=True)
+    x = rational_solve(A, reye(len(A)))  # None exactly when A is singular
     if x is None:
         raise ValueError("matrix is singular")
     return x
@@ -310,10 +307,14 @@ def rational_inverse(A: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_json(M: np.ndarray) -> dict:
+    """The JSON object of a matrix, exact if it is_rational and else floating."""
+    exact = is_rational(M)
+    M = M if exact else to_complex(M)
+    if M.ndim != 2:
+        raise ShapeError(f"expected a 2-d matrix, got shape {M.shape}")
     rows, cols = M.shape
-    if is_rational(M):
+    if exact:
         return _rows_to_json(*_integer_rows(_sparse_rows(M)), cols)
-    M = np.asarray(M, dtype=complex)
     out = {"rows": rows, "cols": cols, "re": M.real.ravel().tolist()}
     if np.any(M.imag != 0):
         out["im"] = M.imag.ravel().tolist()

@@ -87,13 +87,11 @@ class Representation:
     satisfy the relations."""
 
     def __init__(self, algebra: str, labels, generators, weights: dict | None = None):
-        """Take generators as object (exact) or complex (floating) arrays."""
-        import numpy as np
-
-        gens = tuple(np.asarray(g) for g in generators)
+        """Take generators as exact or floating matrices, read by matcore._gate(..., exact=True)."""
+        gens = matcore._gate(list(generators), exact=True)
         _check_shapes(labels, [g.shape for g in gens], weights)
-        exact = all(map(matcore.is_rational, gens))
-        self._hold(algebra, labels, [matcore._sparse_rows(g) for g in gens], weights, exact, False)
+        self._hold(algebra, labels, [matcore._sparse_rows(g) for g in gens], weights,
+                   matcore.is_rational(gens[0]), False)
 
     @classmethod
     def from_rows(cls, algebra: str, labels, rows, weights=None, exact=True, relations_hold=False):
@@ -111,7 +109,7 @@ class Representation:
         self.exact, self.relations_hold = exact, relations_hold
         try:
             held = [g if type(g) is tuple else _integer_rows(g) if exact else (g, 1) for g in rows]
-        except AttributeError:  # a row that is no dict, or an entry with no as_integer_ratio
+        except (AttributeError, ValueError, OverflowError):  # no dict, or no finite ratio
             raise DomainError("rows of exact=True must be dicts of rational entries") from None
         self.held = tuple(held if exact else _floating(held))
         self.dim = len(held[0][0]) if held else 0  # 0 with no generator: from_rows refuses it

@@ -264,6 +264,17 @@ def test_exp_overflow_is_a_domain_error():
         assert json.loads(r.stdout)["error"] == "domain"
 
 
+def test_a_reader_that_closes_the_pipe_ends_the_call_quietly():
+    # the error handler printed to the closed pipe: two chained BrokenPipeError tracebacks
+    p = subprocess.Popen([sys.executable, "-m", "matrixlie.cli", "rep", "sl2", "300"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert p.stdout.read(10) == b'{"algebra"'  # the output is far larger than a pipe holds
+    p.stdout.close()
+    assert p.wait(timeout=60) == 1
+    assert b"Traceback" not in p.stderr.read()
+    p.stderr.close()
+
+
 def test_usage_error_then_valid_calls_in_one_process():
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

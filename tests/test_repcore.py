@@ -952,8 +952,9 @@ def test_weights_must_cover_the_basis():
 def test_exact_rows_of_complex_entries_are_a_domain_error():
     # the default exact=True raised a bare AttributeError from the row kernel
     r = sl2_irrep(1)
-    with pytest.raises(DomainError, match="exact=True"):
-        Representation.from_rows(r.algebra, r.labels, [[{0: 1j}, {}]] * 3)
+    for x in (1j, float("nan"), float("inf"), -float("inf")):  # NaN and inf raised bare errors
+        with pytest.raises(DomainError, match="exact=True"):
+            Representation.from_rows(r.algebra, r.labels, [[{0: x}, {}]] * 3)
     rep = Representation.from_rows(r.algebra, r.labels, [[{0: 1j}, {}]] * 3, exact=False)
     assert not rep.exact and rep.dim == 2 and rep.rows_of("X") == [{0: 1j}, {}]
 
