@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError, OutOfDomainError
 from .expmlog import _exp, _exp_scaled
 from .liealg import Basis, _coords, ad_matrix, bracket
-from .matcore import _count, _entry, _integer, frobenius_norm, is_rational, reye
+from .matcore import _count, _entry, _gate, _integer, frobenius_norm, is_rational, reye
 
 _commutator = bracket.__wrapped__  # for matrices that an entry point has gated
 _PS_DOUBLINGS = 2  # _g_series sums blocks of s = 2^2 terms; 8 was slower on gl(4)
@@ -187,10 +187,11 @@ def bch_integral(
         y = S[1].ravel()
     else:
         adX, adY = ad_matrix(X, basis), ad_matrix(Y, basis)  # complex, as X and Y are
-        if (y := _coords([Y], basis.elements)) is None:  # complex, as Y is
+        elements = _gate(basis.elements, exact=True)  # as ad_matrix reads them
+        if (y := _coords([Y], elements)) is None:  # complex, as Y is
             raise DomainError("Y does not lie in the span of the basis")
         y = y[:, 0]
-        elements = np.asarray(basis.elements, dtype=complex)
+        elements = np.asarray(elements, dtype=complex)
         if not (adX.imag.any() or adY.imag.any() or y.imag.any()):  # a real algebra
             adX, adY, y = adX.real, adY.real, y.real
     h, t, w, steps = _simpson_plan(quad_points)

@@ -31,7 +31,7 @@ from .matcore import (
     _close,
     _count,
     _entry,
-    approx_eq,
+    _gate,
     frobenius_norm,
     is_rational,
     reye,
@@ -221,25 +221,24 @@ class OneParamSample:
 def one_param_generator(samples, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Recover X from samples of A(t) = e^(tX).
 
-    Takes log of the sample with smallest positive |t|, divides by t,
-    then cross-checks every other sample against e^(tX).
+    Takes log of the sample with smallest nonzero |t|, divides by t,
+    then cross-checks every other sample against e^(tX).  The values are
+    read once, by _gate, and used as read from then on.
     """
     if len(samples) < 2:
         raise DomainError("need at least 2 samples")
-    n = samples[0].value.shape[0]
     ts = [s.t for s in samples]
     if len(set(ts)) != len(ts):
         raise DomainError("sample t values must be distinct")
-    zero = next((s for s in samples if s.t == 0), None)
-    if zero is None or not approx_eq(zero.value, np.eye(n), tol):
+    A = dict(zip(ts, _gate([s.value for s in samples])))  # t -> A(t), complex
+    if 0 not in A or not _close(A[0], np.eye(len(A[0])), tol):
         raise DomainError("samples must include t = 0 with value = I")
-    positive = sorted((s for s in samples if s.t != 0), key=lambda s: abs(s.t))
-    first = positive[0]
-    X = mat_log(first.value) / float(first.t)  # complex128 also for a Fraction t
-    for s in samples:
-        if not approx_eq(mat_exp(s.t * X), s.value, tol):
+    first = min((t for t in ts if t != 0), key=abs)
+    X = mat_log(A[first]) / float(first)  # complex128 also for a Fraction t
+    for t, V in A.items():
+        if not _close(mat_exp(t * X), V, tol):
             raise InconsistentSamplesError(
-                f"sample at t = {s.t} is not generated by the recovered matrix"
+                f"sample at t = {t} is not generated by the recovered matrix"
             )
     return X
 

@@ -154,10 +154,11 @@ def _coords(targets, elements):
 def ad_matrix(X, basis: Basis):
     """The matrix of ad X = [X, .] in the given basis.
 
-    Column j holds the coordinates of [X, basis_j], by _coords; a bracket
-    outside the span raises ClosureError.
+    Column j holds the coordinates of [X, basis_j], by _coords, the elements read
+    as _constants reads them; a bracket outside the span raises ClosureError.
     """
-    if (coords := _coords([bracket(X, b) for b in basis.elements], basis.elements)) is None:
+    elements = _gate(basis.elements, exact=True)
+    if (coords := _coords([bracket(X, b) for b in elements], elements)) is None:
         raise ClosureError("bracket leaves the span of the basis")
     return coords
 
@@ -174,7 +175,7 @@ def Ad_apply(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _constants(elements) -> dict:
     """rowcore._constants of the elements, gated first as `bracket` gates them: the one
     choice of bracketing an exact basis on sparse rows and any other by `bracket`."""
-    elements = _gate(elements, exact=True) if elements else ()  # the zero algebra's basis is ()
+    elements = _gate(elements, exact=True)  # the zero algebra's basis () passes as []
     brackets = None if all(map(is_rational, elements)) else [
         _sparse_rows(bracket(A, B)) for A, B in itertools.combinations(elements, 2)]
     return rowcore._constants([_sparse_rows(B) for B in elements], brackets)

@@ -21,9 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .rowcore import (Tolerance, _axpy, _commutator, _count, _fractions, _integer,  # noqa: F401
-                      _integer_rows, _json_matrix, _lowest_terms, _nullspace_rows, _over_lcm,
-                      _rows_to_json, _rows_to_text, _rref_rows)
+from .rowcore import (Tolerance, _axpy, _commutator, _coords, _count, _fractions,  # noqa: F401
+                      _integer, _integer_rows, _json_matrix, _lowest_terms, _nullspace_rows,
+                      _over_lcm, _rows_to_json, _rows_to_text, _rref_rows)
 
 __all__ = [
     "Tolerance",
@@ -53,12 +53,12 @@ _TINY = float(np.finfo(float).tiny)  # the least normal float
 
 
 def cmat(rows) -> np.ndarray:
-    """Build a complex matrix from nested lists (or pass an array through)."""
-    A = np.asarray(rows, dtype=complex)
-    if A.ndim != 2:
+    """Build a complex matrix from nested lists (or pass an array through), read by to_complex:
+    ShapeError unless 2-d, DomainError for an entry that is not a finite number."""
+    if (A := to_complex(rows)).ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
+    if not _finite(A):
+        raise DomainError("matrix entries must be finite")
     return A
 
 
@@ -81,11 +81,13 @@ def frobenius_norm(M: np.ndarray) -> float:
 
 
 def approx_eq(A, B, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Entrywise |A_ij - B_ij| <= tol.abs + tol.rel * |B_ij|."""
-    A = to_complex(A)
-    B = to_complex(B)
+    """Entrywise |A_ij - B_ij| <= tol.abs + tol.rel * |B_ij|, for arrays of any one shape;
+    DomainError for a non-finite entry."""
+    A, B = to_complex(A), to_complex(B)
     if A.shape != B.shape:
         raise ShapeError(f"shape mismatch: {A.shape} vs {B.shape}")
+    if not (_finite(A) and _finite(B)):
+        raise DomainError("matrix entries must be finite")
     return _close(A, B, tol)
 
 
@@ -161,9 +163,9 @@ def to_complex(M: np.ndarray) -> np.ndarray:
 
 
 def _check_square(*Ms):
-    """Raise ShapeError unless the arrays, of any dtype, are nonempty,
-    square and of one shape."""
-    shape = Ms[0].shape if Ms else ()
+    """Raise ShapeError unless the arrays, of any dtype, are nonempty, square and of one
+    shape; no arrays at all pass, as the zero algebra's basis () does."""
+    shape = Ms[0].shape if Ms else (1, 1)
     if len(shape) != 2 or shape[0] != shape[1] or not shape[0] or len({M.shape for M in Ms}) > 1:
         shapes = ", ".join(str(M.shape) for M in Ms)
         raise ShapeError(f"need nonempty square matrices of one shape, got {shapes}")
@@ -275,31 +277,26 @@ def rational_nullspace(M: np.ndarray) -> list[np.ndarray]:
 
 
 def rational_solve(A: np.ndarray, b: np.ndarray):
-    """Exact solution of A x = b, or None if the system is inconsistent.
+    """Exact solution of A x = b, or None if the system is inconsistent: rowcore._coords of
+    b's columns in the span of A's, each column passed as a one-row sparse matrix.
 
-    When the solution is underdetermined an arbitrary particular solution
-    (free variables set to zero) is returned.
+    When the solution is underdetermined the particular solution with the
+    free variables set to zero is returned.
     """
     A, b = rmat(A), rmat(b)
     if len(A) != len(b):
         raise ShapeError(f"cannot solve {A.shape} against {b.shape}")
-    cols = A.shape[1]
-    R, pivots = rational_rref(np.hstack([A, b]))
-    if any(p >= cols for p in pivots):
-        return None
-    x = rzeros(cols, b.shape[1])
-    for i, p in enumerate(pivots):
-        x[p] = R[i, cols:]
-    return x
+    x = _coords(*([[row] for row in _sparse_rows(M.T)] for M in (b, A)))
+    return None if x is None else _dense(x[: A.shape[1]], (A.shape[1], b.shape[1]))
 
 
 def rational_inverse(A: np.ndarray) -> np.ndarray:
-    """Exact inverse of a square rational matrix, read by rmat and then _gate."""
-    [A] = _gate([rmat(A)], exact=True)
-    x = rational_solve(A, reye(len(A)))  # None exactly when A is singular
-    if x is None:
+    """Exact inverse of a square rational matrix, read once by rmat, solved as rational_solve."""
+    _check_square(A := rmat(A))
+    x = _coords([[{i: 1}] for i in range(len(A))], [[row] for row in _sparse_rows(A.T)])
+    if x is None:  # exactly when A is singular
         raise ValueError("matrix is singular")
-    return x
+    return _dense(x[: len(A)], A.shape)
 
 
 # ---------------------------------------------------------------------------

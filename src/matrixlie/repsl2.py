@@ -50,10 +50,10 @@ def sl2_irrep(m: int) -> Representation:
 
 
 def _cg(m: int, n: int) -> list:
-    """V_m (x) V_n's highest weights by _summands on the smaller factor's weights alone."""
+    """V_m (x) V_n's highest weights by _summands on V_k's weights alone, k = min(m, n)."""
     if None in (m := _integer(m, 0), n := _integer(n, 0)):
         raise ValueError("m and n must be nonnegative integers")
-    return _summands(max(m, n), [w for w, in _gelfand_tsetlin((min(m, n), 0))[0]])
+    return _summands(max(m, n), range(-(k := min(m, n)), k + 1, 2))
 
 
 def sl2_poly_irrep(m: int) -> Representation:

@@ -13,6 +13,7 @@ from matrixlie.bch import bch_heisenberg, bch_integral, bch_series, g_operator
 from matrixlie.errors import ClosureError, DomainError, OutOfDomainError
 from matrixlie.expmlog import mat_exp, mat_exp_nilpotent, mat_log
 from matrixlie.liealg import (
+    Basis,
     ad_matrix,
     gl_basis,
     heis_basis,
@@ -785,3 +786,13 @@ def test_counts_accept_numpy_integers(kind):
     want = bch_integral(X, Y, 4, 9)
     assert np.array_equal(bch_integral(X, Y, kind(4), kind(9)), want)
     assert np.array_equal(g_operator(np.eye(2) + Y, kind(9)), g_operator(np.eye(2) + Y, 9))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", [su2_basis, sl2_basis, heis_basis, lambda: gl_basis(2)])
+def test_integral_takes_a_basis_of_nested_lists(make):
+    basis = make()
+    listed = Basis(basis.algebra, basis.labels, tuple(M.tolist() for M in basis.elements))
+    X = 0.1 * basis.elements[0] + 0.05 * basis.elements[-1]
+    Y = 0.07 * basis.elements[1]
+    assert np.array_equal(bch_integral(X, Y, 8, basis=listed), bch_integral(X, Y, 8, basis=basis))

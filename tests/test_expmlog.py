@@ -588,3 +588,28 @@ def test_log_is_the_tensordot_sum(rho):
                 B = B + 1j * rng.standard_normal((n, n))
             A = np.eye(n) + B * (rho / frobenius_norm(B))
             assert_same_bits(mat_log(A), log_tensordot(A))
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_param_generator_reads_nested_list_samples():
+    X = np.array([[0, -0.5], [0.5, 0]])
+    samples = [OneParamSample(t, mat_exp(t * X)) for t in (0.0, 0.5, 1.0)]
+    listed = [OneParamSample(s.t, s.value.tolist()) for s in samples]
+    assert np.array_equal(one_param_generator(listed), one_param_generator(samples))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value,error", [
+    (None, ShapeError),
+    (1.0, ShapeError),
+    ([[1, 0], [0]], ShapeError),
+    (np.eye(3), ShapeError),
+    ([[np.nan, 0], [0, 1]], DomainError),
+    ([[1, "x"], [0, 1]], DomainError),
+])
+def test_one_param_generator_gates_its_values(value, error):
+    for k in range(2):  # as the value at t = 0 and as the other one
+        samples = [OneParamSample(0.0, np.eye(2)), OneParamSample(0.5, np.eye(2))]
+        samples[k] = OneParamSample(samples[k].t, value)
+        with pytest.raises(error):
+            one_param_generator(samples)

@@ -396,3 +396,22 @@ def test_a_one_element_basis_has_no_structure_constants():
     for element in (rmat([[1, 2], [3, 4]]), np.array([[1.0, 2.0], [0.0, 1j]])):
         c = structure_constants(Basis("x", ("a",), (element,)))
         assert c.shape == (1, 1, 1) and c[0, 0, 0] == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["su2", "so3", "sl2", "sl2_rational", "gl2", "heis"])
+def test_a_basis_of_nested_lists_gives_the_array_basis_results(name):
+    basis = {"su2": su2_basis, "so3": so3_basis, "sl2": sl2_basis, "heis": heis_basis,
+             "sl2_rational": sl2_basis_rational, "gl2": lambda: gl_basis(2)}[name]()
+    listed = Basis(basis.algebra, basis.labels, tuple(M.tolist() for M in basis.elements))
+    X = sum((k + 1) * M for k, M in enumerate(basis.elements))
+    # lists are floating, so the exact basis's coordinates come back as complex values
+    for got, want in ((ad_matrix(X, listed), ad_matrix(X, basis)),
+                      (structure_constants(listed), structure_constants(basis))):
+        assert np.array_equal(to_complex(got), to_complex(want))
+    if not name.endswith("rational"):
+        assert ad_matrix(X, listed).dtype == ad_matrix(X, basis).dtype
+
+
+def test_ad_matrix_of_the_empty_basis_is_empty():
+    assert ad_matrix(np.eye(2), Basis("zero", (), ())).shape == (0, 0)

@@ -480,3 +480,85 @@ def test_over_lcm_puts_rows_over_the_least_common_denominator():
     assert D == 6 and out == [{0: 18, 2: 3}, {1: 3}, {0: -2, 1: 4}]
     for row, got in zip(rows, out):
         assert all(Fraction(*row[j]) == Fraction(x, D) for j, x in got.items())
+
+
+def _systems(seed, count):
+    """Seeded systems (A, b) of integer or Fraction entries, square, tall or wide: A has
+    a row that repeats a combination of two others in about a third of them, and b is
+    a combination of A's columns in about half, so that singular, underdetermined,
+    consistent and inconsistent systems all occur."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r, c, k = (int(x) for x in rng.integers(1, 6, 3))
+        frac = rng.random() < 0.5
+
+        def entry():
+            x = int(rng.integers(-4, 5)) * (rng.random() < 0.7)
+            return Fraction(x, int(rng.integers(1, 4))) if frac else x
+
+        A = [[entry() for _ in range(c)] for _ in range(r)]
+        if r > 2 and rng.random() < 0.3:
+            A[-1] = [2 * x - y for x, y in zip(A[0], A[1])]
+        if rng.random() < 0.5:
+            x = [[entry() for _ in range(k)] for _ in range(c)]
+            b = [[sum(a * y for a, y in zip(row, col)) for col in zip(*x)] for row in A]
+        else:
+            b = [[entry() for _ in range(k)] for _ in range(r)]
+        yield A, b
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_and_inverse_are_exact_on_seeded_systems():
+    seen = set()
+    for A, b in _systems(11, 400):
+        x = rational_solve(A, b)
+        rank, rank_ab = rational_rank(A), rational_rank(np.hstack([rmat(A), rmat(b)]))
+        seen.add((len(A) == len(A[0]), rank < len(A[0]), x is None))
+        assert (x is None) == (rank_ab > rank)
+        if x is not None:
+            assert x.shape == (len(A[0]), len(b[0]))
+            assert all(type(v) is Fraction for v in x.flat)
+            assert (rdot(A, x) == rmat(b)).all()  # A x = b exactly
+            pivots = rational_rref(A)[1]
+            assert not any(x[j].any() for j in range(len(A[0])) if j not in pivots)
+        if len(A) == len(A[0]):
+            if rank < len(A):
+                with pytest.raises(ValueError, match="singular"):
+                    rational_inverse(A)
+            else:
+                inv, n = rational_inverse(A), len(A)
+                assert all(type(v) is Fraction for v in inv.flat)
+                assert (rdot(A, inv) == reye(n)).all() and (rdot(inv, A) == reye(n)).all()
+    # square and not, full column rank and not, consistent and not: every case occurs but
+    # an inconsistent square system of full rank, which cannot
+    assert len(seen) == 7 and (True, False, True) not in seen
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows,error", [
+    ([[np.nan, 0], [0, 1]], DomainError),
+    ([[np.inf, 0], [0, 1]], DomainError),
+    ([[-np.inf, 0], [0, 1]], DomainError),
+    ([[complex(0, np.inf), 0], [0, 1]], DomainError),
+    ([[1, "x"], [0, 1]], DomainError),
+    ([[1, "1"], [0, 1]], DomainError),  # a numeric string, as to_complex refuses it
+    ([[1, 2], [3]], ShapeError),
+    ([1, 2], ShapeError),
+    (5, ShapeError),
+])
+def test_cmat_errors_are_typed(rows, error):
+    with pytest.raises(error):
+        cmat(rows)
+
+
+@pytest.mark.filterwarnings("error")
+def test_approx_eq_refuses_non_finite_entries_and_takes_any_shape():
+    for bad in (np.inf, -np.inf, np.nan, complex(np.inf, 0)):
+        M = np.array([[bad, 0], [0, 1]])
+        for A, B in ((M, M), (M, np.eye(2)), (np.eye(2), M)):
+            with pytest.raises(DomainError, match="finite"):
+                approx_eq(A, B)
+    assert approx_eq(np.arange(3.0), [0, 1, 2]) and approx_eq(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+    assert approx_eq(np.zeros((0, 3)), np.zeros((0, 3))) and not approx_eq([[1.0]], [[1.1]])
+    with pytest.raises(ShapeError):
+        approx_eq(np.zeros(3), np.zeros((3, 1)))
